@@ -24,9 +24,7 @@ from ramsey_abc.graph import encode_graph6
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--threads", type=int, default=1, help="workers for the deletion scan")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     ok = True
     t0 = time.time()
@@ -61,7 +59,7 @@ def main() -> int:
     ok &= report.ok
 
     print("== deletion witnesses ==")
-    deletions = verify.verify_deletions(threads=args.threads)
+    deletions = verify.verify_deletions()
     for line in deletions.lines():
         print(f"  {line}")
     ok &= deletions.ok

@@ -27,7 +27,7 @@ from .counting import (
     fitness,
     max_independent_set,
 )
-from .bounds import DegreeRange, RamseyValue, degree_range, erdos_diagonal_lower, known_ramsey
+from .bounds import DegreeRange, RamseyValue, degree_range, known_ramsey
 from .construct import (
     ExtensionState,
     InnerGraph,
@@ -38,4 +38,4 @@ from .construct import (
     random_extension,
 )
 from .abc_search import Colony, SearchParams, SearchResult, run
-from .verify import Certificate, certify, is_isomorphic, verify_appendix, verify_deletions
+from .verify import Certificate, certify, verify_appendix, verify_deletions

@@ -51,7 +51,6 @@ class SearchParams:
     mode: str = FULL_MODE
     init_density: float | None = None
     degree_range: tuple[int, int] = DEFAULT_DEGREE_RANGE
-    count_cap: int | None = None
 
     def validate(self) -> None:
         if self.colony_size < 4 or self.colony_size % 2:
@@ -201,7 +200,7 @@ def make_colony(
             return toggle_edge(pos, u, v)
 
         def evaluate(pos: Graph) -> FitnessReport:
-            return fitness(pos, params.p, params.q, cap=params.count_cap)
+            return fitness(pos, params.p, params.q)
 
         return Colony(params, evaluate, random_position, neighbor)
 

@@ -1,4 +1,4 @@
-"""Known Ramsey values, the witness degree bound, and the diagonal lower bound.
+"""Known Ramsey values and the witness degree bound.
 
 The degree bound: in an n-vertex graph with no K_p and no q-independent set,
 every vertex degree d satisfies n - R(p, q-1) <= d <= R(p-1, q) - 1. A vertex
@@ -9,7 +9,6 @@ n - 1 - d >= R(p, q-1) forces the same among its non-neighbours.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -119,10 +118,3 @@ def degree_range(p: int, q: int, n: int) -> DegreeRange:
             f"and R({p - 1},{q}) = {side.lower}"
         )
     return DegreeRange(lo, hi, note)
-
-
-def erdos_diagonal_lower(k: int) -> float:
-    """Erdos probabilistic lower bound k * 2^(k/2) / (e * sqrt(2)) < R(k, k)."""
-    if k < 2:
-        raise ValueError(f"diagonal order must be >= 2, got {k}")
-    return k * 2 ** (k / 2) / (math.e * math.sqrt(2))

@@ -6,8 +6,9 @@ bounds, enumerate-tf, extract-base. Graph files are accepted in the
 written in both.
 
 Exit codes: 0 success / witness, 1 certified non-witness, 2 usage error,
-3 data or parse error, 4 search budget exhausted, 5 a computed value
-contradicts a shipped claim.
+3 data or parse error (including an independent-set cache over budget),
+4 search budget exhausted, 5 a computed value contradicts a shipped claim
+or a reported witness fails certification.
 """
 
 from __future__ import annotations
@@ -31,13 +32,8 @@ from .abc_search import (
     SearchResult,
     run,
 )
-from .construct import (
-    DEFAULT_DEGREE_RANGE,
-    enumerate_triangle_free,
-    extension_to_graph,
-    serialize_extension,
-)
-from .counting import fitness, count_cliques, count_independent_sets
+from .construct import enumerate_triangle_free, extension_to_graph, serialize_extension
+from .counting import CacheBudgetError, fitness, count_cliques, count_independent_sets
 from .graph import (
     Graph,
     ParseError,
@@ -59,54 +55,32 @@ OUT_DIR_ENV = "RAMSEY_ABC_OUT"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a search run depends on; round-trips through JSON."""
+    """Everything a search run depends on: the search's parameters plus the
+    files it reads and writes. Round-trips through one flat JSON object."""
 
-    p: int
-    q: int
-    n: int
-    colony_size: int = 20
-    maxlimit: int = 15
-    alpha: float = 1.0
-    seed: int = 0
-    budget: int = 100_000
-    mode: str = FULL_MODE
-    init_density: float | None = None
-    degree_range: tuple[int, int] = DEFAULT_DEGREE_RANGE
-    count_cap: int | None = None
+    params: SearchParams
     base_file: str | None = None
     out_dir: str = "runs"
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["degree_range"] = list(self.degree_range)
+        d = dataclasses.asdict(self.params) | {k: getattr(self, k) for k in RUN_FILE_FIELDS}
+        d["degree_range"] = list(self.params.degree_range)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        unknown = set(d) - set(PARAM_FIELDS) - set(RUN_FILE_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "degree_range" in d and d["degree_range"] is not None:
-            d["degree_range"] = tuple(d["degree_range"])
-        return cls(**d)
+        params = {k: v for k, v in d.items() if k in PARAM_FIELDS}
+        if params.get("degree_range") is not None:
+            params["degree_range"] = tuple(params["degree_range"])
+        files = {k: v for k, v in d.items() if k in RUN_FILE_FIELDS}
+        return cls(SearchParams(**params), **files)
 
-    def search_params(self) -> SearchParams:
-        return SearchParams(
-            p=self.p,
-            q=self.q,
-            n=self.n,
-            colony_size=self.colony_size,
-            maxlimit=self.maxlimit,
-            alpha=self.alpha,
-            seed=self.seed,
-            budget=self.budget,
-            mode=self.mode,
-            init_density=self.init_density,
-            degree_range=self.degree_range,
-            count_cap=self.count_cap,
-        )
+
+PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SearchParams))
+RUN_FILE_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "params")
 
 
 def load_graph_file(path: str | Path) -> Graph:
@@ -156,7 +130,7 @@ def _write_run_record(
             )
     record = {
         "version": __version__,
-        "seed": config.seed,
+        "seed": config.params.seed,
         "reason": result.reason,
         "rounds": result.rounds,
         "evaluations": result.evaluations,
@@ -165,7 +139,6 @@ def _write_run_record(
             "clique_count": result.best_fitness.clique_count,
             "indep_count": result.best_fitness.indep_count,
             "total": result.best_fitness.total,
-            "capped": result.best_fitness.capped,
         },
     }
     best = result.best_position
@@ -184,26 +157,10 @@ def cmd_search(args) -> int:
     if args.config:
         with open(args.config) as fh:
             config_dict = json.load(fh)
-    overrides = {
-        "p": args.p,
-        "q": args.q,
-        "n": args.n,
-        "colony_size": args.colony_size,
-        "maxlimit": args.maxlimit,
-        "alpha": args.alpha,
-        "seed": args.seed,
-        "budget": args.budget,
-        "mode": args.mode,
-        "init_density": args.init_density,
-        "count_cap": args.count_cap,
-        "base_file": args.base,
-        "out_dir": args.out,
-    }
-    for key, val in overrides.items():
+    for key in PARAM_FIELDS + RUN_FILE_FIELDS:
+        val = getattr(args, key)
         if val is not None:
             config_dict[key] = val
-    if args.degree_range is not None:
-        config_dict["degree_range"] = _parse_range(args.degree_range)
     if "out_dir" not in config_dict:
         config_dict["out_dir"] = os.environ.get(OUT_DIR_ENV, "runs")
     if "seed" not in config_dict:
@@ -218,9 +175,16 @@ def cmd_search(args) -> int:
         if field not in config_dict:
             print(f"error: missing required parameter --{field}", file=sys.stderr)
             return EXIT_USAGE
+    if base is not None and "degree_range" not in config_dict:
+        try:
+            rng = bounds.degree_range(config_dict["p"], config_dict["q"], config_dict["n"])
+        except ValueError as exc:
+            print(f"error: {exc}; pass --degree-range LO..HI", file=sys.stderr)
+            return EXIT_USAGE
+        config_dict["degree_range"] = (rng.lo, rng.hi)
     try:
         config = RunConfig.from_dict(config_dict)
-        params = config.search_params()
+        params = config.params
         params.validate()
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -229,18 +193,24 @@ def cmd_search(args) -> int:
     t0 = time.time()
     result = run(params, base=base)
     wall = time.time() - t0
-    if params.count_cap is not None and isinstance(result.best_position, Graph):
-        # search may rank with capped counts; the recorded result is exact
-        exact = fitness(result.best_position, params.p, params.q)
-        result = dataclasses.replace(result, best_fitness=exact)
 
-    run_dir = _unique_run_dir(Path(config.out_dir), config.seed)
-    _write_run_record(run_dir, config, result, wall)
-    witness_files = []
+    witness = None
     if result.reason == WITNESS_FOUND:
         best = result.best_position
-        g = best if isinstance(best, Graph) else extension_to_graph(best)
-        witness_files = write_graph_files(g, run_dir / "witness")
+        witness = best if isinstance(best, Graph) else extension_to_graph(best)
+        cert = verify.certify(witness, params.p, params.q)
+        if not cert.is_witness:
+            print(
+                f"error: reported witness fails certification: exact counts "
+                f"cliques {cert.clique_count}, independent sets {cert.indep_count}; "
+                f"nothing written",
+                file=sys.stderr,
+            )
+            return EXIT_CLAIM
+
+    run_dir = _unique_run_dir(Path(config.out_dir), params.seed)
+    _write_run_record(run_dir, config, result, wall)
+    witness_files = [] if witness is None else write_graph_files(witness, run_dir / "witness")
 
     print(f"run dir: {run_dir}")
     print(
@@ -284,7 +254,7 @@ def cmd_verify_appendix(args) -> int:
 
 
 def cmd_verify_deletions(args) -> int:
-    report = verify.verify_deletions(threads=args.threads)
+    report = verify.verify_deletions()
     if args.json:
         record = {
             "named": [
@@ -404,11 +374,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--budget", type=int)
     p_search.add_argument("--mode", choices=[FULL_MODE, EXTENSION_MODE])
     p_search.add_argument("--init-density", type=float, dest="init_density")
-    p_search.add_argument("--degree-range", dest="degree_range", help="LO..HI for extension mode")
-    p_search.add_argument("--count-cap", type=int, dest="count_cap")
-    p_search.add_argument("--base", help="base graph file for extension mode (default: bundled)")
-    p_search.add_argument("--out", help=f"output root (default ${OUT_DIR_ENV} or ./runs)")
-    p_search.add_argument("--threads", type=int, help="accepted for symmetry; search runs single-threaded")
+    p_search.add_argument(
+        "--degree-range", type=_parse_range, dest="degree_range",
+        help="LO..HI for extension mode (default: the witness degree bound)",
+    )
+    p_search.add_argument(
+        "--base", dest="base_file",
+        help="base graph file for extension mode (default: bundled)",
+    )
+    p_search.add_argument(
+        "--out", dest="out_dir", help=f"output root (default ${OUT_DIR_ENV} or ./runs)"
+    )
     p_search.set_defaults(func=cmd_search)
 
     p_verify = sub.add_parser("verify", help="exactly certify graph files")
@@ -422,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_va.set_defaults(func=cmd_verify_appendix)
 
     p_vd = sub.add_parser("verify-deletions", help="check the claimed deletion witnesses and scan all deletions")
-    p_vd.add_argument("--threads", type=int, default=os.cpu_count())
     p_vd.add_argument("--json", action="store_true")
     p_vd.set_defaults(func=cmd_verify_deletions)
 
@@ -466,6 +441,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except json.JSONDecodeError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except CacheBudgetError as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

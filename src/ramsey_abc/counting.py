@@ -15,12 +15,11 @@ sets are counted as cliques of the complement.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _bits, complement, decode_graph6, encode_graph6, induced_subgraph
+from .graph import Graph, _bits, complement, induced_subgraph
 
 
 class CacheBudgetError(RuntimeError):
@@ -29,15 +28,10 @@ class CacheBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitnessReport:
-    """Counts of forbidden substructures; total == 0 marks a witness graph.
-
-    With capped=True the counts saturated at the configured ceiling and are
-    lower bounds, not exact values.
-    """
+    """Exact counts of forbidden substructures; total == 0 marks a witness graph."""
 
     clique_count: int
     indep_count: int
-    capped: bool = False
 
     @property
     def total(self) -> int:
@@ -45,7 +39,7 @@ class FitnessReport:
 
     @property
     def is_witness(self) -> bool:
-        return self.total == 0 and not self.capped
+        return self.total == 0
 
 
 def _check_order(g: Graph, k: int, what: str) -> None:
@@ -53,10 +47,10 @@ def _check_order(g: Graph, k: int, what: str) -> None:
         raise ValueError(f"{what} must be in 1..{g.n}, got {k}")
 
 
-def _count_complete(adj: tuple[int, ...], n: int, p: int, cap: int | None) -> int:
+def _count_complete(adj: tuple[int, ...], n: int, p: int) -> int:
     """Number of p-subsets of 0..n-1 that are pairwise adjacent."""
     if p == 1:
-        return n if cap is None else min(n, cap)
+        return n
     count = 0
 
     def rec(cand: int, need: int) -> None:
@@ -71,11 +65,9 @@ def _count_complete(adj: tuple[int, ...], n: int, p: int, cap: int | None) -> in
             nxt = cand & adj[v]
             if nxt.bit_count() >= need - 1:
                 rec(nxt, need - 1)
-                if cap is not None and count >= cap:
-                    return
 
     rec((1 << n) - 1, p)
-    return count if cap is None else min(count, cap)
+    return count
 
 
 def _find_complete(adj: tuple[int, ...], n: int, p: int) -> tuple[int, ...] | None:
@@ -101,24 +93,21 @@ def _find_complete(adj: tuple[int, ...], n: int, p: int) -> tuple[int, ...] | No
     return None
 
 
-def count_cliques(g: Graph, p: int, cap: int | None = None) -> int:
-    """Exact number of p-vertex complete subgraphs (saturating at cap if given)."""
+def count_cliques(g: Graph, p: int) -> int:
+    """Exact number of p-vertex complete subgraphs."""
     _check_order(g, p, "clique order")
-    return _count_complete(g.adj, g.n, p, cap)
+    return _count_complete(g.adj, g.n, p)
 
 
-def count_independent_sets(g: Graph, q: int, cap: int | None = None) -> int:
-    """Exact number of q-vertex independent sets (saturating at cap if given)."""
+def count_independent_sets(g: Graph, q: int) -> int:
+    """Exact number of q-vertex independent sets."""
     _check_order(g, q, "independent-set order")
-    return _count_complete(complement(g).adj, g.n, q, cap)
+    return _count_complete(complement(g).adj, g.n, q)
 
 
-def fitness(g: Graph, p: int, q: int, cap: int | None = None) -> FitnessReport:
+def fitness(g: Graph, p: int, q: int) -> FitnessReport:
     """Clique count plus independent-set count; zero total means witness."""
-    cliques = count_cliques(g, p, cap)
-    indep = count_independent_sets(g, q, cap)
-    capped = cap is not None and (cliques >= cap or indep >= cap)
-    return FitnessReport(cliques, indep, capped)
+    return FitnessReport(count_cliques(g, p), count_independent_sets(g, q))
 
 
 def find_clique(g: Graph, p: int) -> tuple[int, ...] | None:
@@ -182,16 +171,14 @@ class IndepSetCache:
     """All independent sets of the base graph, grouped by size.
 
     masks_by_size[k] is a uint64 array with one bit-set per k-independent
-    set; free_by_size[k] holds, per set, the mask of base vertices neither
-    in the set nor adjacent to it. Combining a cached set S with vertices
-    attached to the base reduces to one mask test: S stays independent of
-    an added-vertex set T iff S & (union of T's attachment masks) == 0.
+    set. Combining a cached set S with vertices attached to the base
+    reduces to one mask test: S stays independent of an added-vertex set T
+    iff S & (union of T's attachment masks) == 0.
     """
 
     base: Graph
     sizes: tuple[int, ...]
     masks_by_size: dict[int, np.ndarray]
-    free_by_size: dict[int, np.ndarray]
 
     def counts(self) -> dict[int, int]:
         return {k: len(self.masks_by_size[k]) for k in self.sizes}
@@ -202,41 +189,6 @@ class IndepSetCache:
         if len(arr) == 0:
             return 0
         return int(np.count_nonzero((arr & np.uint64(avoid_mask)) == 0))
-
-    def save(self, path) -> None:
-        payload = {
-            "version": 1,
-            "base_graph6": encode_graph6(self.base),
-            "sizes": list(self.sizes),
-            "sets": {str(k): [int(m) for m in self.masks_by_size[k]] for k in self.sizes},
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-
-    @staticmethod
-    def load(path, base: Graph | None = None) -> "IndepSetCache":
-        with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("version") != 1:
-            raise ValueError(f"unsupported cache version {payload.get('version')!r}")
-        stored = decode_graph6(payload["base_graph6"])
-        if base is not None and (base.n != stored.n or base.adj != stored.adj):
-            raise ValueError("cache was built for a different base graph")
-        sizes = tuple(sorted(payload["sizes"]))
-        full = (1 << stored.n) - 1
-        masks_by_size: dict[int, np.ndarray] = {}
-        free_by_size: dict[int, np.ndarray] = {}
-        for k in sizes:
-            masks = [int(m) for m in payload["sets"][str(k)]]
-            frees = []
-            for m in masks:
-                closed = m
-                for v in _bits(m):
-                    closed |= stored.adj[v]
-                frees.append(full & ~closed)
-            masks_by_size[k] = np.array(masks, dtype=np.uint64)
-            free_by_size[k] = np.array(frees, dtype=np.uint64)
-        return IndepSetCache(stored, sizes, masks_by_size, free_by_size)
 
 
 def build_indep_cache(
@@ -254,16 +206,13 @@ def build_indep_cache(
     # smallest requested size still reachable from a partial set of each size
     next_wanted = [min((k for k in wanted if k > s), default=kmax + 1) for s in range(kmax + 1)]
     collected: dict[int, list[int]] = {k: [] for k in wanted}
-    frees: dict[int, list[int]] = {k: [] for k in wanted}
-    full = (1 << base.n) - 1
 
-    def rec(cand: int, chosen: int, free: int, size: int) -> None:
+    def rec(cand: int, chosen: int, size: int) -> None:
         while cand:
             b = cand & -cand
             v = b.bit_length() - 1
             cand ^= b
             nchosen = chosen | b
-            nfree = free & ~(base.adj[v] | b)
             nsize = size + 1
             if nsize in wanted_set:
                 bucket = collected[nsize]
@@ -272,16 +221,14 @@ def build_indep_cache(
                         f"more than {max_sets_per_size} independent sets of size {nsize}"
                     )
                 bucket.append(nchosen)
-                frees[nsize].append(nfree)
             if nsize < kmax:
                 nxt = cand & comp[v]
                 if nsize + nxt.bit_count() >= next_wanted[nsize]:
-                    rec(nxt, nchosen, nfree, nsize)
+                    rec(nxt, nchosen, nsize)
 
-    rec(full, 0, full, 0)
+    rec((1 << base.n) - 1, 0, 0)
     masks_by_size = {k: np.array(collected[k], dtype=np.uint64) for k in wanted}
-    free_by_size = {k: np.array(frees[k], dtype=np.uint64) for k in wanted}
-    return IndepSetCache(base, wanted, masks_by_size, free_by_size)
+    return IndepSetCache(base, wanted, masks_by_size)
 
 
 def extension_fitness(cache: IndepSetCache, ext, p: int, q: int) -> FitnessReport:

@@ -8,7 +8,6 @@ failed claim is reported, never papered over: computed values always win.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import bounds, dataset
@@ -174,8 +173,7 @@ def _deletion_counts(g: Graph, vertex_1idx: int) -> tuple[int, int]:
     return count_cliques(smaller, 3), count_independent_sets(smaller, 10)
 
 
-def _scan_one(args) -> tuple[str, int] | None:
-    g, name, vertex_1idx = args
+def _scan_one(g: Graph, name: str, vertex_1idx: int) -> tuple[str, int] | None:
     smaller, _ = delete_vertex(g, vertex_1idx - 1)
     if count_cliques(smaller, 3):
         return None
@@ -184,7 +182,7 @@ def _scan_one(args) -> tuple[str, int] | None:
     return (name, vertex_1idx)
 
 
-def verify_deletions(reports=None, threads: int | None = None) -> DeletionReport:
+def verify_deletions(reports=None) -> DeletionReport:
     """Certify the four claimed deletions exactly, then scan every
     single-vertex deletion of all four graphs for witnesses.
 
@@ -198,84 +196,10 @@ def verify_deletions(reports=None, threads: int | None = None) -> DeletionReport
     for name, v in DELETION_CLAIMS:
         tri, ten = _deletion_counts(graphs[name], v)
         named.append(DeletionRow(name, v, tri, ten))
-    tasks = [
-        (graphs[name], name, v + 1)
+    hits = (
+        _scan_one(graphs[name], name, v + 1)
         for name in sorted(graphs)
         for v in range(graphs[name].n)
-    ]
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            hits = list(pool.map(_scan_one, tasks, chunksize=8))
-    else:
-        hits = [_scan_one(t) for t in tasks]
+    )
     scan = tuple(hit for hit in hits if hit is not None)
     return DeletionReport(tuple(named), scan)
-
-
-def is_isomorphic(g: Graph, h: Graph) -> dict[int, int] | None:
-    """Backtracking isomorphism test; returns a vertex mapping g -> h or None.
-
-    Candidates are pruned by degree and by the multiset of neighbour degrees,
-    then extended in an order that keeps each new vertex adjacent to already
-    mapped ones where possible. Any returned mapping has been re-verified
-    edge by edge.
-    """
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return None
-
-    def profile(graph: Graph, v: int) -> tuple:
-        return (
-            graph.degree(v),
-            tuple(sorted(graph.degree(u) for u in graph.neighbors(v))),
-        )
-
-    gprof = {v: profile(g, v) for v in range(g.n)}
-    hprof = {v: profile(h, v) for v in range(h.n)}
-    if sorted(gprof.values()) != sorted(hprof.values()):
-        return None
-    candidates = {
-        v: [w for w in range(h.n) if hprof[w] == gprof[v]] for v in range(g.n)
-    }
-
-    # order: most constrained first, preferring vertices adjacent to the
-    # already ordered ones so the adjacency check bites early
-    order: list[int] = []
-    remaining = set(range(g.n))
-    while remaining:
-        touching = [v for v in remaining if any(g.has_edge(v, u) for u in order)]
-        pool = touching if touching else sorted(remaining)
-        v = min(pool, key=lambda x: (len(candidates[x]), x))
-        order.append(v)
-        remaining.remove(v)
-
-    mapping: dict[int, int] = {}
-    used = [False] * h.n
-
-    def backtrack(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for u in order[:i]:
-                if g.has_edge(v, u) != h.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if backtrack(i + 1):
-                    return True
-                used[w] = False
-                del mapping[v]
-        return False
-
-    if not backtrack(0):
-        return None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v) != h.has_edge(mapping[u], mapping[v]):
-                raise AssertionError("isomorphism mapping failed re-verification")
-    return dict(sorted(mapping.items()))

@@ -113,7 +113,7 @@ def test_criterion_5_appendix_adjudication():
 
 
 def test_criterion_6_deletion_witnesses():
-    report = verify.verify_deletions(threads=1)
+    report = verify.verify_deletions()
     verdicts = {(r.name, r.vertex): r.is_witness for r in report.named}
     ok = all(verdicts.values()) and set(verdicts) == set(verify.DELETION_CLAIMS)
     _report(6, ok, f"named deletions {verdicts}, scan found {report.scan_witnesses}")

@@ -1,11 +1,8 @@
-import math
-
 import pytest
 
 from ramsey_abc.bounds import (
     REPORTED_DEGREE_RANGES,
     degree_range,
-    erdos_diagonal_lower,
     known_ramsey,
 )
 
@@ -78,22 +75,3 @@ def test_degree_range_requires_exact_subvalues():
 def test_degree_range_membership(c5):
     rng = degree_range(3, 3, 5)
     assert all(d in rng for d in c5.degrees())
-
-
-def test_erdos_diagonal_values():
-    for k in (2, 4, 9):
-        assert erdos_diagonal_lower(k) == pytest.approx(
-            k * 2 ** (k / 2) / (math.e * math.sqrt(2))
-        )
-    assert erdos_diagonal_lower(2) == pytest.approx(1.04052, abs=1e-4)
-    assert erdos_diagonal_lower(4) == pytest.approx(4.16208, abs=1e-4)
-
-
-def test_erdos_monotone():
-    values = [erdos_diagonal_lower(k) for k in range(2, 41)]
-    assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_erdos_validation():
-    with pytest.raises(ValueError):
-        erdos_diagonal_lower(1)

@@ -1,11 +1,15 @@
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
+from ramsey_abc import abc_search, cli, counting
+from ramsey_abc.abc_search import WITNESS_FOUND, SearchParams, SearchResult
 from ramsey_abc.cli import (
     EXIT_BUDGET,
+    EXIT_CLAIM,
     EXIT_DATA,
     EXIT_NONWITNESS,
     EXIT_OK,
@@ -14,14 +18,17 @@ from ramsey_abc.cli import (
     load_graph_file,
     main,
 )
+from ramsey_abc.counting import FitnessReport
 from ramsey_abc.graph import Graph, emit_adjacency_list, encode_graph6
 
 
 def test_runconfig_roundtrip():
-    config = RunConfig(p=3, q=10, n=40, mode="extension", degree_range=(4, 9), seed=7)
+    params = SearchParams(p=3, q=10, n=40, mode="extension", degree_range=(4, 9), seed=7)
+    config = RunConfig(params, base_file="base.adj")
     assert RunConfig.from_dict(config.to_dict()) == config
-    with pytest.raises(ValueError, match="unknown config keys"):
-        RunConfig.from_dict({"p": 3, "q": 3, "n": 5, "bogus": 1})
+    for key in ("bogus", "count_cap"):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            RunConfig.from_dict({"p": 3, "q": 3, "n": 5, key: 1})
 
 
 def test_load_graph_file_sniffs_formats(tmp_path):
@@ -51,7 +58,7 @@ def test_search_writes_run_record(tmp_path, capsys):
     assert result["best_fitness"]["total"] == 0
     assert result["reason"] == "witness-found"
     config = json.loads((run_dir / "config.json").read_text())
-    assert RunConfig.from_dict(config).seed == 1
+    assert RunConfig.from_dict(config).params.seed == 1
     # the witness file certifies clean
     assert main(["verify", str(run_dir / "witness.adj"), "--p", "3", "--q", "3"]) == EXIT_OK
 
@@ -103,26 +110,12 @@ def test_search_budget_exhaustion_exit(tmp_path):
     assert code == EXIT_BUDGET
 
 
-def test_search_with_count_cap_records_exact_fitness(tmp_path):
-    code = main(
-        [
-            "search", "--p", "3", "--q", "3", "--n", "6",
-            "--seed", "3", "--budget", "40", "--count-cap", "2",
-            "--out", str(tmp_path),
-        ]
-    )
-    assert code in (EXIT_OK, EXIT_BUDGET)
-    result = json.loads((next(tmp_path.iterdir()) / "result.json").read_text())
-    # the recorded best fitness is recomputed without the cap
-    assert result["best_fitness"]["capped"] is False
-
-
 def test_verify_reports_json(capsys):
     assert main(["verify-appendix", "--json"]) == EXIT_OK
     records = json.loads(capsys.readouterr().out)
     assert [r["name"] for r in records] == ["A", "B", "C", "D"]
     assert all(r["passed"] for r in records)
-    assert main(["verify-deletions", "--threads", "1", "--json"]) == EXIT_OK
+    assert main(["verify-deletions", "--json"]) == EXIT_OK
     record = json.loads(capsys.readouterr().out)
     assert len(record["named"]) == 4
     assert record["scan_witnesses"] == [["A", 37], ["A", 38], ["C", 3], ["C", 38]]
@@ -169,7 +162,63 @@ def test_search_extension_mode_defaults_to_bundled_base(tmp_path, capsys):
     result = json.loads((next(tmp_path.iterdir()) / "result.json").read_text())
     assert result["best_extension"]["attachments"]
     assert result["best_fitness"]["total"] > 0
-    assert json.loads((next(tmp_path.iterdir()) / "config.json").read_text())["n"] == 40
+    config = json.loads((next(tmp_path.iterdir()) / "config.json").read_text())
+    assert config["n"] == 40
+    assert config["degree_range"] == [4, 9]
+
+
+def test_search_extension_mode_derives_degree_range(tmp_path, capsys):
+    code = main(
+        [
+            "search", "--mode", "extension", "--p", "3", "--q", "10", "--n", "39",
+            "--seed", "2", "--budget", "20", "--colony-size", "4",
+            "--out", str(tmp_path / "runs"),
+        ]
+    )
+    assert code == EXIT_BUDGET
+    config = json.loads((next((tmp_path / "runs").iterdir()) / "config.json").read_text())
+    assert config["degree_range"] == [3, 9]  # bounds.degree_range(3, 10, 39)
+    # R(3,10) is not exactly known, so (3,11) has no derivable range
+    code = main(
+        [
+            "search", "--mode", "extension", "--p", "3", "--q", "11",
+            "--out", str(tmp_path / "inexact"),
+        ]
+    )
+    assert code == EXIT_USAGE
+    assert "--degree-range" in capsys.readouterr().err
+    assert not (tmp_path / "inexact").exists()
+
+
+def test_search_rejects_witness_that_fails_certification(tmp_path, monkeypatch, capsys):
+    def fake_run(params, base=None):
+        return SearchResult(
+            best_position=Graph.complete(params.n),
+            best_fitness=FitnessReport(0, 0),
+            rounds=0,
+            evaluations=1,
+            history=(),
+            reason=WITNESS_FOUND,
+        )
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    code = main(["search", "--p", "3", "--q", "3", "--n", "5", "--out", str(tmp_path)])
+    assert code == EXIT_CLAIM
+    assert "cliques 10, independent sets 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/witness.*"))
+
+
+def test_search_cache_over_budget_exits_cleanly(tmp_path, monkeypatch, capsys):
+    capped = functools.partial(counting.build_indep_cache, max_sets_per_size=10)
+    monkeypatch.setattr(abc_search, "build_indep_cache", capped)
+    code = main(
+        [
+            "search", "--mode", "extension", "--p", "3", "--q", "10",
+            "--seed", "0", "--budget", "20", "--out", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_DATA
+    assert "more than 10 independent sets" in capsys.readouterr().err
 
 
 def test_verify_non_witness(tmp_path, g1, capsys):
@@ -193,7 +242,7 @@ def test_verify_appendix_cli(capsys):
 
 
 def test_verify_deletions_cli(capsys):
-    assert main(["verify-deletions", "--threads", "1"]) == EXIT_OK
+    assert main(["verify-deletions"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "A-37" in out and "C-3" in out
 

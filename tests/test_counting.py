@@ -14,7 +14,6 @@ from helpers import (
 from ramsey_abc.construct import decompose_extension, random_extension, InnerGraph
 from ramsey_abc.counting import (
     CacheBudgetError,
-    IndepSetCache,
     build_indep_cache,
     count_cliques,
     count_independent_sets,
@@ -29,6 +28,7 @@ from ramsey_abc.graph import Graph, complement, induced_subgraph, relabel
 
 def test_clique_count_examples(g1, c5):
     assert count_cliques(Graph.complete(4), 3) == 4
+    assert count_cliques(Graph.complete(6), 3) == 20
     assert count_cliques(g1, 3) == 1
     assert count_cliques(c5, 3) == 0
 
@@ -62,17 +62,6 @@ def test_find_witnesses(g1, c5):
     assert find_independent_set(Graph.complete(3), 2) is None
     found = find_clique(Graph.complete(4), 3)
     assert induced_subgraph(Graph.complete(4), found) == Graph.complete(3)
-
-
-def test_capped_counting():
-    k6 = Graph.complete(6)
-    assert count_cliques(k6, 3) == 20
-    assert count_cliques(k6, 3, cap=5) == 5
-    rep = fitness(k6, 3, 3, cap=5)
-    assert rep.capped and rep.clique_count == 5
-    assert not rep.is_witness
-    zero = fitness(Graph.cycle(5), 3, 3, cap=5)
-    assert zero.is_witness and not zero.capped
 
 
 def test_exhaustive_oracle_n5():
@@ -156,31 +145,6 @@ def test_cache_counts_match_oracle():
     cache = build_indep_cache(g, range(1, 6))
     for k in range(1, 6):
         assert cache.counts()[k] == brute_count_indep(g, k)
-
-
-def test_cache_free_masks():
-    c5 = Graph.cycle(5)
-    cache = build_indep_cache(c5, [1, 2])
-    for k in (1, 2):
-        for set_mask, free_mask in zip(cache.masks_by_size[k], cache.free_by_size[k]):
-            sm, fm = int(set_mask), int(free_mask)
-            assert sm & fm == 0
-            for v in range(5):
-                if fm >> v & 1:
-                    assert not c5.adj[v] & sm
-
-
-def test_cache_save_load_roundtrip(tmp_path, c5):
-    cache = build_indep_cache(c5, [1, 2])
-    path = tmp_path / "cache.json"
-    cache.save(path)
-    loaded = IndepSetCache.load(path, base=c5)
-    assert loaded.counts() == cache.counts()
-    for k in cache.sizes:
-        assert list(loaded.masks_by_size[k]) == list(cache.masks_by_size[k])
-        assert list(loaded.free_by_size[k]) == list(cache.free_by_size[k])
-    with pytest.raises(ValueError, match="different base"):
-        IndepSetCache.load(path, base=Graph.empty(5))
 
 
 def _random_ext(seed, base_n=10, added=4, degree_range=(0, 4)):

@@ -1,13 +1,9 @@
-import random
-from itertools import combinations
-
-from helpers import brute_fitness, brute_isomorphic, graphs, random_graph
-from ramsey_abc.graph import Graph, induced_subgraph, relabel
+from helpers import brute_fitness, graphs
+from ramsey_abc.graph import Graph, induced_subgraph
 from ramsey_abc.verify import (
     DELETION_CLAIMS,
     TRIANGLE_CLAIMS,
     certify,
-    is_isomorphic,
     verify_appendix,
     verify_deletions,
 )
@@ -81,13 +77,6 @@ def test_deletion_report_named_rows():
             assert (row.name, row.vertex) in report.scan_witnesses
 
 
-def test_deletion_scan_parallel_matches_sequential():
-    seq = verify_deletions(threads=1)
-    par = verify_deletions(threads=2)
-    assert seq.named == par.named
-    assert seq.scan_witnesses == par.scan_witnesses
-
-
 def test_deletion_witnesses_certify_with_feasible_degrees():
     # full certification of the four claimed 39-vertex witnesses: exact
     # counts zero and every degree inside the admissible [3, 9] band
@@ -100,45 +89,3 @@ def test_deletion_witnesses_certify_with_feasible_degrees():
         cert = certify(smaller, 3, 10)
         assert cert.is_witness
         assert cert.degree_feasible is True
-
-
-def test_is_isomorphic_relabeling(c5):
-    rng = random.Random(4)
-    perm = list(range(5))
-    rng.shuffle(perm)
-    mapping = is_isomorphic(c5, relabel(c5, perm))
-    assert mapping is not None
-    for u, v in combinations(range(5), 2):
-        assert c5.has_edge(u, v) == relabel(c5, perm).has_edge(mapping[u], mapping[v])
-
-
-def test_is_isomorphic_rejects_path_vs_cycle(c5):
-    p5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert is_isomorphic(c5, p5) is None
-
-
-def test_is_isomorphic_same_degree_sequence_different_graphs():
-    # two 6-vertex 2-regular graphs: C6 vs two triangles
-    c6 = Graph.cycle(6)
-    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert is_isomorphic(c6, two_triangles) is None
-
-
-@given(graphs(max_n=7), st.randoms(use_true_random=False))
-@settings(max_examples=100)
-def test_is_isomorphic_reflexive_and_matches_brute(g, rnd):
-    assert is_isomorphic(g, g) is not None
-    perm = list(range(g.n))
-    rnd.shuffle(perm)
-    h = relabel(g, perm)
-    assert is_isomorphic(g, h) is not None
-    assert brute_isomorphic(g, h)
-
-
-def test_is_isomorphic_symmetric():
-    rng = random.Random(17)
-    for _ in range(20):
-        g = random_graph(7, rng)
-        h = random_graph(7, rng)
-        assert (is_isomorphic(g, h) is None) == (is_isomorphic(h, g) is None)
-        assert (is_isomorphic(g, h) is None) == (not brute_isomorphic(g, h))
