@@ -28,9 +28,18 @@ from ramsey_abc.graph import Graph, complement, induced_subgraph, relabel
 
 def test_clique_count_examples(g1, c5):
     assert count_cliques(Graph.complete(4), 3) == 4
-    assert count_cliques(Graph.complete(6), 3) == 20
     assert count_cliques(g1, 3) == 1
     assert count_cliques(c5, 3) == 0
+
+
+def test_capped_counting():
+    # counts are never capped: a dense graph reports every violation
+    k6 = Graph.complete(6)
+    assert count_cliques(k6, 3) == 20
+    rep = fitness(k6, 3, 3)
+    assert (rep.clique_count, rep.indep_count, rep.total) == (20, 0, 20)
+    assert not rep.is_witness
+    assert fitness(Graph.cycle(5), 3, 3).is_witness
 
 
 def test_indep_count_examples(g1):
