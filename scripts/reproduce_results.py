@@ -49,8 +49,8 @@ def main() -> int:
     catalog = enumerate_triangle_free(5)
     print(f"  {len(catalog)} isomorphism classes (expected 14)")
     ok &= len(catalog) == 14
-    for idx, item in enumerate(catalog):
-        print(f"  [{idx:>2}] {encode_graph6(item.graph)}  degrees {item.degrees}")
+    for idx, g in enumerate(catalog):
+        print(f"  [{idx:>2}] {encode_graph6(g)}  degrees {g.degrees()}")
 
     print("== dataset claims ==")
     report = verify.verify_appendix()

@@ -30,7 +30,6 @@ from .counting import (
 from .bounds import DegreeRange, RamseyValue, degree_range, known_ramsey
 from .construct import (
     ExtensionState,
-    InnerGraph,
     decompose_extension,
     enumerate_triangle_free,
     extension_to_graph,

@@ -53,6 +53,20 @@ class SearchParams:
     degree_range: tuple[int, int] = DEFAULT_DEGREE_RANGE
 
     def validate(self) -> None:
+        for name in ("p", "q", "n", "colony_size", "maxlimit", "seed", "budget"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not _is_number(self.alpha):
+            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
+        if self.init_density is not None and not _is_number(self.init_density):
+            raise ValueError(f"init_density must be a number, got {self.init_density!r}")
+        rng = self.degree_range
+        if not (
+            isinstance(rng, (tuple, list)) and len(rng) == 2
+            and all(_is_int(v) for v in rng) and rng[0] <= rng[1]
+        ):
+            raise ValueError(f"degree_range must be two integers LO <= HI, got {rng!r}")
         if self.colony_size < 4 or self.colony_size % 2:
             raise ValueError("colony_size must be even and at least 4")
         if self.maxlimit < 1:
@@ -65,6 +79,14 @@ class SearchParams:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (1 <= self.p <= self.n and 1 <= self.q <= self.n):
             raise ValueError("orders p, q must lie in 1..n")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass

@@ -157,14 +157,21 @@ def cmd_search(args) -> int:
     if args.config:
         with open(args.config) as fh:
             config_dict = json.load(fh)
+        if not isinstance(config_dict, dict):
+            print(f"config error: {args.config} does not hold a JSON object", file=sys.stderr)
+            return EXIT_DATA
     for key in PARAM_FIELDS + RUN_FILE_FIELDS:
         val = getattr(args, key)
         if val is not None:
             config_dict[key] = val
-    if "out_dir" not in config_dict:
+    if config_dict.get("out_dir") is None:
         config_dict["out_dir"] = os.environ.get(OUT_DIR_ENV, "runs")
     if "seed" not in config_dict:
         config_dict["seed"] = int.from_bytes(os.urandom(4), "big")
+    for key in RUN_FILE_FIELDS:
+        if config_dict.get(key) is not None and not isinstance(config_dict[key], str):
+            print(f"error: {key} must be a path, got {config_dict[key]!r}", file=sys.stderr)
+            return EXIT_USAGE
 
     base = None
     if config_dict.get("mode") == EXTENSION_MODE:
@@ -175,13 +182,6 @@ def cmd_search(args) -> int:
         if field not in config_dict:
             print(f"error: missing required parameter --{field}", file=sys.stderr)
             return EXIT_USAGE
-    if base is not None and "degree_range" not in config_dict:
-        try:
-            rng = bounds.degree_range(config_dict["p"], config_dict["q"], config_dict["n"])
-        except ValueError as exc:
-            print(f"error: {exc}; pass --degree-range LO..HI", file=sys.stderr)
-            return EXIT_USAGE
-        config_dict["degree_range"] = (rng.lo, rng.hi)
     try:
         config = RunConfig.from_dict(config_dict)
         params = config.params
@@ -189,6 +189,14 @@ def cmd_search(args) -> int:
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if base is not None and "degree_range" not in config_dict:
+        try:
+            rng = bounds.degree_range(params.p, params.q, params.n)
+        except ValueError as exc:
+            print(f"error: {exc}; pass --degree-range LO..HI", file=sys.stderr)
+            return EXIT_USAGE
+        params = dataclasses.replace(params, degree_range=(rng.lo, rng.hi))
+        config = dataclasses.replace(config, params=params)
 
     t0 = time.time()
     result = run(params, base=base)
@@ -331,13 +339,12 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_enumerate_tf(args) -> int:
-    catalog = enumerate_triangle_free(args.k)
-    for item in catalog:
+    for g in enumerate_triangle_free(args.k):
         if args.adj:
-            print(emit_adjacency_list(item.graph), end="")
+            print(emit_adjacency_list(g), end="")
             print("--")
         else:
-            print(encode_graph6(item.graph))
+            print(encode_graph6(g))
     return EXIT_OK
 
 

@@ -2,9 +2,10 @@
 
 A candidate adds a handful of new vertices to the base: the added vertices
 carry a triangle-free graph among themselves (the "inner" graph) and each
-added vertex attaches to a set of base vertices. Attachment sets are kept
-pairwise disjoint: with an 8-regular base and a degree ceiling of 9, a base
-vertex receiving two new edges would exceed the admissible degree range.
+added vertex attaches to a set of base vertices, held as a bitmask like every
+other vertex set in the package. Attachment sets are kept pairwise disjoint:
+with an 8-regular base and a degree ceiling of 9, a base vertex receiving two
+new edges would exceed the admissible degree range.
 
 Attachments are drawn by chunking a random permutation of the base vertices:
 added vertex k takes the permutation positions (S_{k-1}, S_k], where S_k is
@@ -23,31 +24,23 @@ DEFAULT_DEGREE_RANGE = (4, 9)
 
 
 @dataclass(frozen=True)
-class InnerGraph:
-    """Graph on the added vertices plus its per-vertex degrees."""
-
-    graph: Graph
-    degrees: tuple[int, ...]
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "InnerGraph":
-        return cls(g, g.degrees())
-
-
-@dataclass(frozen=True)
 class ExtensionState:
-    """Base graph + inner graph + one attachment set per added vertex."""
+    """Base graph + inner graph + one attachment bitmask per added vertex."""
 
     base: Graph
-    inner: InnerGraph
-    attachments: tuple[frozenset[int], ...]
-
-    def added_count(self) -> int:
-        return self.inner.graph.n
+    inner: Graph
+    attachments: tuple[int, ...]
 
     def added_degree(self, i: int) -> int:
         """Total degree of added vertex i in the assembled graph."""
-        return len(self.attachments[i]) + self.inner.degrees[i]
+        return self.attachments[i].bit_count() + self.inner.degree(i)
+
+
+def _mask(vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 def _is_independent(g: Graph, mask: int) -> bool:
@@ -100,7 +93,7 @@ def _from_canonical_bits(n: int, bits: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def enumerate_triangle_free(k: int) -> list[InnerGraph]:
+def enumerate_triangle_free(k: int) -> list[Graph]:
     """One canonical representative per isomorphism class of triangle-free
     graphs on k vertices, in a deterministic order (14 classes for k = 5).
 
@@ -126,15 +119,13 @@ def enumerate_triangle_free(k: int) -> list[InnerGraph]:
                 if key not in nxt:
                     nxt[key] = cand
         reps = nxt
-    ordered = sorted(
-        (g.edge_count(), key, _from_canonical_bits(k, key)) for key, g in reps.items()
-    )
-    return [InnerGraph.from_graph(g) for _, _, g in ordered]
+    ordered = sorted((g.edge_count(), key) for key, g in reps.items())
+    return [_from_canonical_bits(k, key) for _, key in ordered]
 
 
 def random_extension(
     base: Graph,
-    inner: InnerGraph,
+    inner: Graph,
     degree_range: tuple[int, int] = DEFAULT_DEGREE_RANGE,
     rng: random.Random | None = None,
     max_resamples: int = 10_000,
@@ -149,8 +140,8 @@ def random_extension(
     """
     rng = rng if rng is not None else random.Random()
     lo, hi = degree_range
-    t = inner.degrees
-    a = inner.graph.n
+    t = inner.degrees()
+    a = inner.n
     m = base.n
     if any(hi < ti for ti in t):
         raise ValueError(
@@ -172,7 +163,7 @@ def random_extension(
     pos = 0
     for d, ti in zip(degs, t):
         take = d - ti
-        attachments.append(frozenset(perm[pos : pos + take]))
+        attachments.append(_mask(perm[pos : pos + take]))
         pos += take
     return ExtensionState(base, inner, tuple(attachments))
 
@@ -184,16 +175,14 @@ def extension_to_graph(ext: ExtensionState) -> Graph:
     36..40 used by the shipped 40-vertex dataset.
     """
     m = ext.base.n
-    a = ext.inner.graph.n
-    n = m + a
+    a = ext.inner.n
     adj = list(ext.base.adj) + [0] * a
-    for i in range(a):
+    for i, att in enumerate(ext.attachments):
         u = m + i
-        adj[u] = ext.inner.graph.adj[i] << m
-        for v in ext.attachments[i]:
-            adj[u] |= 1 << v
+        adj[u] = (ext.inner.adj[i] << m) | att
+        for v in _bits(att):
             adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return Graph(m + a, tuple(adj))
 
 
 def decompose_extension(g: Graph, base_size: int) -> ExtensionState:
@@ -203,11 +192,9 @@ def decompose_extension(g: Graph, base_size: int) -> ExtensionState:
     if not 1 <= base_size < g.n:
         raise ValueError(f"base size must be in 1..{g.n - 1}")
     base = induced_subgraph(g, range(base_size))
-    inner = InnerGraph.from_graph(induced_subgraph(g, range(base_size, g.n)))
-    attachments = tuple(
-        frozenset(v for v in _bits(g.adj[u]) if v < base_size)
-        for u in range(base_size, g.n)
-    )
+    inner = induced_subgraph(g, range(base_size, g.n))
+    base_mask = (1 << base_size) - 1
+    attachments = tuple(g.adj[u] & base_mask for u in range(base_size, g.n))
     return ExtensionState(base, inner, attachments)
 
 
@@ -216,12 +203,13 @@ def check_extension_invariants(
 ) -> None:
     """Raise if attachment sets overlap or an added vertex leaves the degree range."""
     lo, hi = degree_range
-    seen: set[int] = set()
+    base_mask = (1 << ext.base.n) - 1
+    seen = 0
     for i, att in enumerate(ext.attachments):
         if att & seen:
-            raise ValueError(f"attachment sets overlap at base vertices {sorted(att & seen)}")
+            raise ValueError(f"attachment sets overlap at base vertices {list(_bits(att & seen))}")
         seen |= att
-        if not all(0 <= v < ext.base.n for v in att):
+        if att & ~base_mask:
             raise ValueError(f"attachment of added vertex {i} outside the base")
         d = ext.added_degree(i)
         if not lo <= d <= hi:
@@ -240,34 +228,31 @@ def mutate_extension(
     must respect the ceiling. Returns None when no legal move exists anywhere.
     """
     lo, hi = degree_range
-    a = ext.inner.graph.n
-    attached = set()
+    attached = 0
     for att in ext.attachments:
         attached |= att
-    unattached = sorted(set(range(ext.base.n)) - attached)
+    unattached = list(_bits(((1 << ext.base.n) - 1) & ~attached))
 
-    moves_by_vertex: list[list[tuple[str, int]]] = []
-    for i in range(a):
-        moves: list[tuple[str, int]] = []
+    # Each move is the base vertex whose bit added vertex i toggles: removals
+    # ascending, then additions ascending. The order fixes which move each
+    # rng draw picks, so a seed replays the same search.
+    moves_by_vertex: list[list[int]] = []
+    for i, att in enumerate(ext.attachments):
+        moves: list[int] = []
         d = ext.added_degree(i)
         if d > lo:
-            moves.extend(("remove", v) for v in sorted(ext.attachments[i]))
+            moves.extend(_bits(att))
         if d < hi:
-            moves.extend(("add", v) for v in unattached)
+            moves.extend(unattached)
         moves_by_vertex.append(moves)
-    legal = [i for i in range(a) if moves_by_vertex[i]]
+    legal = [i for i, moves in enumerate(moves_by_vertex) if moves]
     if not legal:
         return None
     i = legal[rng.randrange(len(legal))]
-    action, v = moves_by_vertex[i][rng.randrange(len(moves_by_vertex[i]))]
-    att = set(ext.attachments[i])
-    if action == "remove":
-        att.discard(v)
-    else:
-        att.add(v)
-    new_attachments = list(ext.attachments)
-    new_attachments[i] = frozenset(att)
-    return ExtensionState(ext.base, ext.inner, tuple(new_attachments))
+    v = moves_by_vertex[i][rng.randrange(len(moves_by_vertex[i]))]
+    attachments = list(ext.attachments)
+    attachments[i] ^= 1 << v
+    return ExtensionState(ext.base, ext.inner, tuple(attachments))
 
 
 def serialize_extension(ext: ExtensionState) -> dict:
@@ -275,19 +260,19 @@ def serialize_extension(ext: ExtensionState) -> dict:
     (or its graph6 when not catalogued), 1-indexed attachment lists."""
     from .graph import encode_graph6
 
-    inner_key = _canonical_bits(ext.inner.graph)
+    inner_key = _canonical_bits(ext.inner)
     index = None
-    if ext.inner.graph.n <= 7:
-        catalog = enumerate_triangle_free(ext.inner.graph.n)
+    if ext.inner.n <= 7:
+        catalog = enumerate_triangle_free(ext.inner.n)
         for idx, item in enumerate(catalog):
-            if _canonical_bits(item.graph) == inner_key:
+            if _canonical_bits(item) == inner_key:
                 index = idx
                 break
     return {
         "base_graph6": encode_graph6(ext.base),
         "inner_index": index,
-        "inner_graph6": encode_graph6(ext.inner.graph),
-        "attachments": [sorted(v + 1 for v in att) for att in ext.attachments],
+        "inner_graph6": encode_graph6(ext.inner),
+        "attachments": [[v + 1 for v in _bits(att)] for att in ext.attachments],
     }
 
 
@@ -295,8 +280,6 @@ def deserialize_extension(payload: dict) -> ExtensionState:
     from .graph import decode_graph6
 
     base = decode_graph6(payload["base_graph6"])
-    inner = InnerGraph.from_graph(decode_graph6(payload["inner_graph6"]))
-    attachments = tuple(
-        frozenset(v - 1 for v in att) for att in payload["attachments"]
-    )
+    inner = decode_graph6(payload["inner_graph6"])
+    attachments = tuple(_mask(v - 1 for v in att) for att in payload["attachments"])
     return ExtensionState(base, inner, attachments)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _bits, complement, induced_subgraph
+from .graph import Graph, _bits, complement
 
 
 class CacheBudgetError(RuntimeError):
@@ -232,21 +232,21 @@ def build_indep_cache(
 
 
 def extension_fitness(cache: IndepSetCache, ext, p: int, q: int) -> FitnessReport:
-    """Fitness of the assembled extension graph, computed incrementally.
+    """Fitness of the assembled extension graph.
 
-    q-independent sets split as (k-set in the base) x ((q-k)-set among the
-    added vertices) with no attachment edge between the parts; the base-side
-    counts come from the cache, so only the handful of added-vertex subsets
-    are enumerated per call. p-cliques are the base's own count plus cliques
-    touching at least one added vertex. Must agree exactly with fitness() on
-    extension_to_graph(ext).
+    Only the independent-set half is incremental: q-independent sets split as
+    (k-set in the base) x ((q-k)-set among the added vertices) with no
+    attachment edge between the parts; the base-side counts come from the
+    cache, so only the handful of added-vertex subsets are enumerated per
+    call. p-cliques are counted directly on the assembled graph. Must agree
+    exactly with fitness() on extension_to_graph(ext).
     """
     from .construct import extension_to_graph
 
     base = cache.base
     if ext.base.n != base.n or ext.base.adj != base.adj:
         raise ValueError("extension base does not match cache base")
-    inner = ext.inner.graph
+    inner = ext.inner
     a = inner.n
     m = base.n
     n = m + a
@@ -254,8 +254,6 @@ def extension_fitness(cache: IndepSetCache, ext, p: int, q: int) -> FitnessRepor
         raise ValueError(f"clique order must be in 1..{n}, got {p}")
     if not 1 <= q <= n:
         raise ValueError(f"independent-set order must be in 1..{n}, got {q}")
-
-    att_masks = [sum(1 << v for v in att) for att in ext.attachments]
 
     needed = [k for k in range(max(1, q - a), min(q, m) + 1)]
     missing = [k for k in needed if k not in cache.masks_by_size]
@@ -271,23 +269,10 @@ def extension_fitness(cache: IndepSetCache, ext, p: int, q: int) -> FitnessRepor
                 continue
             avoid = 0
             for i in combo:
-                avoid |= att_masks[i]
+                avoid |= ext.attachments[i]
             indep += cache.compatible_count(k, avoid)
 
-    if p == 1:
-        return FitnessReport(n, indep)
-    cliques = count_cliques(base, p) if p <= m else 0
-    assembled = extension_to_graph(ext)
-    for i in range(a):
-        allowed = att_masks[i]
-        for j in range(i + 1, a):
-            if inner.has_edge(i, j):
-                allowed |= 1 << (m + j)
-        size = allowed.bit_count()
-        if size >= p - 1:
-            sub = induced_subgraph(assembled, _bits(allowed))
-            cliques += count_cliques(sub, p - 1)
-    return FitnessReport(cliques, indep)
+    return FitnessReport(count_cliques(extension_to_graph(ext), p), indep)
 
 
 def _independent_subsets(g: Graph, size: int):

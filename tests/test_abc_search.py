@@ -45,6 +45,11 @@ def test_params_validation():
         small_params(mode="annealing").validate()
     with pytest.raises(ValueError):
         small_params(p=6).validate()
+    # field types, as a config file may give them
+    for bad in ({"seed": True}, {"budget": 10.0}, {"alpha": "1"}, {"init_density": "0.5"},
+                {"degree_range": None}, {"degree_range": (9, 4)}, {"degree_range": (1, 2, 3)}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            small_params(**bad).validate()
 
 
 def test_default_init_density():

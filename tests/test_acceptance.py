@@ -185,8 +185,8 @@ def test_criterion_10_incremental_fitness(base):
     total = 0
     for trial in range(200):
         inner = catalog5[trial % len(catalog5)]
-        lo = max(1, max(inner.degrees))
-        min_total = sum(lo - t for t in inner.degrees)
+        lo = max(1, max(inner.degrees()))
+        min_total = sum(lo - t for t in inner.degrees())
         n_base = rng.randint(max(8, min_total), 12)
         small = random_graph(n_base, rng, density=0.35)
         ext = random_extension(small, inner, (lo, lo + 2), rng)

@@ -100,6 +100,31 @@ def test_search_config_file_with_flag_override(tmp_path):
     assert (run_a / "history.csv").read_bytes() == (run_c / "history.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "config, code",
+    [
+        ({"p": 3, "q": 10, "mode": "extension", "degree_range": None}, EXIT_USAGE),
+        ([1, 2], EXIT_DATA),
+        ({"p": 3, "q": 3, "n": 5, "colony_size": 20.0}, EXIT_USAGE),
+        ({"p": 3, "q": 3, "n": 5.0}, EXIT_USAGE),
+        ({"p": 3, "q": 10, "mode": "extension", "base_file": 7}, EXIT_USAGE),
+        ({"p": 3, "q": 10, "mode": "extension", "n": "39"}, EXIT_USAGE),
+    ],
+)
+def test_search_config_types_exit_cleanly(tmp_path, config, code):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramsey_abc", "search", "--config", str(path),
+         "--out", str(tmp_path / "runs")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "runs").exists()
+
+
 def test_search_budget_exhaustion_exit(tmp_path):
     code = main(
         [

@@ -6,7 +6,6 @@ import pytest
 from helpers import all_graphs, brute_count_cliques, brute_isomorphic, random_graph
 from ramsey_abc.construct import (
     ExtensionState,
-    InnerGraph,
     check_extension_invariants,
     decompose_extension,
     deserialize_extension,
@@ -47,11 +46,10 @@ def test_enumeration_counts():
 
 def test_enumeration_members_triangle_free_and_distinct():
     catalog = enumerate_triangle_free(5)
-    for item in catalog:
-        assert count_cliques(item.graph, 3) == 0
-        assert item.degrees == item.graph.degrees()
+    for g in catalog:
+        assert count_cliques(g, 3) == 0
     for a, b in combinations(catalog, 2):
-        assert not brute_isomorphic(a.graph, b.graph)
+        assert not brute_isomorphic(a, b)
 
 
 def test_enumeration_matches_brute_force_k4():
@@ -66,8 +64,8 @@ def test_enumeration_matches_brute_force_k4():
 
 
 def test_enumeration_deterministic():
-    first = [item.graph for item in enumerate_triangle_free(5)]
-    second = [item.graph for item in enumerate_triangle_free(5)]
+    first = enumerate_triangle_free(5)
+    second = enumerate_triangle_free(5)
     assert first == second
 
 
@@ -76,17 +74,17 @@ def test_worked_permutation_chunk_example():
     # take consecutive chunks of the permutation
     perm = [0, 1, 2, 4, 3, 5, 6, 8, 7, 9, 10, 12, 13, 14, 11, 15, 16, 17, 19, 18]
     perm += [v for v in range(35) if v not in perm]
-    inner = InnerGraph.from_graph(Graph.empty(5))
+    inner = Graph.empty(5)
     ext = random_extension(
         Graph.empty(35), inner, (4, 9), StubRng([5, 8, 7, 6, 6], perm)
     )
-    assert sorted(v + 1 for v in ext.attachments[0]) == [1, 2, 3, 4, 5]
-    assert sorted(v + 1 for v in ext.attachments[1]) == [6, 7, 8, 9, 10, 11, 13, 14]
-    assert [len(a) for a in ext.attachments] == [5, 8, 7, 6, 6]
+    assert ext.attachments[0] == sum(1 << (v - 1) for v in [1, 2, 3, 4, 5])
+    assert ext.attachments[1] == sum(1 << (v - 1) for v in [6, 7, 8, 9, 10, 11, 13, 14])
+    assert [a.bit_count() for a in ext.attachments] == [5, 8, 7, 6, 6]
 
 
 def test_zero_attachment_boundary():
-    inner = InnerGraph.from_graph(Graph.cycle(4))  # all inner degrees 2
+    inner = Graph.cycle(4)  # all inner degrees 2
     ext = random_extension(Graph.empty(6), inner, (2, 2), random.Random(0))
     assert all(not att for att in ext.attachments)
 
@@ -99,7 +97,7 @@ def test_random_extension_invariants_hold():
         inner = catalog[trial % len(catalog)]
         ext = random_extension(base, inner, (2, 4), rng)
         check_extension_invariants(ext, (2, 4))
-        seen = set()
+        seen = 0
         for i, att in enumerate(ext.attachments):
             assert not (att & seen)
             seen |= att
@@ -107,26 +105,38 @@ def test_random_extension_invariants_hold():
 
 
 def test_random_extension_infeasible():
-    inner = InnerGraph.from_graph(Graph.cycle(5))  # degrees all 2
+    inner = Graph.cycle(5)  # degrees all 2
     with pytest.raises(ValueError, match="infeasible"):
         random_extension(Graph.empty(35), inner, (0, 1), random.Random(0))
     # minimum attachment total larger than the base
-    star = InnerGraph.from_graph(Graph.empty(5))
+    star = Graph.empty(5)
     with pytest.raises(ValueError, match="infeasible"):
         random_extension(Graph.empty(3), star, (4, 9), random.Random(0))
 
 
 def test_extension_to_graph_shapes():
     base = Graph.cycle(6)
-    inner = InnerGraph.from_graph(Graph.empty(2))
-    empty_ext = ExtensionState(base, inner, (frozenset(), frozenset()))
+    inner = Graph.empty(2)
+    empty_ext = ExtensionState(base, inner, (0, 0))
     g = extension_to_graph(empty_ext)
     assert g.n == 8 and g.edge_count() == base.edge_count()
-    ext = ExtensionState(base, inner, (frozenset({0, 2}), frozenset({1})))
+    ext = ExtensionState(base, inner, (0b101, 0b10))
     h = extension_to_graph(ext)
     assert h.degree(6) == 2 and h.degree(7) == 1
     for i in range(2):
-        assert h.degree(6 + i) == len(ext.attachments[i]) + inner.degrees[i]
+        assert h.degree(6 + i) == ext.attachments[i].bit_count() + inner.degree(i)
+
+
+def test_check_extension_invariants_rejects_each_violation():
+    base = Graph.empty(6)
+    inner = Graph.empty(2)
+    check_extension_invariants(ExtensionState(base, inner, (0b11, 0b1100)), (2, 2))
+    with pytest.raises(ValueError, match="overlap at base vertices \\[1\\]"):
+        check_extension_invariants(ExtensionState(base, inner, (0b11, 0b110)), (2, 2))
+    with pytest.raises(ValueError, match="added vertex 1 outside the base"):
+        check_extension_invariants(ExtensionState(base, inner, (0b11, 0b1000100)), (2, 2))
+    with pytest.raises(ValueError, match="added vertex 1 has degree 3 outside"):
+        check_extension_invariants(ExtensionState(base, inner, (0b11, 0b11100)), (2, 2))
 
 
 def test_decompose_roundtrip():
@@ -134,12 +144,12 @@ def test_decompose_roundtrip():
     base = random_graph(12, rng, density=0.4)
     catalog = enumerate_triangle_free(4)
     inner = catalog[5]
-    lo = max(inner.degrees)
+    lo = max(inner.degrees())
     ext = random_extension(base, inner, (lo, lo + 2), rng)
     g = extension_to_graph(ext)
     back = decompose_extension(g, base.n)
     assert back.base == ext.base
-    assert back.inner.graph == ext.inner.graph
+    assert back.inner == ext.inner
     assert back.attachments == ext.attachments
     assert extension_to_graph(back) == g
     with pytest.raises(ValueError):
@@ -150,7 +160,7 @@ def test_mutate_single_edge_difference():
     rng = random.Random(1)
     base = random_graph(15, rng, density=0.3)
     inner = enumerate_triangle_free(5)[3]
-    lo = max(1, max(inner.degrees))
+    lo = max(1, max(inner.degrees()))
     ext = random_extension(base, inner, (lo, lo + 3), rng)
     for _ in range(200):
         nxt = mutate_extension(ext, rng, (lo, lo + 3))
@@ -166,21 +176,21 @@ def test_mutate_single_edge_difference():
 def test_mutate_respects_floor():
     # all added vertices pinned at the degree floor: only additions possible
     base = Graph.empty(10)
-    inner = InnerGraph.from_graph(Graph.empty(2))
-    ext = ExtensionState(base, inner, (frozenset({0}), frozenset({1})))
+    inner = Graph.empty(2)
+    ext = ExtensionState(base, inner, (0b1, 0b10))
     rng = random.Random(2)
     for _ in range(50):
         nxt = mutate_extension(ext, rng, (1, 2))
         assert nxt is not None
-        grew = [len(a) for a in nxt.attachments]
+        grew = [a.bit_count() for a in nxt.attachments]
         assert sorted(grew) == [1, 2]  # one vertex gained an edge; none lost
 
 
 def test_mutate_no_move():
     # saturated: every base vertex attached and every vertex at the ceiling
     base = Graph.empty(2)
-    inner = InnerGraph.from_graph(Graph.empty(2))
-    ext = ExtensionState(base, inner, (frozenset({0}), frozenset({1})))
+    inner = Graph.empty(2)
+    ext = ExtensionState(base, inner, (0b1, 0b10))
     assert mutate_extension(ext, random.Random(3), (1, 1)) is None
 
 
@@ -188,7 +198,7 @@ def test_mutation_invariant_fuzz():
     rng = random.Random(7)
     base = random_graph(18, rng, density=0.25)
     inner = enumerate_triangle_free(5)[7]
-    lo = max(1, max(inner.degrees))
+    lo = max(1, max(inner.degrees()))
     hi = lo + 2
     ext = random_extension(base, inner, (lo, hi), rng)
     for _ in range(10_000):
@@ -202,7 +212,7 @@ def test_serialize_roundtrip():
     rng = random.Random(13)
     base = random_graph(10, rng, density=0.4)
     inner = enumerate_triangle_free(5)[2]
-    lo = max(inner.degrees)
+    lo = max(inner.degrees())
     ext = random_extension(base, inner, (lo, lo + 2), rng)
     payload = serialize_extension(ext)
     assert payload["inner_index"] == 2

@@ -11,7 +11,7 @@ from helpers import (
     graphs,
     random_graph,
 )
-from ramsey_abc.construct import decompose_extension, random_extension, InnerGraph
+from ramsey_abc.construct import decompose_extension, random_extension
 from ramsey_abc.counting import (
     CacheBudgetError,
     build_indep_cache,
@@ -163,7 +163,7 @@ def _random_ext(seed, base_n=10, added=4, degree_range=(0, 4)):
 
     catalog = enumerate_triangle_free(added)
     inner = catalog[rng.randrange(len(catalog))]
-    lo = max(degree_range[0], max(inner.degrees))
+    lo = max(degree_range[0], max(inner.degrees()))
     return base, random_extension(base, inner, (lo, degree_range[1] + lo), rng)
 
 
@@ -186,9 +186,9 @@ def test_extension_fitness_equals_direct(seed):
 def test_extension_fitness_wheelish_base():
     # 5-cycle base, one added vertex attached everywhere
     c5 = Graph.cycle(5)
-    inner = InnerGraph.from_graph(Graph.empty(1))
+    inner = Graph.empty(1)
     ext = random_extension(c5, inner, (5, 5), random.Random(0))
-    assert ext.attachments == (frozenset(range(5)),)
+    assert ext.attachments == (0b11111,)
     from ramsey_abc.construct import extension_to_graph
 
     cache = build_indep_cache(c5, range(1, 6))

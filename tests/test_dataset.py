@@ -54,4 +54,4 @@ def test_appendix_graphs_decompose_and_reassemble():
     for name, report in dataset.load_all().items():
         ext = decompose_extension(report.graph, dataset.BASE_SIZE)
         assert extension_to_graph(ext) == report.graph
-        assert ext.inner.graph.n == 5
+        assert ext.inner.n == 5

@@ -1,0 +1,36 @@
+"""Pinned search trajectories: the SHA-256 of history.csv for fixed configs.
+
+A pure refactor must leave these hashes unchanged. Two runs of one commit
+agreeing (criterion 11) does not show that a change kept the search the same;
+these values pin it across commits. Update them only with a change that is
+meant to alter the search, and say so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from ramsey_abc.cli import main
+
+GOLDEN = [
+    (
+        ["--p", "3", "--q", "4", "--n", "8", "--seed", "31"],
+        "14a479db27d06f58fd8e5916a016ca88e4e3b623d6d1a3fd7df25971356a9488",
+    ),
+    (
+        ["--p", "3", "--q", "5", "--n", "13", "--seed", "0", "--budget", "5000"],
+        "8cadcb1a6bd86645d0a8c8cda416fa2e240e9107ea42ef03166ca4fe6f14810c",
+    ),
+    (
+        ["--mode", "extension", "--p", "3", "--q", "10", "--n", "39",
+         "--seed", "0", "--budget", "1000"],
+        "9796cccdcc6af15ca50cdcdd720c7e0ad7d4161de8e931104a16a729cd05fb9b",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, digest", GOLDEN, ids=["full-3-4-8", "full-3-5-13", "ext-3-10-39"])
+def test_history_csv_is_pinned(tmp_path, flags, digest):
+    main(["search", *flags, "--out", str(tmp_path)])
+    (run_dir,) = tmp_path.iterdir()
+    assert hashlib.sha256((run_dir / "history.csv").read_bytes()).hexdigest() == digest
