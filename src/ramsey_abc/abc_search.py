@@ -7,6 +7,12 @@ pick an employed bee to follow with probability proportional to its fitness
 rank. An employed bee stuck at the same position for maxlimit rounds turns
 scout, abandons its graph and re-enters from a fresh random position.
 
+A neighbour differs from its parent in exactly one edge, so it comes with its
+exact fitness: the parent's counts changed by the cliques and independent
+sets through that edge (counting.flip_fitness, attachment_flip_fitness).
+Only fresh random positions, at start-up and for scouts, are counted from
+scratch.
+
 Every run is a pure function of its parameters: one seeded generator drives
 all sampling, so identical params reproduce identical histories.
 """
@@ -24,7 +30,14 @@ from .construct import (
     mutate_extension,
     random_extension,
 )
-from .counting import FitnessReport, build_indep_cache, extension_fitness, fitness
+from .counting import (
+    FitnessReport,
+    attachment_flip_fitness,
+    build_indep_cache,
+    extension_fitness,
+    fitness,
+    flip_fitness,
+)
 from .graph import Graph, toggle_edge
 
 EMPLOYED = "employed"
@@ -117,18 +130,26 @@ class SearchResult:
     evaluations: int
     history: tuple[RoundStats, ...]
     reason: str
+    accepted_moves: int = 0  # employed-phase moves to a strictly better neighbour
+    scout_restarts: int = 0  # scouts re-entered from a fresh random position
 
 
 class Colony:
     """Mutable search state: bees, counters, best-so-far, and the three
-    mode-specific callables (evaluate, fresh random position, neighbour)."""
+    mode-specific callables: evaluate scores a position from scratch,
+    random_position draws a fresh one, and neighbor(position, fitness, rng)
+    returns one adjacent position together with its exact fitness, derived
+    from the parent's fitness and the one edge the move flips (or None when
+    no move is legal)."""
 
     def __init__(
         self,
         params: SearchParams,
         evaluate: Callable[[Any], FitnessReport],
         random_position: Callable[[random.Random], Any],
-        neighbor: Callable[[Any, random.Random], Any],
+        neighbor: Callable[
+            [Any, FitnessReport, random.Random], tuple[Any, FitnessReport] | None
+        ],
     ):
         self.params = params
         self.evaluate = evaluate
@@ -137,6 +158,8 @@ class Colony:
         self.bees: list[Bee] = []
         self.round_no = 0
         self.evaluations = 0
+        self.accepted_moves = 0
+        self.scout_restarts = 0
         self.best_position: Any = None
         self.best_fitness: FitnessReport | None = None
         self.finished: str | None = None
@@ -144,9 +167,12 @@ class Colony:
     def budget_left(self) -> bool:
         return self.evaluations < self.params.budget
 
-    def assess(self, position: Any) -> FitnessReport:
-        """Evaluate one position, charging the budget and updating best-so-far."""
-        rep = self.evaluate(position)
+    def assess(self, position: Any, rep: FitnessReport | None = None) -> FitnessReport:
+        """Charge the budget for one position and update best-so-far. rep is
+        the position's exact fitness when the caller already has it (a
+        neighbour); otherwise the position is evaluated from scratch."""
+        if rep is None:
+            rep = self.evaluate(position)
         self.evaluations += 1
         if self.best_fitness is None or rep.total < self.best_fitness.total:
             self.best_fitness = rep
@@ -217,9 +243,9 @@ def make_colony(
         def random_position(rng: random.Random) -> Graph:
             return _random_graph(params.n, density, rng)
 
-        def neighbor(pos: Graph, rng: random.Random) -> Graph:
+        def neighbor(pos: Graph, rep: FitnessReport, rng: random.Random):
             u, v = _random_pair(params.n, rng)
-            return toggle_edge(pos, u, v)
+            return toggle_edge(pos, u, v), flip_fitness(pos, rep, u, v, params.p, params.q)
 
         def evaluate(pos: Graph) -> FitnessReport:
             return fitness(pos, params.p, params.q)
@@ -245,8 +271,14 @@ def make_colony(
         draw_counter[0] += 1
         return random_extension(base, inner, params.degree_range, rng)
 
-    def neighbor(pos, rng: random.Random):
-        return mutate_extension(pos, rng, params.degree_range)
+    def neighbor(pos, rep: FitnessReport, rng: random.Random):
+        child = mutate_extension(pos, rng, params.degree_range)
+        if child is None:
+            return None
+        # the move toggled one bit v of one attachment mask i
+        i = next(j for j, (a, b) in enumerate(zip(pos.attachments, child.attachments)) if a != b)
+        v = (pos.attachments[i] ^ child.attachments[i]).bit_length() - 1
+        return child, attachment_flip_fitness(cache, pos, rep, i, v, params.p, params.q)
 
     def evaluate(pos) -> FitnessReport:
         return extension_fitness(cache, pos, params.p, params.q)
@@ -301,10 +333,11 @@ def employed_phase(colony: Colony, rng: random.Random) -> None:
             if not colony.budget_left():
                 colony.finished = BUDGET_EXHAUSTED
                 break
-            pos = colony.neighbor(bee.position, rng)
-            if pos is None:
+            move = colony.neighbor(bee.position, bee.fitness, rng)
+            if move is None:
                 continue
-            rep = colony.assess(pos)
+            pos, rep = move
+            colony.assess(pos, rep)
             candidates.append((rep, pos))
             if colony.finished:
                 break
@@ -316,6 +349,7 @@ def employed_phase(colony: Colony, rng: random.Random) -> None:
                 bee.fitness = best_rep
                 bee.staynum = 1
                 moved = True
+                colony.accepted_moves += 1
         if colony.finished:
             return
         if not moved:
@@ -376,6 +410,7 @@ def scout_phase(colony: Colony, rng: random.Random) -> None:
         bee.position = pos
         bee.fitness = rep
         bee.staynum = 1
+        colony.scout_restarts += 1
 
 
 def run(
@@ -406,4 +441,6 @@ def run(
         evaluations=colony.evaluations,
         history=tuple(history),
         reason=colony.finished,
+        accepted_moves=colony.accepted_moves,
+        scout_restarts=colony.scout_restarts,
     )

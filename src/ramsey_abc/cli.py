@@ -8,7 +8,7 @@ written in both.
 Exit codes: 0 success / witness, 1 certified non-witness, 2 usage error,
 3 data or parse error (including an independent-set cache over budget),
 4 search budget exhausted, 5 a computed value contradicts a shipped claim
-or a reported witness fails certification.
+or a search's reported best fitness fails exact certification.
 """
 
 from __future__ import annotations
@@ -134,6 +134,8 @@ def _write_run_record(
         "reason": result.reason,
         "rounds": result.rounds,
         "evaluations": result.evaluations,
+        "accepted_moves": result.accepted_moves,
+        "scout_restarts": result.scout_restarts,
         "wall_clock_s": round(wall_clock, 3),
         "best_fitness": {
             "clique_count": result.best_fitness.clique_count,
@@ -202,19 +204,20 @@ def cmd_search(args) -> int:
     result = run(params, base=base)
     wall = time.time() - t0
 
-    witness = None
-    if result.reason == WITNESS_FOUND:
-        best = result.best_position
-        witness = best if isinstance(best, Graph) else extension_to_graph(best)
-        cert = verify.certify(witness, params.p, params.q)
-        if not cert.is_witness:
-            print(
-                f"error: reported witness fails certification: exact counts "
-                f"cliques {cert.clique_count}, independent sets {cert.indep_count}; "
-                f"nothing written",
-                file=sys.stderr,
-            )
-            return EXIT_CLAIM
+    # fitness is carried from move to move, so every reported best (witness
+    # or not) is recounted exactly before anything is written
+    best = result.best_position
+    best_graph = best if isinstance(best, Graph) else extension_to_graph(best)
+    cert = verify.certify(best_graph, params.p, params.q)
+    if cert.total != result.best_fitness.total:
+        print(
+            f"error: reported best fitness {result.best_fitness.total} fails certification: "
+            f"exact counts cliques {cert.clique_count}, independent sets {cert.indep_count}; "
+            f"nothing written",
+            file=sys.stderr,
+        )
+        return EXIT_CLAIM
+    witness = best_graph if result.reason == WITNESS_FOUND else None
 
     run_dir = _unique_run_dir(Path(config.out_dir), params.seed)
     _write_run_record(run_dir, config, result, wall)

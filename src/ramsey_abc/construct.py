@@ -174,15 +174,19 @@ def extension_to_graph(ext: ExtensionState) -> Graph:
     Added vertices occupy indices m..m+a-1, mirroring the 1-indexed labels
     36..40 used by the shipped 40-vertex dataset.
     """
+    return Graph(ext.base.n + ext.inner.n, assembled_adj(ext))
+
+
+def assembled_adj(ext: ExtensionState) -> tuple[int, ...]:
+    """Adjacency rows of extension_to_graph(ext), without building a Graph."""
     m = ext.base.n
-    a = ext.inner.n
-    adj = list(ext.base.adj) + [0] * a
+    adj = list(ext.base.adj) + [0] * ext.inner.n
     for i, att in enumerate(ext.attachments):
         u = m + i
         adj[u] = (ext.inner.adj[i] << m) | att
         for v in _bits(att):
             adj[v] |= 1 << u
-    return Graph(m + a, tuple(adj))
+    return tuple(adj)
 
 
 def decompose_extension(g: Graph, base_size: int) -> ExtensionState:
@@ -275,11 +279,3 @@ def serialize_extension(ext: ExtensionState) -> dict:
         "attachments": [[v + 1 for v in _bits(att)] for att in ext.attachments],
     }
 
-
-def deserialize_extension(payload: dict) -> ExtensionState:
-    from .graph import decode_graph6
-
-    base = decode_graph6(payload["base_graph6"])
-    inner = decode_graph6(payload["inner_graph6"])
-    attachments = tuple(_mask(v - 1 for v in att) for att in payload["attachments"])
-    return ExtensionState(base, inner, attachments)

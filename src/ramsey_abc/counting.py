@@ -10,15 +10,26 @@ so f(G) = 0 exactly when G is an n-vertex witness for R(p, q) > n.
 Counting walks subsets in ascending vertex order, extending a partial clique
 only through the bitmask intersection of common neighbours, which keeps the
 enumeration exact while pruning almost all of the C(n, k) subsets. Independent
-sets are counted as cliques of the complement.
+sets are counted as cliques of the complement. One kernel counts the cliques
+inside any candidate vertex mask, so the same recursion serves full counts
+and the move deltas below.
+
+A search move flips one edge {u, v}, which creates or destroys only the
+cliques and independent sets containing both u and v. flip_fitness (a whole
+graph) and attachment_flip_fitness (an extension candidate) derive the
+neighbour's exact fitness from its parent's by counting just those, in
+N(u) & N(v) and in the common non-neighbourhood.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
+from .construct import assembled_adj, extension_to_graph
 from .graph import Graph, _bits, complement
 
 
@@ -47,10 +58,11 @@ def _check_order(g: Graph, k: int, what: str) -> None:
         raise ValueError(f"{what} must be in 1..{g.n}, got {k}")
 
 
-def _count_complete(adj: tuple[int, ...], n: int, p: int) -> int:
-    """Number of p-subsets of 0..n-1 that are pairwise adjacent."""
-    if p == 1:
-        return n
+def _count_complete(adj: tuple[int, ...], cand: int, k: int) -> int:
+    """Number of k-subsets of the vertex mask cand that are pairwise adjacent;
+    1 for k = 0 (the empty set) and 0 for k < 0."""
+    if k <= 1:
+        return cand.bit_count() if k == 1 else int(k == 0)
     count = 0
 
     def rec(cand: int, need: int) -> None:
@@ -66,7 +78,7 @@ def _count_complete(adj: tuple[int, ...], n: int, p: int) -> int:
             if nxt.bit_count() >= need - 1:
                 rec(nxt, need - 1)
 
-    rec((1 << n) - 1, p)
+    rec(cand, k)
     return count
 
 
@@ -96,18 +108,49 @@ def _find_complete(adj: tuple[int, ...], n: int, p: int) -> tuple[int, ...] | No
 def count_cliques(g: Graph, p: int) -> int:
     """Exact number of p-vertex complete subgraphs."""
     _check_order(g, p, "clique order")
-    return _count_complete(g.adj, g.n, p)
+    return _count_complete(g.adj, (1 << g.n) - 1, p)
 
 
 def count_independent_sets(g: Graph, q: int) -> int:
     """Exact number of q-vertex independent sets."""
     _check_order(g, q, "independent-set order")
-    return _count_complete(complement(g).adj, g.n, q)
+    return _count_complete(complement(g).adj, (1 << g.n) - 1, q)
 
 
 def fitness(g: Graph, p: int, q: int) -> FitnessReport:
     """Clique count plus independent-set count; zero total means witness."""
     return FitnessReport(count_cliques(g, p), count_independent_sets(g, q))
+
+
+def flip_fitness(g: Graph, rep: FitnessReport, u: int, v: int, p: int, q: int) -> FitnessReport:
+    """Exact fitness of toggle_edge(g, u, v), given rep == fitness(g, p, q).
+
+    Flipping {u, v} creates or destroys exactly the p-cliques and
+    q-independent sets that contain both u and v: the K_{p-2} inside
+    N(u) & N(v), and the (q-2)-independent sets inside the common
+    non-neighbourhood. Adding the edge gains the first and loses the second;
+    removing it does the reverse.
+    """
+    _check_order(g, p, "clique order")
+    _check_order(g, q, "independent-set order")
+    if u == v or not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"not a vertex pair of the graph: ({u}, {v}) with n={g.n}")
+    adj = g.adj
+    full = (1 << g.n) - 1
+    comp = tuple(full ^ row ^ (1 << w) for w, row in enumerate(adj))
+    cliques = _count_complete(adj, adj[u] & adj[v], p - 2)
+    indep = _count_complete(comp, comp[u] & comp[v], q - 2)
+    return _apply_flip(rep, adj[u] >> v & 1, cliques, indep)
+
+
+def _apply_flip(rep: FitnessReport, present: int, cliques: int, indep: int) -> FitnessReport:
+    """rep changed by flipping an edge that lies in `cliques` p-cliques or
+    `indep` q-independent sets of the graph with it (or without it): removing
+    a present edge loses those cliques and gains those independent sets,
+    adding an absent one does the reverse."""
+    if present:
+        return FitnessReport(rep.clique_count - cliques, rep.indep_count + indep)
+    return FitnessReport(rep.clique_count + cliques, rep.indep_count - indep)
 
 
 def find_clique(g: Graph, p: int) -> tuple[int, ...] | None:
@@ -231,65 +274,95 @@ def build_indep_cache(
     return IndepSetCache(base, wanted, masks_by_size)
 
 
-def extension_fitness(cache: IndepSetCache, ext, p: int, q: int) -> FitnessReport:
-    """Fitness of the assembled extension graph.
-
-    Only the independent-set half is incremental: q-independent sets split as
-    (k-set in the base) x ((q-k)-set among the added vertices) with no
-    attachment edge between the parts; the base-side counts come from the
-    cache, so only the handful of added-vertex subsets are enumerated per
-    call. p-cliques are counted directly on the assembled graph. Must agree
-    exactly with fitness() on extension_to_graph(ext).
-    """
-    from .construct import extension_to_graph
-
+def _check_extension(cache: IndepSetCache, ext, p: int, q: int) -> None:
+    """Raise unless ext extends the cache's base and the cache holds every
+    base-side independent-set size a (p, q) count of ext needs."""
     base = cache.base
     if ext.base.n != base.n or ext.base.adj != base.adj:
         raise ValueError("extension base does not match cache base")
-    inner = ext.inner
-    a = inner.n
+    a = ext.inner.n
     m = base.n
     n = m + a
     if not 1 <= p <= n:
         raise ValueError(f"clique order must be in 1..{n}, got {p}")
     if not 1 <= q <= n:
         raise ValueError(f"independent-set order must be in 1..{n}, got {q}")
-
     needed = [k for k in range(max(1, q - a), min(q, m) + 1)]
     missing = [k for k in needed if k not in cache.masks_by_size]
     if missing:
         raise ValueError(f"cache does not cover independent-set sizes {missing}")
 
-    indep = 0
-    for t_size in range(max(0, q - m), min(a, q) + 1):
-        k = q - t_size
-        for combo in _independent_subsets(inner, t_size):
-            if k == 0:
-                indep += 1
-                continue
-            avoid = 0
-            for i in combo:
-                avoid |= ext.attachments[i]
-            indep += cache.compatible_count(k, avoid)
 
+def extension_fitness(cache: IndepSetCache, ext, p: int, q: int) -> FitnessReport:
+    """Fitness of the assembled extension graph, counted in full.
+
+    q-independent sets split as (k-set in the base) x ((q-k)-set among the
+    added vertices) with no attachment edge between the parts; the base-side
+    counts come from the cache, so only the added-vertex independent subsets
+    (enumerated once per inner graph) are walked per call. p-cliques are
+    counted directly on the assembled graph. Must agree exactly with
+    fitness() on extension_to_graph(ext). The search calls this only for
+    fresh random positions; a neighbour is scored by attachment_flip_fitness.
+    """
+    _check_extension(cache, ext, p, q)
+    m = cache.base.n
+    indep = 0
+    for combo in _independent_subsets(ext.inner):
+        k = q - len(combo)
+        if k == 0:
+            indep += 1
+        elif 0 < k <= m:
+            avoid = 0
+            for j in combo:
+                avoid |= ext.attachments[j]
+            indep += cache.compatible_count(k, avoid)
     return FitnessReport(count_cliques(extension_to_graph(ext), p), indep)
 
 
-def _independent_subsets(g: Graph, size: int):
-    """All vertex tuples of the given size with no internal edge."""
-    from itertools import combinations
+def attachment_flip_fitness(
+    cache: IndepSetCache, ext, rep: FitnessReport, i: int, v: int, p: int, q: int
+) -> FitnessReport:
+    """Exact fitness of ext with the edge between added vertex i and base
+    vertex v flipped, given rep == extension_fitness(cache, ext, p, q).
 
-    if size == 0:
-        yield ()
-        return
-    for combo in combinations(range(g.n), size):
-        ok = True
-        for i, u in enumerate(combo):
-            for v in combo[i + 1 :]:
-                if g.has_edge(u, v):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield combo
+    The flip_fitness identity on the assembled graph, with x = m + i: the
+    p-cliques through {x, v} are the K_{p-2} inside N(x) & N(v). A
+    q-independent set through x and v is an independent set T of the inner
+    graph containing i plus a cached (q - |T|)-set S of the base containing v,
+    where S avoids the union U of T's attachments taken without the edge.
+    """
+    _check_extension(cache, ext, p, q)
+    m = cache.base.n
+    if not (0 <= i < ext.inner.n and 0 <= v < m):
+        raise ValueError(f"no attachment edge between added vertex {i} and base vertex {v}")
+    bv = 1 << v
+    adj = assembled_adj(ext)
+    x = m + i
+    cliques = _count_complete(adj, adj[x] & adj[v], p - 2)
+    atts = list(ext.attachments)
+    atts[i] &= ~bv
+    indep = 0
+    for combo in _independent_subsets(ext.inner):
+        k = q - len(combo)
+        if i not in combo or not 0 < k <= m:
+            continue
+        avoid = 0
+        for j in combo:
+            avoid |= atts[j]
+        if avoid & bv:  # another added vertex of T is attached to v
+            continue
+        arr = cache.masks_by_size[k]
+        indep += int(np.count_nonzero((arr & np.uint64(avoid | bv)) == np.uint64(bv)))
+    return _apply_flip(rep, adj[x] >> v & 1, cliques, indep)
+
+
+@lru_cache(maxsize=256)
+def _independent_subsets(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Every vertex tuple of g with no internal edge, the empty one first,
+    by size and then lexicographically."""
+    out: list[tuple[int, ...]] = []
+    for size in range(g.n + 1):
+        for combo in combinations(range(g.n), size):
+            if all(not g.adj[u] >> w & 1 for u, w in combinations(combo, 2)):
+                out.append(combo)
+    return tuple(out)

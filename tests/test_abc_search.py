@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ramsey_abc import abc_search
 from ramsey_abc.abc_search import (
     BUDGET_EXHAUSTED,
     EMPLOYED,
@@ -101,7 +102,7 @@ def _scripted_colony(evaluate, maxlimit=3, alpha=1.0):
         params,
         evaluate=evaluate,
         random_position=lambda rng: 100 + rng.randrange(10),
-        neighbor=lambda pos, rng: pos + 1,
+        neighbor=lambda pos, rep, rng: (pos + 1, evaluate(pos + 1)),
     )
     colony.bees = [
         Bee(EMPLOYED, position=0, fitness=evaluate(0)),
@@ -124,6 +125,7 @@ def test_equal_fitness_neighbour_is_rejected():
     assert all(b.position == 0 for b in colony.bees[:2])
     employed_phase(colony, rng)
     assert all(b.role == SCOUT for b in colony.bees[:2])
+    assert colony.accepted_moves == 0
 
 
 def test_improving_neighbour_is_accepted():
@@ -135,6 +137,7 @@ def test_improving_neighbour_is_accepted():
         assert bee.position == 1
         assert bee.staynum == 1
         assert bee.fitness.total == 9
+    assert colony.accepted_moves == 2
 
 
 def test_stagnant_bee_turns_scout_with_maxlimit_one():
@@ -154,6 +157,7 @@ def test_stagnant_bee_turns_scout_with_maxlimit_one():
     assert sum(1 for b in colony.bees if b.role == EMPLOYED) == 2
     assert all(b.staynum == 1 for b in colony.bees[:2])
     assert all(b.position >= 100 for b in colony.bees[:2])
+    assert colony.scout_restarts == 2
 
 
 def _two_bee_colony(alpha: float) -> "Colony":
@@ -282,3 +286,35 @@ def test_accepted_moves_differ_by_one_edge():
         prev_stay = bee.staynum
         onlooker_phase(colony, rng)
         scout_phase(colony, rng)
+
+
+def test_run_counts_accepted_moves_and_scout_restarts(monkeypatch):
+    # a neighbour carries its fitness, so evaluate() runs only for fresh
+    # random positions: the initial colony and one per scout restart
+    calls = []
+
+    def counted_fitness(g, p, q):
+        calls.append(g)
+        return fitness(g, p, q)
+
+    monkeypatch.setattr(abc_search, "fitness", counted_fitness)
+    params = SearchParams(p=3, q=5, n=12, colony_size=6, maxlimit=4, seed=3, budget=3000)
+    rng = random.Random(params.seed)
+    colony = init_colony(params, rng)
+    moves = 0
+    while colony.finished is None:
+        before = [b.position if b.role == EMPLOYED else None for b in colony.bees]
+        employed_phase(colony, rng)
+        moves += sum(pos is not None and b.position is not pos
+                     for b, pos in zip(colony.bees, before))
+        onlooker_phase(colony, rng)
+        scout_phase(colony, rng)
+        if colony.finished is None and not colony.budget_left():
+            colony.finished = BUDGET_EXHAUSTED
+    assert colony.accepted_moves == moves > 0
+    assert colony.scout_restarts > 0
+    assert len(calls) == params.colony_size + colony.scout_restarts
+
+    result = run(params)
+    assert (result.accepted_moves, result.scout_restarts) == (
+        colony.accepted_moves, colony.scout_restarts)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from ramsey_abc import abc_search, cli, counting
-from ramsey_abc.abc_search import WITNESS_FOUND, SearchParams, SearchResult
+from ramsey_abc.abc_search import BUDGET_EXHAUSTED, WITNESS_FOUND, SearchParams, SearchResult
 from ramsey_abc.cli import (
     EXIT_BUDGET,
     EXIT_CLAIM,
@@ -57,6 +57,7 @@ def test_search_writes_run_record(tmp_path, capsys):
     result = json.loads((run_dir / "result.json").read_text())
     assert result["best_fitness"]["total"] == 0
     assert result["reason"] == "witness-found"
+    assert result["accepted_moves"] >= 0 and result["scout_restarts"] >= 0
     config = json.loads((run_dir / "config.json").read_text())
     assert RunConfig.from_dict(config).params.seed == 1
     # the witness file certifies clean
@@ -231,6 +232,25 @@ def test_search_rejects_witness_that_fails_certification(tmp_path, monkeypatch, 
     assert code == EXIT_CLAIM
     assert "cliques 10, independent sets 0" in capsys.readouterr().err
     assert not list(tmp_path.glob("**/witness.*"))
+
+
+def test_search_rejects_best_fitness_that_fails_certification(tmp_path, monkeypatch, capsys):
+    # not a witness, but its carried fitness disagrees with an exact recount
+    def fake_run(params, base=None):
+        return SearchResult(
+            best_position=Graph.complete(params.n),
+            best_fitness=FitnessReport(3, 0),
+            rounds=0,
+            evaluations=1,
+            history=(),
+            reason=BUDGET_EXHAUSTED,
+        )
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    code = main(["search", "--p", "3", "--q", "3", "--n", "5", "--out", str(tmp_path)])
+    assert code == EXIT_CLAIM
+    assert "cliques 10, independent sets 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_search_cache_over_budget_exits_cleanly(tmp_path, monkeypatch, capsys):

@@ -7,13 +7,21 @@ from hypothesis import strategies as st
 from helpers import (
     brute_count_cliques,
     brute_count_indep,
+    brute_fitness,
     brute_independence_number,
     graphs,
     random_graph,
 )
-from ramsey_abc.construct import decompose_extension, random_extension
+from ramsey_abc.construct import (
+    ExtensionState,
+    decompose_extension,
+    extension_to_graph,
+    mutate_extension,
+    random_extension,
+)
 from ramsey_abc.counting import (
     CacheBudgetError,
+    attachment_flip_fitness,
     build_indep_cache,
     count_cliques,
     count_independent_sets,
@@ -21,9 +29,10 @@ from ramsey_abc.counting import (
     find_clique,
     find_independent_set,
     fitness,
+    flip_fitness,
     max_independent_set,
 )
-from ramsey_abc.graph import Graph, complement, induced_subgraph, relabel
+from ramsey_abc.graph import Graph, complement, induced_subgraph, relabel, toggle_edge
 
 
 def test_clique_count_examples(g1, c5):
@@ -221,3 +230,75 @@ def test_decomposed_appendix_graph_fitness():
     cache = build_indep_cache(ext.base, range(5, 11))
     inc = extension_fitness(cache, ext, 3, 10)
     assert (inc.clique_count, inc.indep_count) == (3, 0)
+
+
+# p - 2 and q - 2 reach -1 and 0, the kernel's two boundary orders
+FLIP_ORDERS = [(1, 3), (2, 4), (3, 3), (3, 5), (4, 4)]
+
+
+@given(graphs(min_n=5, max_n=9), st.sampled_from(FLIP_ORDERS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_flip_fitness_walk_matches_recount(g, orders, data):
+    p, q = orders
+    rep = fitness(g, p, q)
+    for _ in range(data.draw(st.integers(1, 12))):
+        u = data.draw(st.integers(0, g.n - 1))
+        v = data.draw(st.integers(0, g.n - 2))
+        v += v >= u
+        rep = flip_fitness(g, rep, u, v, p, q)
+        g = toggle_edge(g, u, v)
+        assert rep == fitness(g, p, q)
+        assert rep.total == brute_fitness(g, p, q)
+
+
+def test_flip_fitness_rejects_bad_pairs(c5):
+    rep = fitness(c5, 3, 3)
+    for u, v in [(1, 1), (0, 5), (-1, 2)]:
+        with pytest.raises(ValueError):
+            flip_fitness(c5, rep, u, v, 3, 3)
+
+
+def _flipped_move(parent, child):
+    """(i, v) of the one attachment bit that differs between two states."""
+    (i,) = [j for j, (a, b) in enumerate(zip(parent.attachments, child.attachments)) if a != b]
+    diff = parent.attachments[i] ^ child.attachments[i]
+    assert diff.bit_count() == 1
+    return i, diff.bit_length() - 1
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_attachment_flip_fitness_walk_matches_recount(ext_seed, walk_seed):
+    base, ext = _random_ext(ext_seed)
+    lo = max(ext.inner.degrees())
+    degree_range = (lo, lo + 4)  # as _random_ext draws it
+    cache = build_indep_cache(base, range(1, base.n + 1))
+    rng = random.Random(walk_seed)
+    reps = {pq: extension_fitness(cache, ext, *pq) for pq in [(3, 3), (3, 5), (2, 5), (4, 6)]}
+    for _ in range(15):
+        child = mutate_extension(ext, rng, degree_range)
+        if child is None:
+            break
+        i, v = _flipped_move(ext, child)
+        g = extension_to_graph(child)
+        for (p, q), rep in reps.items():
+            reps[p, q] = attachment_flip_fitness(cache, ext, rep, i, v, p, q)
+            assert reps[p, q] == fitness(g, p, q)
+        ext = child
+
+
+def test_attachment_flip_fitness_with_shared_attachments():
+    # decomposed random graphs: added vertices may share base neighbours,
+    # which mutate_extension never produces
+    rng = random.Random(5)
+    for _ in range(20):
+        ext = decompose_extension(random_graph(12, rng, density=0.45), 8)
+        cache = build_indep_cache(ext.base, range(1, 9))
+        for p, q in [(3, 3), (3, 5), (4, 4)]:
+            rep = extension_fitness(cache, ext, p, q)
+            i, v = rng.randrange(4), rng.randrange(8)
+            atts = list(ext.attachments)
+            atts[i] ^= 1 << v
+            child = ExtensionState(ext.base, ext.inner, tuple(atts))
+            flipped = attachment_flip_fitness(cache, ext, rep, i, v, p, q)
+            assert flipped == fitness(extension_to_graph(child), p, q)

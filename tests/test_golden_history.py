@@ -26,10 +26,16 @@ GOLDEN = [
          "--seed", "0", "--budget", "1000"],
         "9796cccdcc6af15ca50cdcdd720c7e0ad7d4161de8e931104a16a729cd05fb9b",
     ),
+    (
+        ["--p", "4", "--q", "4", "--n", "12", "--seed", "0"],  # a witness after 405 evaluations
+        "706182829882e06f85d04a8968e2a08a15725ac7a630cbc9378cfc48427fb76b",
+    ),
 ]
 
 
-@pytest.mark.parametrize("flags, digest", GOLDEN, ids=["full-3-4-8", "full-3-5-13", "ext-3-10-39"])
+@pytest.mark.parametrize(
+    "flags, digest", GOLDEN, ids=["full-3-4-8", "full-3-5-13", "ext-3-10-39", "full-4-4-12"]
+)
 def test_history_csv_is_pinned(tmp_path, flags, digest):
     main(["search", *flags, "--out", str(tmp_path)])
     (run_dir,) = tmp_path.iterdir()
