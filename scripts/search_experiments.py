@@ -25,13 +25,13 @@ from ramsey_abc.counting import build_indep_cache
 def batch(params_for_seed, seeds) -> int:
     wins = 0
     for seed in seeds:
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = run(**params_for_seed(seed))
         total = result.best_fitness.total
         wins += total == 0
         print(
             f"  seed {seed:>3}: best {total:>4}  {result.reason:<16} "
-            f"evals {result.evaluations:>7}  {time.time() - t0:.1f}s"
+            f"evals {result.evaluations:>7}  {time.perf_counter() - t0:.1f}s"
         )
     return wins
 

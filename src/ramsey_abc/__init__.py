@@ -35,6 +35,7 @@ from .construct import (
     extension_to_graph,
     mutate_extension,
     random_extension,
+    toggle_attachment,
 )
 from .abc_search import Colony, SearchParams, SearchResult, run
 from .verify import Certificate, certify, verify_appendix, verify_deletions

@@ -7,11 +7,12 @@ pick an employed bee to follow with probability proportional to its fitness
 rank. An employed bee stuck at the same position for maxlimit rounds turns
 scout, abandons its graph and re-enters from a fresh random position.
 
-A neighbour differs from its parent in exactly one edge, so it comes with its
-exact fitness: the parent's counts changed by the cliques and independent
+A neighbour is a move: the one edge (or attachment) it flips, with its exact
+fitness, which is the parent's counts changed by the cliques and independent
 sets through that edge (counting.flip_fitness, attachment_flip_fitness).
 Only fresh random positions, at start-up and for scouts, are counted from
-scratch.
+scratch. A move is applied, building the child position, only when an
+employed bee accepts it; most sampled moves are rejected and never built.
 
 Every run is a pure function of its parameters: one seeded generator drives
 all sampling, so identical params reproduce identical histories.
@@ -29,6 +30,7 @@ from .construct import (
     enumerate_triangle_free,
     mutate_extension,
     random_extension,
+    toggle_attachment,
 )
 from .counting import (
     FitnessReport,
@@ -135,12 +137,13 @@ class SearchResult:
 
 
 class Colony:
-    """Mutable search state: bees, counters, best-so-far, and the three
+    """Mutable search state: bees, counters, best-so-far, and the four
     mode-specific callables: evaluate scores a position from scratch,
-    random_position draws a fresh one, and neighbor(position, fitness, rng)
-    returns one adjacent position together with its exact fitness, derived
-    from the parent's fitness and the one edge the move flips (or None when
-    no move is legal)."""
+    random_position draws a fresh one, neighbor(position, fitness, rng)
+    draws one move together with the exact fitness of the position it leads
+    to, derived from the parent's fitness and the one edge the move flips
+    (or None when no move is legal), and apply(position, move) builds that
+    position."""
 
     def __init__(
         self,
@@ -150,11 +153,13 @@ class Colony:
         neighbor: Callable[
             [Any, FitnessReport, random.Random], tuple[Any, FitnessReport] | None
         ],
+        apply: Callable[[Any, Any], Any],
     ):
         self.params = params
         self.evaluate = evaluate
         self.random_position = random_position
         self.neighbor = neighbor
+        self.apply = apply
         self.bees: list[Bee] = []
         self.round_no = 0
         self.evaluations = 0
@@ -170,7 +175,9 @@ class Colony:
     def assess(self, position: Any, rep: FitnessReport | None = None) -> FitnessReport:
         """Charge the budget for one position and update best-so-far. rep is
         the position's exact fitness when the caller already has it (a
-        neighbour); otherwise the position is evaluated from scratch."""
+        neighbour); otherwise the position is evaluated from scratch. A
+        neighbour not yet built is assessed as position None; employed_phase
+        builds it and sets best_position when it becomes the colony best."""
         if rep is None:
             rep = self.evaluate(position)
         self.evaluations += 1
@@ -245,12 +252,15 @@ def make_colony(
 
         def neighbor(pos: Graph, rep: FitnessReport, rng: random.Random):
             u, v = _random_pair(params.n, rng)
-            return toggle_edge(pos, u, v), flip_fitness(pos, rep, u, v, params.p, params.q)
+            return (u, v), flip_fitness(pos, rep, u, v, params.p, params.q)
+
+        def apply(pos: Graph, move: tuple[int, int]) -> Graph:
+            return toggle_edge(pos, *move)
 
         def evaluate(pos: Graph) -> FitnessReport:
             return fitness(pos, params.p, params.q)
 
-        return Colony(params, evaluate, random_position, neighbor)
+        return Colony(params, evaluate, random_position, neighbor, apply)
 
     if base is None:
         raise ValueError("extension mode needs a base graph")
@@ -272,18 +282,18 @@ def make_colony(
         return random_extension(base, inner, params.degree_range, rng)
 
     def neighbor(pos, rep: FitnessReport, rng: random.Random):
-        child = mutate_extension(pos, rng, params.degree_range)
-        if child is None:
+        move = mutate_extension(pos, rng, params.degree_range)
+        if move is None:
             return None
-        # the move toggled one bit v of one attachment mask i
-        i = next(j for j, (a, b) in enumerate(zip(pos.attachments, child.attachments)) if a != b)
-        v = (pos.attachments[i] ^ child.attachments[i]).bit_length() - 1
-        return child, attachment_flip_fitness(cache, pos, rep, i, v, params.p, params.q)
+        return move, attachment_flip_fitness(cache, pos, rep, *move, params.p, params.q)
+
+    def apply(pos, move: tuple[int, int]):
+        return toggle_attachment(pos, *move)
 
     def evaluate(pos) -> FitnessReport:
         return extension_fitness(cache, pos, params.p, params.q)
 
-    return Colony(params, evaluate, random_position, neighbor)
+    return Colony(params, evaluate, random_position, neighbor, apply)
 
 
 def init_colony(
@@ -317,10 +327,17 @@ def init_colony(
 
 
 def employed_phase(colony: Colony, rng: random.Random) -> None:
-    """Each employed bee (and its follower, if any) samples one adjacent
-    position; the best sample replaces the current graph only when strictly
+    """Each employed bee (and its follower, if any) samples one move; the
+    best sample is applied, replacing the current graph, only when strictly
     better. Stagnant bees at staynum >= maxlimit turn scout and release
-    their follower back to the onlooker pool."""
+    their follower back to the onlooker pool.
+
+    Samples are assessed unbuilt. One that becomes the colony best also
+    strictly improves its bee, since the colony best is never above any
+    bee's fitness, and min keeps the first of equal samples as assess keeps
+    the first strict best; so it is the move applied here, and its child
+    becomes best_position.
+    """
     params = colony.params
     for bee in colony.bees:
         if colony.finished:
@@ -333,19 +350,21 @@ def employed_phase(colony: Colony, rng: random.Random) -> None:
             if not colony.budget_left():
                 colony.finished = BUDGET_EXHAUSTED
                 break
-            move = colony.neighbor(bee.position, bee.fitness, rng)
-            if move is None:
+            drawn = colony.neighbor(bee.position, bee.fitness, rng)
+            if drawn is None:
                 continue
-            pos, rep = move
-            colony.assess(pos, rep)
-            candidates.append((rep, pos))
+            move, rep = drawn
+            colony.assess(None, rep)
+            candidates.append((rep, move))
             if colony.finished:
                 break
         moved = False
         if candidates:
-            best_rep, best_pos = min(candidates, key=lambda c: c[0].total)
+            best_rep, best_move = min(candidates, key=lambda c: c[0].total)
             if best_rep.total < bee.fitness.total:
-                bee.position = best_pos
+                bee.position = colony.apply(bee.position, best_move)
+                if colony.best_fitness is best_rep:
+                    colony.best_position = bee.position
                 bee.fitness = best_rep
                 bee.staynum = 1
                 moved = True

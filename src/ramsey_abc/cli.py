@@ -200,9 +200,9 @@ def cmd_search(args) -> int:
         params = dataclasses.replace(params, degree_range=(rng.lo, rng.hi))
         config = dataclasses.replace(config, params=params)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = run(params, base=base)
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
 
     # fitness is carried from move to move, so every reported best (witness
     # or not) is recounted exactly before anything is written

@@ -224,36 +224,50 @@ def mutate_extension(
     ext: ExtensionState,
     rng: random.Random,
     degree_range: tuple[int, int] = DEFAULT_DEGREE_RANGE,
-) -> ExtensionState | None:
-    """Toggle exactly one attachment edge, preserving the state invariants.
+) -> tuple[int, int] | None:
+    """Draw one legal attachment toggle (i, v): added vertex i gains or loses
+    its edge to base vertex v. toggle_attachment(ext, i, v) applies it.
 
     A removal is legal while the vertex stays at or above the degree floor; an
     addition may only claim a base vertex not attached to ANY added vertex and
     must respect the ceiling. Returns None when no legal move exists anywhere.
+
+    The moves of vertex i are its removals ascending, then its additions
+    ascending; a uniform added vertex with a legal move is drawn, then a
+    uniform move of it. The order fixes which move each rng draw picks, so a
+    seed replays the same search. Moves are counted, not listed.
     """
     lo, hi = degree_range
     attached = 0
     for att in ext.attachments:
         attached |= att
-    unattached = list(_bits(((1 << ext.base.n) - 1) & ~attached))
-
-    # Each move is the base vertex whose bit added vertex i toggles: removals
-    # ascending, then additions ascending. The order fixes which move each
-    # rng draw picks, so a seed replays the same search.
-    moves_by_vertex: list[list[int]] = []
+    unattached = ((1 << ext.base.n) - 1) & ~attached
+    free = unattached.bit_count()
+    counts: list[tuple[int, int]] = []  # (removals, additions) per added vertex
     for i, att in enumerate(ext.attachments):
-        moves: list[int] = []
         d = ext.added_degree(i)
-        if d > lo:
-            moves.extend(_bits(att))
-        if d < hi:
-            moves.extend(unattached)
-        moves_by_vertex.append(moves)
-    legal = [i for i, moves in enumerate(moves_by_vertex) if moves]
+        counts.append((att.bit_count() if d > lo else 0, free if d < hi else 0))
+    legal = [i for i, (rem, add) in enumerate(counts) if rem + add]
     if not legal:
         return None
     i = legal[rng.randrange(len(legal))]
-    v = moves_by_vertex[i][rng.randrange(len(moves_by_vertex[i]))]
+    rem, add = counts[i]
+    r = rng.randrange(rem + add)
+    if r < rem:
+        return i, _nth_bit(ext.attachments[i], r)
+    return i, _nth_bit(unattached, r - rem)
+
+
+def _nth_bit(mask: int, r: int) -> int:
+    """Position of the r-th lowest set bit of mask (r from 0)."""
+    for _ in range(r):
+        mask &= mask - 1
+    return (mask & -mask).bit_length() - 1
+
+
+def toggle_attachment(ext: ExtensionState, i: int, v: int) -> ExtensionState:
+    """Return a copy of ext with the edge between added vertex i and base
+    vertex v flipped (present <-> absent)."""
     attachments = list(ext.attachments)
     attachments[i] ^= 1 << v
     return ExtensionState(ext.base, ext.inner, tuple(attachments))

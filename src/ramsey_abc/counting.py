@@ -326,19 +326,26 @@ def attachment_flip_fitness(
     vertex v flipped, given rep == extension_fitness(cache, ext, p, q).
 
     The flip_fitness identity on the assembled graph, with x = m + i: the
-    p-cliques through {x, v} are the K_{p-2} inside N(x) & N(v). A
-    q-independent set through x and v is an independent set T of the inner
-    graph containing i plus a cached (q - |T|)-set S of the base containing v,
-    where S avoids the union U of T's attachments taken without the edge.
+    p-cliques through {x, v} are the K_{p-2} inside N(x) & N(v), which is
+    (attachment of i & base row of v) | (inner row of i & the added vertices
+    attached to v) << m; the assembled rows are built only when p - 2 >= 2,
+    as smaller orders read no row. A q-independent set through x and v is an
+    independent set T of the inner graph containing i plus a cached
+    (q - |T|)-set S of the base containing v, where S avoids the union U of
+    T's attachments taken without the edge.
     """
     _check_extension(cache, ext, p, q)
     m = cache.base.n
     if not (0 <= i < ext.inner.n and 0 <= v < m):
         raise ValueError(f"no attachment edge between added vertex {i} and base vertex {v}")
     bv = 1 << v
-    adj = assembled_adj(ext)
-    x = m + i
-    cliques = _count_complete(adj, adj[x] & adj[v], p - 2)
+    owners_v = 0  # added vertices attached to v
+    for j, att in enumerate(ext.attachments):
+        owners_v |= (att >> v & 1) << j
+    att_i = ext.attachments[i]
+    common = (att_i & ext.base.adj[v]) | ((ext.inner.adj[i] & owners_v) << m)
+    adj = assembled_adj(ext) if p - 2 >= 2 else ()
+    cliques = _count_complete(adj, common, p - 2)
     atts = list(ext.attachments)
     atts[i] &= ~bv
     indep = 0
@@ -353,7 +360,7 @@ def attachment_flip_fitness(
             continue
         arr = cache.masks_by_size[k]
         indep += int(np.count_nonzero((arr & np.uint64(avoid | bv)) == np.uint64(bv)))
-    return _apply_flip(rep, adj[x] >> v & 1, cliques, indep)
+    return _apply_flip(rep, att_i >> v & 1, cliques, indep)
 
 
 @lru_cache(maxsize=256)

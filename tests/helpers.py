@@ -104,3 +104,29 @@ def graphs(draw, min_n: int = 1, max_n: int = 12):
     pairs = n * (n - 1) // 2
     mask = draw(st.integers(0, (1 << pairs) - 1))
     return graph_from_mask(n, mask)
+
+
+def brute_mutate_extension(ext, rng: random.Random, degree_range: tuple[int, int]):
+    """Oracle for construct.mutate_extension: list every legal move (i, v) of
+    each added vertex i, removals ascending and then unattached base vertices
+    ascending, draw an added vertex that has one and then one of its moves.
+    Returns (i, v), or None when no move is legal."""
+    lo, hi = degree_range
+    attached = 0
+    for att in ext.attachments:
+        attached |= att
+    unattached = [v for v in range(ext.base.n) if not attached >> v & 1]
+    moves_by_vertex = []
+    for i, att in enumerate(ext.attachments):
+        moves = []
+        d = ext.added_degree(i)
+        if d > lo:
+            moves.extend(v for v in range(ext.base.n) if att >> v & 1)
+        if d < hi:
+            moves.extend(unattached)
+        moves_by_vertex.append(moves)
+    legal = [i for i, moves in enumerate(moves_by_vertex) if moves]
+    if not legal:
+        return None
+    i = legal[rng.randrange(len(legal))]
+    return i, moves_by_vertex[i][rng.randrange(len(moves_by_vertex[i]))]

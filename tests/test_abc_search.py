@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from ramsey_abc import abc_search
+from ramsey_abc import abc_search, dataset
 from ramsey_abc.abc_search import (
     BUDGET_EXHAUSTED,
     EMPLOYED,
+    EXTENSION_MODE,
     ONLOOKER,
     SCOUT,
     WITNESS_FOUND,
@@ -19,8 +20,8 @@ from ramsey_abc.abc_search import (
     run,
     scout_phase,
 )
-from ramsey_abc.counting import FitnessReport, fitness
-from ramsey_abc.graph import Graph
+from ramsey_abc.counting import FitnessReport, build_indep_cache, extension_fitness, fitness
+from ramsey_abc.graph import Graph, toggle_edge
 
 
 def small_params(**overrides) -> SearchParams:
@@ -94,15 +95,24 @@ def test_budget_equal_to_colony_size_returns_initial_best():
 
 
 def _scripted_colony(evaluate, maxlimit=3, alpha=1.0):
-    """Two employed bees at integer positions with a controllable landscape."""
+    """Two employed bees at integer positions with a controllable landscape;
+    the move is a step of +1. Returns the colony and the list of moves
+    applied to it."""
     params = SearchParams(
         p=3, q=3, n=5, colony_size=4, maxlimit=maxlimit, alpha=alpha, seed=0, budget=1000
     )
+    applied = []
+
+    def apply(pos, step):
+        applied.append(step)
+        return pos + step
+
     colony = Colony(
         params,
         evaluate=evaluate,
         random_position=lambda rng: 100 + rng.randrange(10),
-        neighbor=lambda pos, rep, rng: (pos + 1, evaluate(pos + 1)),
+        neighbor=lambda pos, rep, rng: (1, evaluate(pos + 1)),
+        apply=apply,
     )
     colony.bees = [
         Bee(EMPLOYED, position=0, fitness=evaluate(0)),
@@ -112,13 +122,13 @@ def _scripted_colony(evaluate, maxlimit=3, alpha=1.0):
     ]
     colony.best_fitness = evaluate(0)
     colony.best_position = 0
-    return colony
+    return colony, applied
 
 
 def test_equal_fitness_neighbour_is_rejected():
     # flat landscape: neighbours tie, so the strict-improvement rule holds
     # every bee in place and staynum climbs until scout conversion
-    colony = _scripted_colony(lambda pos: FitnessReport(1, 0), maxlimit=3)
+    colony, applied = _scripted_colony(lambda pos: FitnessReport(1, 0), maxlimit=3)
     rng = random.Random(0)
     employed_phase(colony, rng)
     assert [b.staynum for b in colony.bees[:2]] == [2, 2]
@@ -126,11 +136,13 @@ def test_equal_fitness_neighbour_is_rejected():
     employed_phase(colony, rng)
     assert all(b.role == SCOUT for b in colony.bees[:2])
     assert colony.accepted_moves == 0
+    # a rejected move is never applied
+    assert len(applied) == colony.accepted_moves
 
 
 def test_improving_neighbour_is_accepted():
     # strictly decreasing landscape: every sampled neighbour wins
-    colony = _scripted_colony(lambda pos: FitnessReport(10 - pos, 0), maxlimit=5)
+    colony, applied = _scripted_colony(lambda pos: FitnessReport(10 - pos, 0), maxlimit=5)
     rng = random.Random(0)
     employed_phase(colony, rng)
     for bee in colony.bees[:2]:
@@ -138,12 +150,16 @@ def test_improving_neighbour_is_accepted():
         assert bee.staynum == 1
         assert bee.fitness.total == 9
     assert colony.accepted_moves == 2
+    assert len(applied) == colony.accepted_moves
+    # the first accepted move set the colony best, so its child is the best position
+    assert colony.best_fitness.total == 9
+    assert colony.best_position == 1
 
 
 def test_stagnant_bee_turns_scout_with_maxlimit_one():
     # maxlimit=1: one failed attempt converts the bee; a fresh scout draw
     # restores the employed count
-    colony = _scripted_colony(lambda pos: FitnessReport(1, 0), maxlimit=1)
+    colony, applied = _scripted_colony(lambda pos: FitnessReport(1, 0), maxlimit=1)
     rng = random.Random(1)
     onlooker_phase(colony, rng)
     followed = [b.follower for b in colony.bees[:2]]
@@ -158,13 +174,14 @@ def test_stagnant_bee_turns_scout_with_maxlimit_one():
     assert all(b.staynum == 1 for b in colony.bees[:2])
     assert all(b.position >= 100 for b in colony.bees[:2])
     assert colony.scout_restarts == 2
+    assert len(applied) == colony.accepted_moves == 0
 
 
 def _two_bee_colony(alpha: float) -> "Colony":
     params = SearchParams(
         p=3, q=3, n=5, colony_size=4, maxlimit=5, alpha=alpha, seed=0, budget=100
     )
-    colony = Colony(params, evaluate=None, random_position=None, neighbor=None)
+    colony = Colony(params, evaluate=None, random_position=None, neighbor=None, apply=None)
     colony.bees = [
         Bee(EMPLOYED, position="a", fitness=FitnessReport(3, 0)),
         Bee(EMPLOYED, position="b", fitness=FitnessReport(7, 0)),
@@ -290,14 +307,21 @@ def test_accepted_moves_differ_by_one_edge():
 
 def test_run_counts_accepted_moves_and_scout_restarts(monkeypatch):
     # a neighbour carries its fitness, so evaluate() runs only for fresh
-    # random positions: the initial colony and one per scout restart
+    # random positions: the initial colony and one per scout restart; and a
+    # neighbour is a move, so a child graph is built only for an accepted one
     calls = []
+    toggles = []
 
     def counted_fitness(g, p, q):
         calls.append(g)
         return fitness(g, p, q)
 
+    def counted_toggle(g, u, v):
+        toggles.append((u, v))
+        return toggle_edge(g, u, v)
+
     monkeypatch.setattr(abc_search, "fitness", counted_fitness)
+    monkeypatch.setattr(abc_search, "toggle_edge", counted_toggle)
     params = SearchParams(p=3, q=5, n=12, colony_size=6, maxlimit=4, seed=3, budget=3000)
     rng = random.Random(params.seed)
     colony = init_colony(params, rng)
@@ -311,10 +335,25 @@ def test_run_counts_accepted_moves_and_scout_restarts(monkeypatch):
         scout_phase(colony, rng)
         if colony.finished is None and not colony.budget_left():
             colony.finished = BUDGET_EXHAUSTED
-    assert colony.accepted_moves == moves > 0
+    assert colony.accepted_moves == moves == len(toggles) > 0
     assert colony.scout_restarts > 0
     assert len(calls) == params.colony_size + colony.scout_restarts
 
     result = run(params)
     assert (result.accepted_moves, result.scout_restarts) == (
         colony.accepted_moves, colony.scout_restarts)
+
+
+def test_best_position_has_best_fitness():
+    # the colony best is reported from a move's fitness and its position is
+    # built only when the move is accepted: the two must still agree exactly
+    for seed in range(20):
+        result = run(SearchParams(p=4, q=4, n=12, seed=seed, budget=1000))
+        assert fitness(result.best_position, 4, 4) == result.best_fitness
+    base = dataset.extract_base()
+    cache = build_indep_cache(base, range(6, 11))
+    for seed in range(3):
+        params = SearchParams(p=3, q=10, n=39, mode=EXTENSION_MODE, seed=seed, budget=200,
+                              degree_range=(3, 9))
+        result = run(params, base=base, cache=cache)
+        assert extension_fitness(cache, result.best_position, 3, 10) == result.best_fitness

@@ -2,8 +2,17 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import all_graphs, brute_count_cliques, brute_isomorphic, random_graph
+from helpers import (
+    all_graphs,
+    brute_count_cliques,
+    brute_isomorphic,
+    brute_mutate_extension,
+    graph_from_mask,
+    random_graph,
+)
 from ramsey_abc.construct import (
     ExtensionState,
     check_extension_invariants,
@@ -13,6 +22,7 @@ from ramsey_abc.construct import (
     mutate_extension,
     random_extension,
     serialize_extension,
+    toggle_attachment,
 )
 from ramsey_abc.counting import count_cliques
 from ramsey_abc.graph import Graph, decode_graph6
@@ -162,9 +172,10 @@ def test_mutate_single_edge_difference():
     lo = max(1, max(inner.degrees()))
     ext = random_extension(base, inner, (lo, lo + 3), rng)
     for _ in range(200):
-        nxt = mutate_extension(ext, rng, (lo, lo + 3))
-        if nxt is None:
+        move = mutate_extension(ext, rng, (lo, lo + 3))
+        if move is None:
             break
+        nxt = toggle_attachment(ext, *move)
         before = set(extension_to_graph(ext).edges())
         after = set(extension_to_graph(nxt).edges())
         assert len(before ^ after) == 1
@@ -179,8 +190,9 @@ def test_mutate_respects_floor():
     ext = ExtensionState(base, inner, (0b1, 0b10))
     rng = random.Random(2)
     for _ in range(50):
-        nxt = mutate_extension(ext, rng, (1, 2))
-        assert nxt is not None
+        move = mutate_extension(ext, rng, (1, 2))
+        assert move is not None
+        nxt = toggle_attachment(ext, *move)
         grew = [a.bit_count() for a in nxt.attachments]
         assert sorted(grew) == [1, 2]  # one vertex gained an edge; none lost
 
@@ -201,10 +213,46 @@ def test_mutation_invariant_fuzz():
     hi = lo + 2
     ext = random_extension(base, inner, (lo, hi), rng)
     for _ in range(10_000):
-        nxt = mutate_extension(ext, rng, (lo, hi))
-        assert nxt is not None
+        move = mutate_extension(ext, rng, (lo, hi))
+        assert move is not None
+        nxt = toggle_attachment(ext, *move)
         check_extension_invariants(nxt, (lo, hi))
         ext = nxt
+
+
+@given(
+    st.integers(1, 12), st.integers(1, 5), st.integers(0, (1 << 66) - 1), st.integers(0, 1023),
+    st.lists(st.integers(-1, 4), min_size=12, max_size=12), st.booleans(),
+    st.sampled_from(["floor", "ceiling", "between"]), st.integers(0, 3), st.integers(0, 2**32),
+)
+@settings(max_examples=200, deadline=None)
+def test_mutate_extension_matches_listed_oracle(
+    m, a, base_mask, inner_mask, owners, saturate, pin, slack, seed
+):
+    # disjoint attachments: base vertex v goes to added vertex owners[v], or
+    # to none when it is -1 (never, when saturate); with the floor at the
+    # highest degree and every base vertex attached, no move is legal
+    base = graph_from_mask(m, base_mask % (1 << m * (m - 1) // 2))
+    inner = graph_from_mask(a, inner_mask % (1 << a * (a - 1) // 2))
+    owner = [o % a if saturate else o for o in owners[:m]]
+    ext = ExtensionState(
+        base, inner, tuple(sum(1 << v for v in range(m) if owner[v] == i) for i in range(a))
+    )
+    degs = [ext.added_degree(i) for i in range(a)]
+    if pin == "floor":  # every added vertex at or below the floor: additions only
+        degree_range = (max(degs), max(degs) + slack)
+    elif pin == "ceiling":  # every added vertex at or above the ceiling: removals only
+        degree_range = (max(0, min(degs) - slack), min(degs))
+    else:
+        degree_range = (max(0, min(degs) - slack), max(degs) + slack)
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for _ in range(8):
+        move = mutate_extension(ext, rng, degree_range)
+        assert move == brute_mutate_extension(ext, oracle_rng, degree_range)
+        assert rng.getstate() == oracle_rng.getstate()
+        if move is None:
+            break
+        ext = toggle_attachment(ext, *move)
 
 
 def test_serialize_roundtrip():

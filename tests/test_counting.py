@@ -18,6 +18,7 @@ from ramsey_abc.construct import (
     extension_to_graph,
     mutate_extension,
     random_extension,
+    toggle_attachment,
 )
 from ramsey_abc.counting import (
     CacheBudgetError,
@@ -258,14 +259,6 @@ def test_flip_fitness_rejects_bad_pairs(c5):
             flip_fitness(c5, rep, u, v, 3, 3)
 
 
-def _flipped_move(parent, child):
-    """(i, v) of the one attachment bit that differs between two states."""
-    (i,) = [j for j, (a, b) in enumerate(zip(parent.attachments, child.attachments)) if a != b]
-    diff = parent.attachments[i] ^ child.attachments[i]
-    assert diff.bit_count() == 1
-    return i, diff.bit_length() - 1
-
-
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_attachment_flip_fitness_walk_matches_recount(ext_seed, walk_seed):
@@ -276,10 +269,11 @@ def test_attachment_flip_fitness_walk_matches_recount(ext_seed, walk_seed):
     rng = random.Random(walk_seed)
     reps = {pq: extension_fitness(cache, ext, *pq) for pq in [(3, 3), (3, 5), (2, 5), (4, 6)]}
     for _ in range(15):
-        child = mutate_extension(ext, rng, degree_range)
-        if child is None:
+        move = mutate_extension(ext, rng, degree_range)
+        if move is None:
             break
-        i, v = _flipped_move(ext, child)
+        i, v = move
+        child = toggle_attachment(ext, i, v)
         g = extension_to_graph(child)
         for (p, q), rep in reps.items():
             reps[p, q] = attachment_flip_fitness(cache, ext, rep, i, v, p, q)

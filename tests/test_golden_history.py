@@ -1,4 +1,5 @@
-"""Pinned search trajectories: the SHA-256 of history.csv for fixed configs.
+"""Pinned search trajectories: the SHA-256 of history.csv for fixed configs,
+and the graph6 of each run's best position.
 
 A pure refactor must leave these hashes unchanged. Two runs of one commit
 agreeing (criterion 11) does not show that a change kept the search the same;
@@ -7,6 +8,7 @@ meant to alter the search, and say so in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -16,27 +18,35 @@ GOLDEN = [
     (
         ["--p", "3", "--q", "4", "--n", "8", "--seed", "31"],
         "14a479db27d06f58fd8e5916a016ca88e4e3b623d6d1a3fd7df25971356a9488",
+        "GGSsL_",
     ),
     (
         ["--p", "3", "--q", "5", "--n", "13", "--seed", "0", "--budget", "5000"],
         "8cadcb1a6bd86645d0a8c8cda416fa2e240e9107ea42ef03166ca4fe6f14810c",
+        "L@HIVESOn?z?Da",
     ),
     (
         ["--mode", "extension", "--p", "3", "--q", "10", "--n", "39",
          "--seed", "0", "--budget", "1000"],
         "9796cccdcc6af15ca50cdcdd720c7e0ad7d4161de8e931104a16a729cd05fb9b",
+        "fsaCCA?O?O_aC??`c@O@b?RcHQ?DcA@H?PC_@QO@@Q?DA@MP?RgKADoH?aR?KCbOC_JE?xO@AALC@"
+        "AJPG?__V?_K@ROO_A@dOG@?_????cG?BKo@s?_PCB?kE?@A_",
     ),
     (
         ["--p", "4", "--q", "4", "--n", "12", "--seed", "0"],  # a witness after 405 evaluations
         "706182829882e06f85d04a8968e2a08a15725ac7a630cbc9378cfc48427fb76b",
+        r"KPXpva\UfKpd",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "flags, digest", GOLDEN, ids=["full-3-4-8", "full-3-5-13", "ext-3-10-39", "full-4-4-12"]
+    "flags, digest, best_graph6", GOLDEN,
+    ids=["full-3-4-8", "full-3-5-13", "ext-3-10-39", "full-4-4-12"],
 )
-def test_history_csv_is_pinned(tmp_path, flags, digest):
+def test_history_csv_is_pinned(tmp_path, flags, digest, best_graph6):
     main(["search", *flags, "--out", str(tmp_path)])
     (run_dir,) = tmp_path.iterdir()
     assert hashlib.sha256((run_dir / "history.csv").read_bytes()).hexdigest() == digest
+    # history.csv holds no position: pin the best one as well
+    assert json.loads((run_dir / "result.json").read_text())["best_graph6"] == best_graph6
