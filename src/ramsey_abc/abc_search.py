@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import cycle
 from typing import Any, Callable
 
 from . import bounds
@@ -143,7 +144,7 @@ class Colony:
     draws one move together with the exact fitness of the position it leads
     to, derived from the parent's fitness and the one edge the move flips
     (or None when no move is legal), and apply(position, move) builds that
-    position."""
+    position. Only evaluate checks its input; neighbor trusts it."""
 
     def __init__(
         self,
@@ -172,21 +173,20 @@ class Colony:
     def budget_left(self) -> bool:
         return self.evaluations < self.params.budget
 
-    def assess(self, position: Any, rep: FitnessReport | None = None) -> FitnessReport:
-        """Charge the budget for one position and update best-so-far. rep is
-        the position's exact fitness when the caller already has it (a
-        neighbour); otherwise the position is evaluated from scratch. A
-        neighbour not yet built is assessed as position None; employed_phase
-        builds it and sets best_position when it becomes the colony best."""
-        if rep is None:
-            rep = self.evaluate(position)
+    def assess(self, position: Any) -> FitnessReport:
+        """Evaluate a fresh position, charge the budget and offer it as best."""
+        rep = self.evaluate(position)
         self.evaluations += 1
+        self.offer(position, rep)
+        return rep
+
+    def offer(self, position: Any, rep: FitnessReport) -> None:
+        """Take position as best-so-far if rep is strictly better; a witness ends the run."""
         if self.best_fitness is None or rep.total < self.best_fitness.total:
             self.best_fitness = rep
             self.best_position = position
         if rep.total == 0:
             self.finished = WITNESS_FOUND
-        return rep
 
     def role_counts(self) -> tuple[int, int, int]:
         e = sum(1 for b in self.bees if b.role == EMPLOYED)
@@ -274,12 +274,10 @@ def make_colony(
         lo_k = max(1, params.q - added)
         hi_k = min(params.q, base.n)
         cache = build_indep_cache(base, range(lo_k, hi_k + 1))
-    draw_counter = [0]
+    inners = cycle(catalog)
 
     def random_position(rng: random.Random):
-        inner = catalog[draw_counter[0] % len(catalog)]
-        draw_counter[0] += 1
-        return random_extension(base, inner, params.degree_range, rng)
+        return random_extension(base, next(inners), params.degree_range, rng)
 
     def neighbor(pos, rep: FitnessReport, rng: random.Random):
         move = mutate_extension(pos, rng, params.degree_range)
@@ -332,11 +330,11 @@ def employed_phase(colony: Colony, rng: random.Random) -> None:
     better. Stagnant bees at staynum >= maxlimit turn scout and release
     their follower back to the onlooker pool.
 
-    Samples are assessed unbuilt. One that becomes the colony best also
-    strictly improves its bee, since the colony best is never above any
-    bee's fitness, and min keeps the first of equal samples as assess keeps
-    the first strict best; so it is the move applied here, and its child
-    becomes best_position.
+    Each sample is charged to the budget unbuilt; only the applied one is
+    built and offered as the colony best. No other sample could have been
+    it: the colony best is never above a bee's fitness, so a sample below
+    it also strictly improves the bee, and min keeps the first of equal
+    samples as offer keeps the first strict best.
     """
     params = colony.params
     for bee in colony.bees:
@@ -354,24 +352,19 @@ def employed_phase(colony: Colony, rng: random.Random) -> None:
             if drawn is None:
                 continue
             move, rep = drawn
-            colony.assess(None, rep)
+            colony.evaluations += 1
             candidates.append((rep, move))
-            if colony.finished:
+            if rep.total == 0:
                 break
-        moved = False
-        if candidates:
-            best_rep, best_move = min(candidates, key=lambda c: c[0].total)
-            if best_rep.total < bee.fitness.total:
-                bee.position = colony.apply(bee.position, best_move)
-                if colony.best_fitness is best_rep:
-                    colony.best_position = bee.position
-                bee.fitness = best_rep
-                bee.staynum = 1
-                moved = True
-                colony.accepted_moves += 1
-        if colony.finished:
-            return
-        if not moved:
+        best = min(candidates, key=lambda c: c[0].total, default=None)
+        if best is not None and best[0].total < bee.fitness.total:
+            rep, move = best
+            bee.position = colony.apply(bee.position, move)
+            bee.fitness = rep
+            bee.staynum = 1
+            colony.accepted_moves += 1
+            colony.offer(bee.position, rep)
+        elif not colony.finished:
             bee.staynum += 1
             if bee.staynum >= params.maxlimit:
                 bee.role = SCOUT

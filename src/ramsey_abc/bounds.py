@@ -100,6 +100,8 @@ def degree_range(p: int, q: int, n: int) -> DegreeRange:
     Requires both sub-values to be exactly known; a bound would silently
     widen or shrink the interval, so inexact inputs raise instead.
     """
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
     down = known_ramsey(p, q - 1)
     side = known_ramsey(p - 1, q)
     missing = [f"R({v.p},{v.q})" for v in (down, side) if not v.exact]

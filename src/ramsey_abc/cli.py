@@ -6,7 +6,7 @@ bounds, enumerate-tf, extract-base. Graph files are accepted in the
 written in both.
 
 Exit codes: 0 success / witness, 1 certified non-witness, 2 usage error,
-3 data or parse error (including an independent-set cache over budget),
+3 data, file or parse error (including an independent-set cache over budget),
 4 search budget exhausted, 5 a computed value contradicts a shipped claim
 or a search's reported best fitness fails exact certification.
 """
@@ -281,11 +281,11 @@ def cmd_verify_deletions(args) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    lo, sep, hi = text.partition("..")
+    lo, hi = int(lo), int(hi if sep else lo)
+    if lo > hi:
+        raise ValueError(f"empty range {text!r}")
+    return lo, hi
 
 
 def cmd_count(args) -> int:
@@ -446,7 +446,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except json.JSONDecodeError as exc:

@@ -9,16 +9,17 @@ so f(G) = 0 exactly when G is an n-vertex witness for R(p, q) > n.
 
 Counting walks subsets in ascending vertex order, extending a partial clique
 only through the bitmask intersection of common neighbours, which keeps the
-enumeration exact while pruning almost all of the C(n, k) subsets. Independent
-sets are counted as cliques of the complement. One kernel counts the cliques
-inside any candidate vertex mask, so the same recursion serves full counts
-and the move deltas below.
+enumeration exact while pruning almost all of the C(n, k) subsets. One kernel
+counts the cliques inside any candidate vertex mask of adjacency rows: a
+graph's, its complement's (graph._complement_rows) for independent sets, or
+an extension's (construct.assembled_adj), so counting never builds a Graph.
 
 A search move flips one edge {u, v}, which creates or destroys only the
 cliques and independent sets containing both u and v. flip_fitness (a whole
 graph) and attachment_flip_fitness (an extension candidate) derive the
 neighbour's exact fitness from its parent's by counting just those, in
-N(u) & N(v) and in the common non-neighbourhood.
+N(u) & N(v) and in the common non-neighbourhood. Their one caller is the
+colony, whose inputs fitness / extension_fitness check, so they check none.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .construct import assembled_adj, extension_to_graph
-from .graph import Graph, _bits, complement
+from .construct import assembled_adj
+from .graph import Graph, _bits, _complement_rows
 
 
 class CacheBudgetError(RuntimeError):
@@ -114,7 +115,7 @@ def count_cliques(g: Graph, p: int) -> int:
 def count_independent_sets(g: Graph, q: int) -> int:
     """Exact number of q-vertex independent sets."""
     _check_order(g, q, "independent-set order")
-    return _count_complete(complement(g).adj, (1 << g.n) - 1, q)
+    return _count_complete(_complement_rows(g.adj), (1 << g.n) - 1, q)
 
 
 def fitness(g: Graph, p: int, q: int) -> FitnessReport:
@@ -130,14 +131,12 @@ def flip_fitness(g: Graph, rep: FitnessReport, u: int, v: int, p: int, q: int) -
     N(u) & N(v), and the (q-2)-independent sets inside the common
     non-neighbourhood. Adding the edge gains the first and loses the second;
     removing it does the reverse.
+
+    Trusts its caller: p, q in 1..g.n (checked by fitness) and u != v in
+    range(g.n) (drawn by abc_search._random_pair).
     """
-    _check_order(g, p, "clique order")
-    _check_order(g, q, "independent-set order")
-    if u == v or not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"not a vertex pair of the graph: ({u}, {v}) with n={g.n}")
     adj = g.adj
-    full = (1 << g.n) - 1
-    comp = tuple(full ^ row ^ (1 << w) for w, row in enumerate(adj))
+    comp = _complement_rows(adj)
     cliques = _count_complete(adj, adj[u] & adj[v], p - 2)
     indep = _count_complete(comp, comp[u] & comp[v], q - 2)
     return _apply_flip(rep, adj[u] >> v & 1, cliques, indep)
@@ -162,7 +161,7 @@ def find_clique(g: Graph, p: int) -> tuple[int, ...] | None:
 def find_independent_set(g: Graph, q: int) -> tuple[int, ...] | None:
     """Some q-independent set if one exists (lexicographically first), else None."""
     _check_order(g, q, "independent-set order")
-    return _find_complete(complement(g).adj, g.n, q)
+    return _find_complete(_complement_rows(g.adj), g.n, q)
 
 
 def max_independent_set(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -172,7 +171,7 @@ def max_independent_set(g: Graph) -> tuple[int, tuple[int, ...]]:
     colouring upper bound: a candidate set coloured with c colours cannot
     extend the current clique by more than c vertices.
     """
-    adj = complement(g).adj
+    adj = _complement_rows(g.adj)
     best_size = 0
     best_mask = 0
 
@@ -243,7 +242,7 @@ def build_indep_cache(
         raise ValueError("no sizes requested")
     if wanted[0] < 1 or wanted[-1] > base.n:
         raise ValueError(f"sizes must lie within 1..{base.n}")
-    comp = complement(base).adj
+    comp = _complement_rows(base.adj)
     kmax = wanted[-1]
     wanted_set = set(wanted)
     # smallest requested size still reachable from a partial set of each size
@@ -287,8 +286,7 @@ def _check_extension(cache: IndepSetCache, ext, p: int, q: int) -> None:
         raise ValueError(f"clique order must be in 1..{n}, got {p}")
     if not 1 <= q <= n:
         raise ValueError(f"independent-set order must be in 1..{n}, got {q}")
-    needed = [k for k in range(max(1, q - a), min(q, m) + 1)]
-    missing = [k for k in needed if k not in cache.masks_by_size]
+    missing = [k for k in range(max(1, q - a), min(q, m) + 1) if k not in cache.masks_by_size]
     if missing:
         raise ValueError(f"cache does not cover independent-set sizes {missing}")
 
@@ -300,7 +298,7 @@ def extension_fitness(cache: IndepSetCache, ext, p: int, q: int) -> FitnessRepor
     added vertices) with no attachment edge between the parts; the base-side
     counts come from the cache, so only the added-vertex independent subsets
     (enumerated once per inner graph) are walked per call. p-cliques are
-    counted directly on the assembled graph. Must agree exactly with
+    counted directly on the assembled rows. Must agree exactly with
     fitness() on extension_to_graph(ext). The search calls this only for
     fresh random positions; a neighbour is scored by attachment_flip_fitness.
     """
@@ -316,7 +314,8 @@ def extension_fitness(cache: IndepSetCache, ext, p: int, q: int) -> FitnessRepor
             for j in combo:
                 avoid |= ext.attachments[j]
             indep += cache.compatible_count(k, avoid)
-    return FitnessReport(count_cliques(extension_to_graph(ext), p), indep)
+    full = (1 << (m + ext.inner.n)) - 1
+    return FitnessReport(_count_complete(assembled_adj(ext), full, p), indep)
 
 
 def attachment_flip_fitness(
@@ -333,11 +332,12 @@ def attachment_flip_fitness(
     independent set T of the inner graph containing i plus a cached
     (q - |T|)-set S of the base containing v, where S avoids the union U of
     T's attachments taken without the edge.
+
+    Trusts its caller: extension_fitness has checked (cache, ext, p, q) on
+    a position with ext's base and inner size, and (i, v) is a move of
+    construct.mutate_extension, so 0 <= i < a and 0 <= v < m.
     """
-    _check_extension(cache, ext, p, q)
     m = cache.base.n
-    if not (0 <= i < ext.inner.n and 0 <= v < m):
-        raise ValueError(f"no attachment edge between added vertex {i} and base vertex {v}")
     bv = 1 << v
     owners_v = 0  # added vertices attached to v
     for j, att in enumerate(ext.attachments):

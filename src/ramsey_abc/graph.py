@@ -152,8 +152,12 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
 
 
 def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple(full ^ m ^ (1 << v) for v, m in enumerate(g.adj)))
+    return Graph(g.n, _complement_rows(g.adj))
+
+
+def _complement_rows(adj: tuple[int, ...]) -> tuple[int, ...]:
+    full = (1 << len(adj)) - 1
+    return tuple(full ^ m ^ (1 << v) for v, m in enumerate(adj))
 
 
 def relabel(g: Graph, perm) -> Graph:

@@ -13,6 +13,7 @@ from ramsey_abc.abc_search import (
     Bee,
     Colony,
     SearchParams,
+    _random_pair,
     default_init_density,
     employed_phase,
     init_colony,
@@ -357,3 +358,21 @@ def test_best_position_has_best_fitness():
                               degree_range=(3, 9))
         result = run(params, base=base, cache=cache)
         assert extension_fitness(cache, result.best_position, 3, 10) == result.best_fitness
+
+
+def test_random_pair_is_a_vertex_pair():
+    # flip_fitness trusts its pairs; this draw is the only place they come from
+    rng = random.Random(0)
+    for n in range(2, 65):
+        for _ in range(200):
+            u, v = _random_pair(n, rng)
+            assert u != v and 0 <= u < n and 0 <= v < n
+
+
+def test_extension_run_rejects_cache_of_another_base():
+    # attachment_flip_fitness trusts the cache; the first evaluation checks it
+    base = Graph.cycle(10)
+    cache = build_indep_cache(toggle_edge(base, 0, 5), range(1, 5))
+    params = small_params(q=4, n=12, mode=EXTENSION_MODE, degree_range=(1, 3))
+    with pytest.raises(ValueError, match="extension base does not match cache base"):
+        run(params, base=base, cache=cache)

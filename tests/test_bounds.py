@@ -41,6 +41,12 @@ def test_argument_validation():
         known_ramsey(3, 0)
 
 
+def test_degree_range_rejects_nonpositive_n():
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="vertex count"):
+            degree_range(3, 10, n)
+
+
 def test_degree_range_values():
     assert (degree_range(3, 10, 40).lo, degree_range(3, 10, 40).hi) == (4, 9)
     assert (degree_range(5, 5, 43).lo, degree_range(5, 5, 43).hi) == (18, 24)

@@ -280,6 +280,26 @@ def test_verify_missing_file():
     assert main(["verify", "nope.adj", "--p", "3", "--q", "3"]) == EXIT_DATA
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{tmp}", "--p", "3", "--q", "3"],
+        ["count", "--file", "{tmp}", "--p", "3", "--q", "3"],
+        ["search", "--config", "{tmp}"],
+        ["search", "--p", "3", "--q", "3", "--n", "5", "--seed", "0", "--budget", "8",
+         "--out", "{tmp}/file/runs"],
+    ],
+    ids=["verify-dir", "count-dir", "config-dir", "out-under-file"],
+)
+def test_os_errors_exit_data(tmp_path, capsys, argv):
+    # any OS error on a path given by the user is a data error, not a crash
+    (tmp_path / "file").write_text("")
+    code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert "file error" in err and "Traceback" not in err
+
+
 def test_verify_appendix_cli(capsys):
     assert main(["verify-appendix"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -312,6 +332,20 @@ def test_count_parse_error(tmp_path):
     bad = tmp_path / "bad.adj"
     bad.write_text("1:2\nnot a row\n")
     assert main(["count", "--file", str(bad), "--p", "2", "--q", "2"]) == EXIT_DATA
+
+
+def test_bounds_cli_rejects_nonpositive_n(capsys):
+    assert main(["bounds", "3", "10", "-5"]) == EXIT_USAGE
+    assert "vertex count must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--cliques", "--indep"])
+def test_count_rejects_empty_range(tmp_path, capsys, c5, flag):
+    path = tmp_path / "c5.adj"
+    path.write_text(emit_adjacency_list(c5))
+    assert main(["count", "--file", str(path), flag, "3..2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "empty range '3..2'" in captured.err and not captured.out
 
 
 def test_bounds_cli(capsys):

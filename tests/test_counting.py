@@ -252,11 +252,32 @@ def test_flip_fitness_walk_matches_recount(g, orders, data):
         assert rep.total == brute_fitness(g, p, q)
 
 
-def test_flip_fitness_rejects_bad_pairs(c5):
-    rep = fitness(c5, 3, 3)
-    for u, v in [(1, 1), (0, 5), (-1, 2)]:
-        with pytest.raises(ValueError):
-            flip_fitness(c5, rep, u, v, 3, 3)
+def test_counting_builds_no_graph(monkeypatch):
+    # counting reads adjacency rows; only parsers and constructors build
+    # (and validate) a Graph
+    g = Graph.cycle(7)
+    rep = fitness(g, 3, 3)
+    base, ext = _random_ext(3)
+    cache = build_indep_cache(base, range(1, base.n + 1))
+    built = []
+    check = Graph.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    calls = {
+        "count_independent_sets": lambda: count_independent_sets(g, 3),
+        "find_independent_set": lambda: find_independent_set(g, 3),
+        "max_independent_set": lambda: max_independent_set(g),
+        "build_indep_cache": lambda: build_indep_cache(g, range(1, 4)),
+        "flip_fitness": lambda: flip_fitness(g, rep, 0, 2, 3, 3),
+        "extension_fitness": lambda: extension_fitness(cache, ext, 3, 4),
+    }
+    for name, call in calls.items():
+        call()
+        assert not built, name
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
