@@ -1,11 +1,14 @@
 """Artificial-bee-colony minimization of the clique + independent-set fitness.
 
-The colony splits into roles. Employed bees walk the one-edge-flip (or
-one-attachment-flip) neighbourhood of their current graph, moving only on
-strict improvement; a follower doubles an employed bee's sampling. Onlookers
-pick an employed bee to follow with probability proportional to its fitness
-rank. An employed bee stuck at the same position for maxlimit rounds turns
-scout, abandons its graph and re-enters from a fresh random position.
+The colony is its food sources: the better half of the initial draws, each
+worked by one employed bee, plus a count of onlookers. An employed bee walks
+the one-edge-flip (or one-attachment-flip) neighbourhood of its source,
+moving only on strict improvement; an onlooker that has picked the source
+doubles its sampling. Idle onlookers pick an unfollowed source with
+probability proportional to its fitness rank. A source stuck at the same
+position for maxlimit rounds turns scout, loses its onlooker, and re-enters
+from a fresh random position. Onlookers hold no position, so the colony
+keeps their number, not an object for each.
 
 A neighbour is a move: the one edge (or attachment) it flips, with its exact
 fitness, which is the parent's counts changed by the cliques and independent
@@ -42,10 +45,6 @@ from .counting import (
     flip_fitness,
 )
 from .graph import Graph, toggle_edge
-
-EMPLOYED = "employed"
-ONLOOKER = "onlooker"
-SCOUT = "scout"
 
 WITNESS_FOUND = "witness-found"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -89,6 +88,8 @@ class SearchParams:
             raise ValueError("maxlimit must be >= 1")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
+        if self.init_density is not None and not 0 <= self.init_density <= 1:
+            raise ValueError(f"init_density must be in [0, 1], got {self.init_density!r}")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
         if self.mode not in (FULL_MODE, EXTENSION_MODE):
@@ -106,13 +107,16 @@ def _is_number(value) -> bool:
 
 
 @dataclass
-class Bee:
-    role: str
-    position: Any = None
-    fitness: FitnessReport | None = None
+class Source:
+    """A food source: the position its employed bee works and that
+    position's fitness, the rounds it has stayed there, whether an onlooker
+    follows it, and whether it has turned scout awaiting a fresh position."""
+
+    position: Any
+    fitness: FitnessReport
     staynum: int = 1
-    follower: int | None = None  # onlooker index, employed bees only
-    following: int | None = None  # employed index, onlooker bees only
+    followed: bool = False
+    scout: bool = False
 
 
 @dataclass(frozen=True)
@@ -138,13 +142,14 @@ class SearchResult:
 
 
 class Colony:
-    """Mutable search state: bees, counters, best-so-far, and the four
-    mode-specific callables: evaluate scores a position from scratch,
-    random_position draws a fresh one, neighbor(position, fitness, rng)
-    draws one move together with the exact fitness of the position it leads
-    to, derived from the parent's fitness and the one edge the move flips
-    (or None when no move is legal), and apply(position, move) builds that
-    position. Only evaluate checks its input; neighbor trusts it."""
+    """Mutable search state: the food sources, the number of onlookers,
+    counters, best-so-far, and the four mode-specific callables: evaluate
+    scores a position from scratch, random_position draws a fresh one,
+    neighbor(position, fitness, rng) draws one move together with the exact
+    fitness of the position it leads to, derived from the parent's fitness
+    and the one edge the move flips (or None when no move is legal), and
+    apply(position, move) builds that position. Only evaluate checks its
+    input; neighbor trusts it."""
 
     def __init__(
         self,
@@ -161,7 +166,8 @@ class Colony:
         self.random_position = random_position
         self.neighbor = neighbor
         self.apply = apply
-        self.bees: list[Bee] = []
+        self.sources: list[Source] = []
+        self.onlookers = 0
         self.round_no = 0
         self.evaluations = 0
         self.accepted_moves = 0
@@ -188,16 +194,13 @@ class Colony:
         if rep.total == 0:
             self.finished = WITNESS_FOUND
 
-    def role_counts(self) -> tuple[int, int, int]:
-        e = sum(1 for b in self.bees if b.role == EMPLOYED)
-        o = sum(1 for b in self.bees if b.role == ONLOOKER)
-        s = sum(1 for b in self.bees if b.role == SCOUT)
-        return e, o, s
-
     def stats(self) -> RoundStats:
-        e, o, s = self.role_counts()
+        """This round's history.csv row; its bee counts are an employed bee
+        per source not awaiting its scout draw, the onlookers, and the scouts."""
+        scouts = sum(src.scout for src in self.sources)
         return RoundStats(
-            self.round_no, self.best_fitness.total, self.evaluations, e, o, s
+            self.round_no, self.best_fitness.total, self.evaluations,
+            len(self.sources) - scouts, self.onlookers, scouts,
         )
 
 
@@ -300,55 +303,49 @@ def init_colony(
     base: Graph | None = None,
     cache=None,
 ) -> Colony:
-    """Generate and evaluate colony_size random positions; the better half
-    keep their graphs as employed bees, the rest become empty-handed onlookers."""
+    """Generate and evaluate colony_size random positions; the better half,
+    earlier draws first among equals, become the food sources and the rest
+    of the colony_size bees are onlookers."""
     colony = make_colony(params, base=base, cache=cache)
-    scored: list[tuple[int, int, Any, FitnessReport]] = []
-    for i in range(params.colony_size):
+    scored: list[tuple[Any, FitnessReport]] = []
+    for _ in range(params.colony_size):
         pos = colony.random_position(rng)
-        rep = colony.assess(pos)
-        scored.append((rep.total, i, pos, rep))
+        scored.append((pos, colony.assess(pos)))
         if colony.finished or not colony.budget_left():
             break
-    scored.sort(key=lambda item: (item[0], item[1]))
-    half = params.colony_size // 2
-    for rank, (_, _, pos, rep) in enumerate(scored):
-        if rank < half:
-            colony.bees.append(Bee(EMPLOYED, pos, rep, staynum=1))
-        else:
-            colony.bees.append(Bee(ONLOOKER))
-    while len(colony.bees) < params.colony_size:
-        colony.bees.append(Bee(ONLOOKER))
+    scored.sort(key=lambda item: item[1].total)
+    colony.sources = [Source(pos, rep) for pos, rep in scored[: params.colony_size // 2]]
+    colony.onlookers = params.colony_size - len(colony.sources)
     if colony.finished is None and not colony.budget_left():
         colony.finished = BUDGET_EXHAUSTED
     return colony
 
 
 def employed_phase(colony: Colony, rng: random.Random) -> None:
-    """Each employed bee (and its follower, if any) samples one move; the
-    best sample is applied, replacing the current graph, only when strictly
-    better. Stagnant bees at staynum >= maxlimit turn scout and release
-    their follower back to the onlooker pool.
+    """At each source that is not a scout, the employed bee (and the
+    onlooker that picked it, if any) samples one move; the best sample is
+    applied, replacing the source's graph, only when strictly better. A
+    source at staynum >= maxlimit turns scout, and its onlooker goes idle.
 
     Each sample is charged to the budget unbuilt; only the applied one is
     built and offered as the colony best. No other sample could have been
-    it: the colony best is never above a bee's fitness, so a sample below
-    it also strictly improves the bee, and min keeps the first of equal
-    samples as offer keeps the first strict best.
+    it: the colony best is never above a source's fitness, so a sample
+    below it also strictly improves the source, and min keeps the first of
+    equal samples as offer keeps the first strict best.
     """
     params = colony.params
-    for bee in colony.bees:
+    for src in colony.sources:
         if colony.finished:
             return
-        if bee.role != EMPLOYED:
+        if src.scout:
             continue
-        draws = 2 if bee.follower is not None else 1
+        draws = 2 if src.followed else 1
         candidates: list[tuple[FitnessReport, Any]] = []
         for _ in range(draws):
             if not colony.budget_left():
                 colony.finished = BUDGET_EXHAUSTED
                 break
-            drawn = colony.neighbor(bee.position, bee.fitness, rng)
+            drawn = colony.neighbor(src.position, src.fitness, rng)
             if drawn is None:
                 continue
             move, rep = drawn
@@ -357,71 +354,68 @@ def employed_phase(colony: Colony, rng: random.Random) -> None:
             if rep.total == 0:
                 break
         best = min(candidates, key=lambda c: c[0].total, default=None)
-        if best is not None and best[0].total < bee.fitness.total:
+        if best is not None and best[0].total < src.fitness.total:
             rep, move = best
-            bee.position = colony.apply(bee.position, move)
-            bee.fitness = rep
-            bee.staynum = 1
+            src.position = colony.apply(src.position, move)
+            src.fitness = rep
+            src.staynum = 1
             colony.accepted_moves += 1
-            colony.offer(bee.position, rep)
+            colony.offer(src.position, rep)
         elif not colony.finished:
-            bee.staynum += 1
-            if bee.staynum >= params.maxlimit:
-                bee.role = SCOUT
-                if bee.follower is not None:
-                    colony.bees[bee.follower].following = None
-                    bee.follower = None
+            src.staynum += 1
+            if src.staynum >= params.maxlimit:
+                src.scout = True
+                src.followed = False
 
 
 def onlooker_phase(colony: Colony, rng: random.Random) -> None:
-    """Idle onlookers pick an unfollowed employed bee with probability
-    alpha * w / sum(w), where ranks over all employed bees give the best
-    weight E and the worst weight 1, and the sum runs over the employed bees
-    still unfollowed. With alpha < 1 an onlooker may pick nobody."""
+    """Each idle onlooker picks an unfollowed source with probability
+    alpha * w / sum(w), where ranks over the sources that are not scouts
+    give the best weight E and the worst weight 1 (earlier sources first
+    among equals), and the sum runs over the sources still unfollowed. With
+    alpha < 1 an onlooker may pick nobody. Idle onlookers are
+    interchangeable, so each makes the same draw; none is made once every
+    source is followed."""
     if colony.finished:
         return
     params = colony.params
-    employed = [
-        (bee.fitness.total, i) for i, bee in enumerate(colony.bees) if bee.role == EMPLOYED
-    ]
-    employed.sort()
-    count = len(employed)
-    weight = {i: count - rank for rank, (_, i) in enumerate(employed)}
-    for idx, bee in enumerate(colony.bees):
-        if bee.role != ONLOOKER or bee.following is not None:
-            continue
-        open_bees = [i for _, i in employed if colony.bees[i].follower is None
-                     and colony.bees[i].role == EMPLOYED]
-        if not open_bees:
-            continue
-        total_w = sum(weight[i] for i in open_bees)
+    ranked = sorted((src for src in colony.sources if not src.scout),
+                    key=lambda src: src.fitness.total)
+    count = len(ranked)
+    weighted = [(src, count - rank) for rank, src in enumerate(ranked)]
+    idle = colony.onlookers - sum(src.followed for src in colony.sources)
+    for _ in range(idle):
+        open_sources = [(src, w) for src, w in weighted if not src.followed]
+        if not open_sources:
+            return
+        total_w = sum(w for _, w in open_sources)
         r = rng.random()
         acc = 0.0
-        for i in open_bees:
-            acc += params.alpha * weight[i] / total_w
+        for src, w in open_sources:
+            acc += params.alpha * w / total_w
             if r < acc:
-                colony.bees[i].follower = idx
-                bee.following = i
+                src.followed = True
                 break
 
 
 def scout_phase(colony: Colony, rng: random.Random) -> None:
-    """Scouts abandon their graphs, draw fresh random positions with the same
-    generator as initialization, and re-enter as employed bees."""
-    for bee in colony.bees:
+    """Each scout source abandons its graph, draws a fresh random position
+    with the same generator as initialization, and is worked again by its
+    employed bee."""
+    for src in colony.sources:
         if colony.finished:
             return
-        if bee.role != SCOUT:
+        if not src.scout:
             continue
         if not colony.budget_left():
             colony.finished = BUDGET_EXHAUSTED
             return
         pos = colony.random_position(rng)
         rep = colony.assess(pos)
-        bee.role = EMPLOYED
-        bee.position = pos
-        bee.fitness = rep
-        bee.staynum = 1
+        src.scout = False
+        src.position = pos
+        src.fitness = rep
+        src.staynum = 1
         colony.scout_restarts += 1
 
 

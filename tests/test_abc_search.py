@@ -5,14 +5,11 @@ import pytest
 from ramsey_abc import abc_search, dataset
 from ramsey_abc.abc_search import (
     BUDGET_EXHAUSTED,
-    EMPLOYED,
     EXTENSION_MODE,
-    ONLOOKER,
-    SCOUT,
     WITNESS_FOUND,
-    Bee,
     Colony,
     SearchParams,
+    Source,
     _random_pair,
     default_init_density,
     employed_phase,
@@ -65,23 +62,32 @@ def test_default_init_density():
 def test_init_split_and_order():
     rng = random.Random(0)
     colony = init_colony(small_params(q=4, n=8, budget=10_000), rng)
-    employed = [b for b in colony.bees if b.role == EMPLOYED]
-    onlookers = [b for b in colony.bees if b.role == ONLOOKER]
-    assert len(employed) == len(onlookers) == 2
-    assert all(b.position is None and b.fitness is None for b in onlookers)
-    assert all(b.staynum == 1 for b in employed)
+    assert len(colony.sources) == colony.onlookers == 2
+    assert all(not src.scout and not src.followed for src in colony.sources)
+    assert all(src.staynum == 1 for src in colony.sources)
     assert colony.evaluations == 4
     # the best initial draw stays with the employed half
-    assert min(b.fitness.total for b in employed) == colony.best_fitness.total
+    assert min(src.fitness.total for src in colony.sources) == colony.best_fitness.total
 
 
 def test_init_deterministic():
     a = init_colony(small_params(q=4, n=8), random.Random(42))
     b = init_colony(small_params(q=4, n=8), random.Random(42))
-    assert [bee.fitness.total for bee in a.bees if bee.fitness] == [
-        bee.fitness.total for bee in b.bees if bee.fitness
+    assert [src.fitness.total for src in a.sources] == [
+        src.fitness.total for src in b.sources
     ]
     assert a.best_position == b.best_position
+
+
+def test_huge_colony_stores_only_its_sources():
+    # the budget stops the initial draws at 10: only those become sources,
+    # and the onlookers are a count, so memory does not grow with colony_size
+    params = SearchParams(p=3, q=3, n=5, colony_size=10**6, budget=10)
+    colony = init_colony(params, random.Random(0))
+    assert len(colony.sources) == 10
+    assert colony.onlookers == 999_990
+    row = run(params).history[0]
+    assert (row.employed, row.onlookers, row.scouts) == (10, 999_990, 0)
 
 
 def test_budget_equal_to_colony_size_returns_initial_best():
@@ -96,7 +102,7 @@ def test_budget_equal_to_colony_size_returns_initial_best():
 
 
 def _scripted_colony(evaluate, maxlimit=3, alpha=1.0):
-    """Two employed bees at integer positions with a controllable landscape;
+    """Two sources at integer positions with a controllable landscape;
     the move is a step of +1. Returns the colony and the list of moves
     applied to it."""
     params = SearchParams(
@@ -115,15 +121,16 @@ def _scripted_colony(evaluate, maxlimit=3, alpha=1.0):
         neighbor=lambda pos, rep, rng: (1, evaluate(pos + 1)),
         apply=apply,
     )
-    colony.bees = [
-        Bee(EMPLOYED, position=0, fitness=evaluate(0)),
-        Bee(EMPLOYED, position=0, fitness=evaluate(0)),
-        Bee(ONLOOKER),
-        Bee(ONLOOKER),
-    ]
+    colony.sources = [Source(0, evaluate(0)), Source(0, evaluate(0))]
+    colony.onlookers = 2
     colony.best_fitness = evaluate(0)
     colony.best_position = 0
     return colony, applied
+
+
+def _bee_counts(colony) -> tuple[int, int, int]:
+    stats = colony.stats()
+    return stats.employed, stats.onlookers, stats.scouts
 
 
 def test_equal_fitness_neighbour_is_rejected():
@@ -132,10 +139,10 @@ def test_equal_fitness_neighbour_is_rejected():
     colony, applied = _scripted_colony(lambda pos: FitnessReport(1, 0), maxlimit=3)
     rng = random.Random(0)
     employed_phase(colony, rng)
-    assert [b.staynum for b in colony.bees[:2]] == [2, 2]
-    assert all(b.position == 0 for b in colony.bees[:2])
+    assert [src.staynum for src in colony.sources] == [2, 2]
+    assert all(src.position == 0 for src in colony.sources)
     employed_phase(colony, rng)
-    assert all(b.role == SCOUT for b in colony.bees[:2])
+    assert all(src.scout for src in colony.sources)
     assert colony.accepted_moves == 0
     # a rejected move is never applied
     assert len(applied) == colony.accepted_moves
@@ -146,10 +153,10 @@ def test_improving_neighbour_is_accepted():
     colony, applied = _scripted_colony(lambda pos: FitnessReport(10 - pos, 0), maxlimit=5)
     rng = random.Random(0)
     employed_phase(colony, rng)
-    for bee in colony.bees[:2]:
-        assert bee.position == 1
-        assert bee.staynum == 1
-        assert bee.fitness.total == 9
+    for src in colony.sources:
+        assert src.position == 1
+        assert src.staynum == 1
+        assert src.fitness.total == 9
     assert colony.accepted_moves == 2
     assert len(applied) == colony.accepted_moves
     # the first accepted move set the colony best, so its child is the best position
@@ -158,55 +165,53 @@ def test_improving_neighbour_is_accepted():
 
 
 def test_stagnant_bee_turns_scout_with_maxlimit_one():
-    # maxlimit=1: one failed attempt converts the bee; a fresh scout draw
+    # maxlimit=1: one failed attempt converts the source; a fresh scout draw
     # restores the employed count
     colony, applied = _scripted_colony(lambda pos: FitnessReport(1, 0), maxlimit=1)
     rng = random.Random(1)
     onlooker_phase(colony, rng)
-    followed = [b.follower for b in colony.bees[:2]]
-    assert all(f is not None for f in followed)
+    assert all(src.followed for src in colony.sources)
     employed_phase(colony, rng)
-    assert all(b.role == SCOUT for b in colony.bees[:2])
-    # scout conversion released the followers
-    assert all(b.follower is None for b in colony.bees[:2])
-    assert all(b.following is None for b in colony.bees[2:])
+    assert all(src.scout for src in colony.sources)
+    # scout conversion left their onlookers idle
+    assert not any(src.followed for src in colony.sources)
+    assert _bee_counts(colony) == (0, 2, 2)
     scout_phase(colony, rng)
-    assert sum(1 for b in colony.bees if b.role == EMPLOYED) == 2
-    assert all(b.staynum == 1 for b in colony.bees[:2])
-    assert all(b.position >= 100 for b in colony.bees[:2])
+    assert _bee_counts(colony) == (2, 2, 0)
+    assert all(src.staynum == 1 for src in colony.sources)
+    assert all(src.position >= 100 for src in colony.sources)
     assert colony.scout_restarts == 2
     assert len(applied) == colony.accepted_moves == 0
 
 
-def _two_bee_colony(alpha: float) -> "Colony":
+def _two_bee_colony(alpha: float, onlookers: int) -> "Colony":
     params = SearchParams(
         p=3, q=3, n=5, colony_size=4, maxlimit=5, alpha=alpha, seed=0, budget=100
     )
     colony = Colony(params, evaluate=None, random_position=None, neighbor=None, apply=None)
-    colony.bees = [
-        Bee(EMPLOYED, position="a", fitness=FitnessReport(3, 0)),
-        Bee(EMPLOYED, position="b", fitness=FitnessReport(7, 0)),
-        Bee(ONLOOKER),
-        Bee(ONLOOKER),
-    ]
+    colony.sources = [Source("a", FitnessReport(3, 0)), Source("b", FitnessReport(7, 0))]
+    colony.onlookers = onlookers
     colony.best_fitness = FitnessReport(3, 0)
     return colony
 
 
 def test_onlooker_selection_weights():
-    # two employed bees (fitness 3 and 7), alpha=1: rank weights (2,1) make
-    # the first onlooker pick the better bee with probability 2/3
+    # two sources (fitness 3 and 7), alpha=1: rank weights (2,1) make one
+    # onlooker pick the better source with probability 2/3
     trials = 3000
     picked_best = 0
     for seed in range(trials):
-        colony = _two_bee_colony(alpha=1.0)
+        colony = _two_bee_colony(alpha=1.0, onlookers=1)
         onlooker_phase(colony, random.Random(seed))
-        assert colony.bees[2].following is not None  # alpha=1 always selects
-        picked_best += colony.bees[2].following == 0
-        # sequential selection without replacement pairs everyone up
-        assert colony.bees[3].following is not None
-        assert {colony.bees[2].following, colony.bees[3].following} == {0, 1}
+        followed = [src.followed for src in colony.sources]
+        assert sum(followed) == 1  # alpha=1 always selects
+        picked_best += followed[0]
     assert 0.63 < picked_best / trials < 0.70
+    # sequential selection without replacement pairs everyone up
+    for seed in range(20):
+        colony = _two_bee_colony(alpha=1.0, onlookers=2)
+        onlooker_phase(colony, random.Random(seed))
+        assert all(src.followed for src in colony.sources)
 
 
 def test_onlooker_alpha_idle():
@@ -214,9 +219,9 @@ def test_onlooker_alpha_idle():
     trials = 3000
     idle = 0
     for seed in range(trials):
-        colony = _two_bee_colony(alpha=0.5)
+        colony = _two_bee_colony(alpha=0.5, onlookers=1)
         onlooker_phase(colony, random.Random(seed))
-        idle += colony.bees[2].following is None
+        idle += not any(src.followed for src in colony.sources)
     assert 0.45 < idle / trials < 0.55
 
 
@@ -225,14 +230,14 @@ def test_all_employed_followed_is_noop():
     rng = random.Random(3)
     colony = init_colony(params, rng)
     onlooker_phase(colony, rng)
-    employed = [b for b in colony.bees if b.role == EMPLOYED]
-    onlookers = [b for b in colony.bees if b.role == ONLOOKER]
-    # alpha = 1 and as many onlookers as employed: everyone pairs up
-    assert all(b.follower is not None for b in employed)
-    assert all(b.following is not None for b in onlookers)
-    state = [(b.follower, b.following) for b in colony.bees]
+    # alpha = 1 and as many onlookers as sources: everyone pairs up
+    assert colony.onlookers == len(colony.sources)
+    assert all(src.followed for src in colony.sources)
+    rng_state = rng.getstate()
     onlooker_phase(colony, rng)
-    assert state == [(b.follower, b.following) for b in colony.bees]
+    assert all(src.followed for src in colony.sources)
+    # no onlooker is idle, so no draw is made
+    assert rng.getstate() == rng_state
 
 
 def test_role_conservation_through_rounds():
@@ -245,20 +250,16 @@ def test_role_conservation_through_rounds():
             break
         colony.round_no += 1
         employed_phase(colony, rng)
-        assert sum(colony.role_counts()) == size
+        assert sum(_bee_counts(colony)) == size
         if not colony.finished:
             onlooker_phase(colony, rng)
-            assert sum(colony.role_counts()) == size
+            assert sum(_bee_counts(colony)) == size
         if not colony.finished:
             scout_phase(colony, rng)
-            assert sum(colony.role_counts()) == size
+            assert sum(_bee_counts(colony)) == size
             # scouts are always re-employed immediately
-            assert colony.role_counts()[2] == 0
-        for bee in colony.bees:
-            if bee.follower is not None:
-                assert bee.role == EMPLOYED
-            if bee.following is not None:
-                assert bee.role == ONLOOKER
+            assert _bee_counts(colony)[2] == 0
+        assert not any(src.followed and src.scout for src in colony.sources)
 
 
 def test_run_finds_triangle_square_witness():
@@ -281,27 +282,27 @@ def test_run_history_monotone_and_deterministic():
 
 
 def test_accepted_moves_differ_by_one_edge():
-    # trace positions of one employed bee across rounds in full-graph mode
+    # trace positions of one source across rounds in full-graph mode
     params = SearchParams(p=3, q=4, n=8, colony_size=4, maxlimit=50, seed=2, budget=3000)
     rng = random.Random(params.seed)
     colony = init_colony(params, rng)
-    bee = next(b for b in colony.bees if b.role == EMPLOYED)
-    prev = bee.position
-    prev_stay = bee.staynum
+    src = colony.sources[0]
+    prev = src.position
+    prev_stay = src.staynum
     for _ in range(40):
         if colony.finished:
             break
         employed_phase(colony, rng)
-        if bee.role != EMPLOYED:
+        if src.scout:
             break
-        if bee.position != prev:
-            diff = set(prev.edges()) ^ set(bee.position.edges())
+        if src.position != prev:
+            diff = set(prev.edges()) ^ set(src.position.edges())
             assert len(diff) == 1
-            assert bee.staynum == 1
+            assert src.staynum == 1
         else:
-            assert bee.staynum == prev_stay + 1
-        prev = bee.position
-        prev_stay = bee.staynum
+            assert src.staynum == prev_stay + 1
+        prev = src.position
+        prev_stay = src.staynum
         onlooker_phase(colony, rng)
         scout_phase(colony, rng)
 
@@ -328,10 +329,10 @@ def test_run_counts_accepted_moves_and_scout_restarts(monkeypatch):
     colony = init_colony(params, rng)
     moves = 0
     while colony.finished is None:
-        before = [b.position if b.role == EMPLOYED else None for b in colony.bees]
+        before = [None if src.scout else src.position for src in colony.sources]
         employed_phase(colony, rng)
-        moves += sum(pos is not None and b.position is not pos
-                     for b, pos in zip(colony.bees, before))
+        moves += sum(pos is not None and src.position is not pos
+                     for src, pos in zip(colony.sources, before))
         onlooker_phase(colony, rng)
         scout_phase(colony, rng)
         if colony.finished is None and not colony.budget_left():

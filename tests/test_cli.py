@@ -126,6 +126,21 @@ def test_search_config_types_exit_cleanly(tmp_path, config, code):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("density", ["5", "-1", "nan"])
+def test_search_rejects_init_density_outside_unit_interval(tmp_path, density):
+    # NaN fails every comparison, so a range check written as one rejects it too
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramsey_abc", "search", "--p", "3", "--q", "3", "--n", "5",
+         "--seed", "1", f"--init-density={density}", "--out", str(tmp_path / "runs")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert "init_density" in proc.stderr
+    assert not (tmp_path / "runs").exists()
+
+
 def test_search_budget_exhaustion_exit(tmp_path):
     code = main(
         [

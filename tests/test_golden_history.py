@@ -37,12 +37,19 @@ GOLDEN = [
         "706182829882e06f85d04a8968e2a08a15725ac7a630cbc9378cfc48427fb76b",
         r"KPXpva\UfKpd",
     ),
+    (
+        # alpha < 1 leaves onlookers idle, and the run ends with scouts pending
+        ["--p", "3", "--q", "5", "--n", "13", "--alpha", "0.5", "--maxlimit", "2",
+         "--colony-size", "8", "--seed", "0", "--budget", "3000"],
+        "f645867c356653a342870ace607a4cca10ae5e19c725de2d35146e36c6fc0c45",
+        "LUCFAjCW@JbPIK",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "flags, digest, best_graph6", GOLDEN,
-    ids=["full-3-4-8", "full-3-5-13", "ext-3-10-39", "full-4-4-12"],
+    ids=["full-3-4-8", "full-3-5-13", "ext-3-10-39", "full-4-4-12", "full-3-5-13-idle"],
 )
 def test_history_csv_is_pinned(tmp_path, flags, digest, best_graph6):
     main(["search", *flags, "--out", str(tmp_path)])
