@@ -24,13 +24,12 @@ all sampling, so identical params reproduce identical histories.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import cycle
 from typing import Any, Callable
 
 from . import bounds
 from .construct import (
-    DEFAULT_DEGREE_RANGE,
     enumerate_triangle_free,
     mutate_extension,
     random_extension,
@@ -55,6 +54,9 @@ EXTENSION_MODE = "extension"
 
 @dataclass(frozen=True)
 class SearchParams:
+    """A run's parameters. Only extension mode reads degree_range, the band
+    [LO, HI] each added vertex's total degree stays in; None derives it."""
+
     p: int
     q: int
     n: int
@@ -64,8 +66,7 @@ class SearchParams:
     seed: int = 0
     budget: int = 100_000
     mode: str = FULL_MODE
-    init_density: float | None = None
-    degree_range: tuple[int, int] = DEFAULT_DEGREE_RANGE
+    degree_range: tuple[int, int] | None = None
 
     def validate(self) -> None:
         for name in ("p", "q", "n", "colony_size", "maxlimit", "seed", "budget"):
@@ -74,10 +75,8 @@ class SearchParams:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not _is_number(self.alpha):
             raise ValueError(f"alpha must be a number, got {self.alpha!r}")
-        if self.init_density is not None and not _is_number(self.init_density):
-            raise ValueError(f"init_density must be a number, got {self.init_density!r}")
         rng = self.degree_range
-        if not (
+        if rng is not None and not (
             isinstance(rng, (tuple, list)) and len(rng) == 2
             and all(_is_int(v) for v in rng) and rng[0] <= rng[1]
         ):
@@ -88,14 +87,26 @@ class SearchParams:
             raise ValueError("maxlimit must be >= 1")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
-        if self.init_density is not None and not 0 <= self.init_density <= 1:
-            raise ValueError(f"init_density must be in [0, 1], got {self.init_density!r}")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
         if self.mode not in (FULL_MODE, EXTENSION_MODE):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (1 <= self.p <= self.n and 1 <= self.q <= self.n):
             raise ValueError("orders p, q must lie in 1..n")
+
+    def resolved(self) -> SearchParams:
+        """The params as a run reads them: no range in full mode; in extension
+        mode a None range becomes bounds.degree_range(p, q, n), which raises
+        ValueError when it needs a Ramsey value not exactly known."""
+        if self.mode == FULL_MODE:
+            return replace(self, degree_range=None)
+        if self.degree_range is not None:
+            return self
+        try:
+            rng = bounds.degree_range(self.p, self.q, self.n)
+        except ValueError as exc:
+            raise ValueError(f"cannot derive degree_range: {exc}") from None
+        return replace(self, degree_range=(rng.lo, rng.hi))
 
 
 def _is_int(value) -> bool:
@@ -241,14 +252,12 @@ def make_colony(
     base: Graph | None = None,
     cache=None,
 ) -> Colony:
-    """Wire up the mode-specific callables (no positions generated yet)."""
+    """Wire up the mode-specific callables of params.resolved() (no positions
+    generated yet); full mode draws its random graphs at default_init_density."""
     params.validate()
+    params = params.resolved()
     if params.mode == FULL_MODE:
-        density = (
-            params.init_density
-            if params.init_density is not None
-            else default_init_density(params.p, params.q, params.n)
-        )
+        density = default_init_density(params.p, params.q, params.n)
 
         def random_position(rng: random.Random) -> Graph:
             return _random_graph(params.n, density, rng)

@@ -63,9 +63,7 @@ class RunConfig:
     out_dir: str = "runs"
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self.params) | {k: getattr(self, k) for k in RUN_FILE_FIELDS}
-        d["degree_range"] = list(self.params.degree_range)
-        return d
+        return dataclasses.asdict(self.params) | {k: getattr(self, k) for k in RUN_FILE_FIELDS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -114,7 +112,7 @@ def _unique_run_dir(root: Path, seed: int) -> Path:
 
 
 def _write_run_record(
-    run_dir: Path, config: RunConfig, result: SearchResult, wall_clock: float
+    run_dir: Path, config: RunConfig, result: SearchResult, best_graph: Graph, wall_clock: float
 ) -> None:
     with open(run_dir / "config.json", "w") as fh:
         json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
@@ -143,12 +141,9 @@ def _write_run_record(
             "total": result.best_fitness.total,
         },
     }
-    best = result.best_position
-    if isinstance(best, Graph):
-        record["best_graph6"] = encode_graph6(best)
-    else:
-        record["best_extension"] = serialize_extension(best)
-        record["best_graph6"] = encode_graph6(extension_to_graph(best))
+    record["best_graph6"] = encode_graph6(best_graph)
+    if config.params.mode == EXTENSION_MODE:
+        record["best_extension"] = serialize_extension(result.best_position)
     with open(run_dir / "result.json", "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -191,14 +186,16 @@ def cmd_search(args) -> int:
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if base is not None and "degree_range" not in config_dict:
-        try:
-            rng = bounds.degree_range(params.p, params.q, params.n)
-        except ValueError as exc:
-            print(f"error: {exc}; pass --degree-range LO..HI", file=sys.stderr)
+    for key in ("degree_range", "base_file"):
+        if params.mode == FULL_MODE and config_dict.get(key) is not None:
+            print(f"error: {key} applies to extension mode only", file=sys.stderr)
             return EXIT_USAGE
-        params = dataclasses.replace(params, degree_range=(rng.lo, rng.hi))
-        config = dataclasses.replace(config, params=params)
+    try:
+        params = params.resolved()
+    except ValueError as exc:
+        print(f"error: {exc}; pass --degree-range LO..HI", file=sys.stderr)
+        return EXIT_USAGE
+    config = dataclasses.replace(config, params=params)
 
     t0 = time.perf_counter()
     result = run(params, base=base)
@@ -220,7 +217,7 @@ def cmd_search(args) -> int:
     witness = best_graph if result.reason == WITNESS_FOUND else None
 
     run_dir = _unique_run_dir(Path(config.out_dir), params.seed)
-    _write_run_record(run_dir, config, result, wall)
+    _write_run_record(run_dir, config, result, best_graph, wall)
     witness_files = [] if witness is None else write_graph_files(witness, run_dir / "witness")
 
     print(f"run dir: {run_dir}")
@@ -383,10 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--seed", type=int)
     p_search.add_argument("--budget", type=int)
     p_search.add_argument("--mode", choices=[FULL_MODE, EXTENSION_MODE])
-    p_search.add_argument("--init-density", type=float, dest="init_density")
     p_search.add_argument(
         "--degree-range", type=_parse_range, dest="degree_range",
-        help="LO..HI for extension mode (default: the witness degree bound)",
+        help="LO..HI, extension mode only (default: the witness degree bound)",
     )
     p_search.add_argument(
         "--base", dest="base_file",

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 from .graph import Graph, _bits, induced_subgraph
 
+# The (3,10,40) witness band, no function's default: bench/workloads.py reads it.
 DEFAULT_DEGREE_RANGE = (4, 9)
+MAX_RESAMPLES = 10_000  # degree vectors random_extension draws before giving up
 
 
 @dataclass(frozen=True)
@@ -124,13 +126,9 @@ def enumerate_triangle_free(k: int) -> list[Graph]:
 
 
 def random_extension(
-    base: Graph,
-    inner: Graph,
-    degree_range: tuple[int, int] = DEFAULT_DEGREE_RANGE,
-    rng: random.Random | None = None,
-    max_resamples: int = 10_000,
+    base: Graph, inner: Graph, degree_range: tuple[int, int], rng: random.Random
 ) -> ExtensionState:
-    """Draw a random extension state with the given total-degree range.
+    """Draw a random extension state with the given total-degree range from rng.
 
     Each added vertex's total degree is sampled uniformly from the range; the
     whole vector is rejected and resampled whenever some vertex would need a
@@ -138,7 +136,6 @@ def random_extension(
     base vertices. Attachment sets come from chunking one random permutation
     of the base vertices, which makes them pairwise disjoint by construction.
     """
-    rng = rng if rng is not None else random.Random()
     lo, hi = degree_range
     t = inner.degrees()
     a = inner.n
@@ -151,7 +148,7 @@ def random_extension(
         raise ValueError(
             f"degree range [{lo}, {hi}] infeasible: minimum attachment total exceeds {m}"
         )
-    for _ in range(max_resamples):
+    for _ in range(MAX_RESAMPLES):
         degs = [rng.randint(lo, hi) for _ in range(a)]
         if all(d >= ti for d, ti in zip(degs, t)) and sum(degs) - sum(t) <= m:
             break
@@ -202,10 +199,8 @@ def decompose_extension(g: Graph, base_size: int) -> ExtensionState:
     return ExtensionState(base, inner, attachments)
 
 
-def check_extension_invariants(
-    ext: ExtensionState, degree_range: tuple[int, int] = DEFAULT_DEGREE_RANGE
-) -> None:
-    """Raise if attachment sets overlap or an added vertex leaves the degree range."""
+def check_extension_invariants(ext: ExtensionState, degree_range: tuple[int, int]) -> None:
+    """Raise if attachment sets overlap or an added vertex leaves degree_range."""
     lo, hi = degree_range
     base_mask = (1 << ext.base.n) - 1
     seen = 0
@@ -221,16 +216,15 @@ def check_extension_invariants(
 
 
 def mutate_extension(
-    ext: ExtensionState,
-    rng: random.Random,
-    degree_range: tuple[int, int] = DEFAULT_DEGREE_RANGE,
+    ext: ExtensionState, rng: random.Random, degree_range: tuple[int, int]
 ) -> tuple[int, int] | None:
     """Draw one legal attachment toggle (i, v): added vertex i gains or loses
     its edge to base vertex v. toggle_attachment(ext, i, v) applies it.
 
-    A removal is legal while the vertex stays at or above the degree floor; an
-    addition may only claim a base vertex not attached to ANY added vertex and
-    must respect the ceiling. Returns None when no legal move exists anywhere.
+    A removal is legal while the vertex stays at or above degree_range's
+    floor; an addition may only claim a base vertex not attached to ANY added
+    vertex and must respect its ceiling. Returns None when no legal move
+    exists anywhere.
 
     The moves of vertex i are its removals ascending, then its additions
     ascending; a uniform added vertex with a legal move is drawn, then a

@@ -46,10 +46,21 @@ def test_params_validation():
     with pytest.raises(ValueError):
         small_params(p=6).validate()
     # field types, as a config file may give them
-    for bad in ({"seed": True}, {"budget": 10.0}, {"alpha": "1"}, {"init_density": "0.5"},
-                {"degree_range": None}, {"degree_range": (9, 4)}, {"degree_range": (1, 2, 3)}):
+    for bad in ({"seed": True}, {"budget": 10.0}, {"alpha": "1"},
+                {"degree_range": (9, 4)}, {"degree_range": (1, 2, 3)}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             small_params(**bad).validate()
+
+
+def test_resolved_degree_range():
+    # only extension mode reads a range, and None there derives the witness bound
+    assert small_params(degree_range=(1, 2)).resolved().degree_range is None
+    ext = dict(q=10, mode=EXTENSION_MODE)
+    assert small_params(n=39, **ext).resolved().degree_range == (3, 9)
+    assert small_params(n=40, **ext).resolved().degree_range == (4, 9)
+    assert small_params(n=39, degree_range=(5, 7), **ext).resolved().degree_range == (5, 7)
+    with pytest.raises(ValueError, match="degree_range"):  # R(3,10) is not exactly known
+        small_params(q=11, n=46, mode=EXTENSION_MODE).resolved()
 
 
 def test_default_init_density():

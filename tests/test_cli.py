@@ -26,7 +26,7 @@ def test_runconfig_roundtrip():
     params = SearchParams(p=3, q=10, n=40, mode="extension", degree_range=(4, 9), seed=7)
     config = RunConfig(params, base_file="base.adj")
     assert RunConfig.from_dict(config.to_dict()) == config
-    for key in ("bogus", "count_cap"):
+    for key in ("bogus", "count_cap", "init_density"):
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_dict({"p": 3, "q": 3, "n": 5, key: 1})
 
@@ -60,6 +60,7 @@ def test_search_writes_run_record(tmp_path, capsys):
     assert result["accepted_moves"] >= 0 and result["scout_restarts"] >= 0
     config = json.loads((run_dir / "config.json").read_text())
     assert RunConfig.from_dict(config).params.seed == 1
+    assert config["degree_range"] is None  # full mode reads no range
     # the witness file certifies clean
     assert main(["verify", str(run_dir / "witness.adj"), "--p", "3", "--q", "3"]) == EXIT_OK
 
@@ -104,12 +105,13 @@ def test_search_config_file_with_flag_override(tmp_path):
 @pytest.mark.parametrize(
     "config, code",
     [
-        ({"p": 3, "q": 10, "mode": "extension", "degree_range": None}, EXIT_USAGE),
+        ({"p": 3, "q": 10, "mode": "extension", "degree_range": "4..9"}, EXIT_USAGE),
         ([1, 2], EXIT_DATA),
         ({"p": 3, "q": 3, "n": 5, "colony_size": 20.0}, EXIT_USAGE),
         ({"p": 3, "q": 3, "n": 5.0}, EXIT_USAGE),
         ({"p": 3, "q": 10, "mode": "extension", "base_file": 7}, EXIT_USAGE),
         ({"p": 3, "q": 10, "mode": "extension", "n": "39"}, EXIT_USAGE),
+        ({"p": 3, "q": 4, "n": 8, "degree_range": [1, 2]}, EXIT_USAGE),  # full mode reads none
     ],
 )
 def test_search_config_types_exit_cleanly(tmp_path, config, code):
@@ -126,18 +128,20 @@ def test_search_config_types_exit_cleanly(tmp_path, config, code):
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("density", ["5", "-1", "nan"])
-def test_search_rejects_init_density_outside_unit_interval(tmp_path, density):
-    # NaN fails every comparison, so a range check written as one rejects it too
+@pytest.mark.parametrize(
+    "flag, key", [(["--degree-range", "1..2"], "degree_range"), (["--base", "g.adj"], "base_file")]
+)
+def test_search_full_mode_rejects_extension_flags(tmp_path, flag, key):
+    # full mode reads no degree range or base, so config.json must never record one
     proc = subprocess.run(
-        [sys.executable, "-m", "ramsey_abc", "search", "--p", "3", "--q", "3", "--n", "5",
-         "--seed", "1", f"--init-density={density}", "--out", str(tmp_path / "runs")],
+        [sys.executable, "-m", "ramsey_abc", "search", "--p", "3", "--q", "4", "--n", "8",
+         *flag, "--out", str(tmp_path / "runs")],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == EXIT_USAGE
     assert "Traceback" not in proc.stderr
-    assert "init_density" in proc.stderr
+    assert key in proc.stderr
     assert not (tmp_path / "runs").exists()
 
 

@@ -12,7 +12,10 @@ import json
 
 import pytest
 
-from ramsey_abc.cli import main
+from ramsey_abc import dataset
+from ramsey_abc.abc_search import EXTENSION_MODE, SearchParams, run
+from ramsey_abc.cli import RunConfig, _write_run_record, main
+from ramsey_abc.construct import extension_to_graph
 
 GOLDEN = [
     (
@@ -57,3 +60,15 @@ def test_history_csv_is_pinned(tmp_path, flags, digest, best_graph6):
     assert hashlib.sha256((run_dir / "history.csv").read_bytes()).hexdigest() == digest
     # history.csv holds no position: pin the best one as well
     assert json.loads((run_dir / "result.json").read_text())["best_graph6"] == best_graph6
+
+
+def test_library_run_matches_cli_golden(tmp_path):
+    # run() derives the extension degree range itself, so the library
+    # searches the space the CLI does and writes the same history
+    (_, digest, best_graph6), = (case for case in GOLDEN if "extension" in case[0])
+    params = SearchParams(3, 10, 39, mode=EXTENSION_MODE, seed=0, budget=1000)
+    result = run(params, dataset.extract_base())
+    best_graph = extension_to_graph(result.best_position)
+    _write_run_record(tmp_path, RunConfig(params.resolved()), result, best_graph, 0.0)
+    assert hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest() == digest
+    assert json.loads((tmp_path / "result.json").read_text())["best_graph6"] == best_graph6
