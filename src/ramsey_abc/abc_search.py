@@ -30,6 +30,7 @@ from typing import Any, Callable
 
 from . import bounds
 from .construct import (
+    check_feasible,
     enumerate_triangle_free,
     mutate_extension,
     random_extension,
@@ -43,7 +44,7 @@ from .counting import (
     fitness,
     flip_fitness,
 )
-from .graph import Graph, toggle_edge
+from .graph import MAX_VERTICES, Graph, toggle_edge
 
 WITNESS_FOUND = "witness-found"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -93,11 +94,14 @@ class SearchParams:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (1 <= self.p <= self.n and 1 <= self.q <= self.n):
             raise ValueError("orders p, q must lie in 1..n")
+        if self.n > MAX_VERTICES:
+            raise ValueError(f"n must be at most {MAX_VERTICES}, got {self.n}")
 
     def resolved(self) -> SearchParams:
         """The params as a run reads them: no range in full mode; in extension
         mode a None range becomes bounds.degree_range(p, q, n), which raises
-        ValueError when it needs a Ramsey value not exactly known."""
+        ValueError when it needs a Ramsey value not exactly known or when the
+        band it derives is empty."""
         if self.mode == FULL_MODE:
             return replace(self, degree_range=None)
         if self.degree_range is not None:
@@ -106,6 +110,11 @@ class SearchParams:
             rng = bounds.degree_range(self.p, self.q, self.n)
         except ValueError as exc:
             raise ValueError(f"cannot derive degree_range: {exc}") from None
+        if not rng.feasible:
+            raise ValueError(
+                f"the derived witness band [{rng.lo}, {rng.hi}] of "
+                f"({self.p},{self.q},{self.n}) is empty"
+            )
         return replace(self, degree_range=(rng.lo, rng.hi))
 
 
@@ -253,7 +262,9 @@ def make_colony(
     cache=None,
 ) -> Colony:
     """Wire up the mode-specific callables of params.resolved() (no positions
-    generated yet); full mode draws its random graphs at default_init_density."""
+    generated yet); full mode draws its random graphs at default_init_density.
+    Extension mode raises ValueError unless every catalog inner graph can
+    reach the degree range (construct.check_feasible)."""
     params.validate()
     params = params.resolved()
     if params.mode == FULL_MODE:
@@ -282,6 +293,8 @@ def make_colony(
             f"extension mode supports 1..7 added vertices, got n={params.n} over base {base.n}"
         )
     catalog = enumerate_triangle_free(added)
+    for inner in catalog:
+        check_feasible(base, inner, params.degree_range)
     if cache is None:
         lo_k = max(1, params.q - added)
         hi_k = min(params.q, base.n)

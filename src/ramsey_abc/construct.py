@@ -125,6 +125,22 @@ def enumerate_triangle_free(k: int) -> list[Graph]:
     return [_from_canonical_bits(k, key) for _, key in ordered]
 
 
+def check_feasible(base: Graph, inner: Graph, degree_range: tuple[int, int]) -> None:
+    """Raise unless inner's vertices can all reach degree_range by attaching
+    to distinct base vertices: no inner degree exceeds the ceiling, and the
+    attachments the floor needs fit in the base."""
+    lo, hi = degree_range
+    t = inner.degrees()
+    if any(hi < ti for ti in t):
+        raise ValueError(
+            f"degree range [{lo}, {hi}] infeasible: inner degrees {t} exceed the ceiling"
+        )
+    if sum(max(lo, ti) - ti for ti in t) > base.n:
+        raise ValueError(
+            f"degree range [{lo}, {hi}] infeasible: minimum attachment total exceeds {base.n}"
+        )
+
+
 def random_extension(
     base: Graph, inner: Graph, degree_range: tuple[int, int], rng: random.Random
 ) -> ExtensionState:
@@ -135,19 +151,13 @@ def random_extension(
     negative attachment count or the attachment total exceeds the number of
     base vertices. Attachment sets come from chunking one random permutation
     of the base vertices, which makes them pairwise disjoint by construction.
+    Raises ValueError, drawing nothing, when check_feasible does.
     """
+    check_feasible(base, inner, degree_range)
     lo, hi = degree_range
     t = inner.degrees()
     a = inner.n
     m = base.n
-    if any(hi < ti for ti in t):
-        raise ValueError(
-            f"degree range [{lo}, {hi}] infeasible: inner degrees {t} exceed the ceiling"
-        )
-    if sum(max(lo, ti) - ti for ti in t) > m:
-        raise ValueError(
-            f"degree range [{lo}, {hi}] infeasible: minimum attachment total exceeds {m}"
-        )
     for _ in range(MAX_RESAMPLES):
         degs = [rng.randint(lo, hi) for _ in range(a)]
         if all(d >= ti for d, ti in zip(degs, t)) and sum(degs) - sum(t) <= m:

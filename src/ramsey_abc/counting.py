@@ -11,8 +11,9 @@ Counting walks subsets in ascending vertex order, extending a partial clique
 only through the bitmask intersection of common neighbours, which keeps the
 enumeration exact while pruning almost all of the C(n, k) subsets. One kernel
 counts the cliques inside any candidate vertex mask of adjacency rows: a
-graph's, its complement's (graph._complement_rows) for independent sets, or
-an extension's (construct.assembled_adj), so counting never builds a Graph.
+graph's, its complement's (Graph.complement_rows) for independent sets, or
+an extension's (construct.assembled_adj). Part of a graph is a vertex mask
+over those rows, so counting never builds a Graph.
 
 A search move flips one edge {u, v}, which creates or destroys only the
 cliques and independent sets containing both u and v. flip_fitness (a whole
@@ -31,11 +32,13 @@ from itertools import combinations
 import numpy as np
 
 from .construct import assembled_adj
-from .graph import Graph, _bits, _complement_rows
+from .graph import Graph, _bits
+
+MAX_CACHE_SETS = 2_000_000  # independent sets build_indep_cache holds per size
 
 
 class CacheBudgetError(RuntimeError):
-    """Independent-set cache exceeded its configured memory budget."""
+    """Independent-set cache exceeded its memory budget, MAX_CACHE_SETS."""
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,7 @@ def count_cliques(g: Graph, p: int) -> int:
 def count_independent_sets(g: Graph, q: int) -> int:
     """Exact number of q-vertex independent sets."""
     _check_order(g, q, "independent-set order")
-    return _count_complete(_complement_rows(g.adj), (1 << g.n) - 1, q)
+    return _count_complete(g.complement_rows, (1 << g.n) - 1, q)
 
 
 def fitness(g: Graph, p: int, q: int) -> FitnessReport:
@@ -135,8 +138,7 @@ def flip_fitness(g: Graph, rep: FitnessReport, u: int, v: int, p: int, q: int) -
     Trusts its caller: p, q in 1..g.n (checked by fitness) and u != v in
     range(g.n) (drawn by abc_search._random_pair).
     """
-    adj = g.adj
-    comp = _complement_rows(adj)
+    adj, comp = g.adj, g.complement_rows
     cliques = _count_complete(adj, adj[u] & adj[v], p - 2)
     indep = _count_complete(comp, comp[u] & comp[v], q - 2)
     return _apply_flip(rep, adj[u] >> v & 1, cliques, indep)
@@ -161,7 +163,7 @@ def find_clique(g: Graph, p: int) -> tuple[int, ...] | None:
 def find_independent_set(g: Graph, q: int) -> tuple[int, ...] | None:
     """Some q-independent set if one exists (lexicographically first), else None."""
     _check_order(g, q, "independent-set order")
-    return _find_complete(_complement_rows(g.adj), g.n, q)
+    return _find_complete(g.complement_rows, g.n, q)
 
 
 def max_independent_set(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -171,7 +173,7 @@ def max_independent_set(g: Graph) -> tuple[int, tuple[int, ...]]:
     colouring upper bound: a candidate set coloured with c colours cannot
     extend the current clique by more than c vertices.
     """
-    adj = _complement_rows(g.adj)
+    adj = g.complement_rows
     best_size = 0
     best_mask = 0
 
@@ -219,30 +221,29 @@ class IndepSetCache:
     """
 
     base: Graph
-    sizes: tuple[int, ...]
     masks_by_size: dict[int, np.ndarray]
 
     def counts(self) -> dict[int, int]:
-        return {k: len(self.masks_by_size[k]) for k in self.sizes}
+        return {k: len(arr) for k, arr in self.masks_by_size.items()}
 
-    def compatible_count(self, k: int, avoid_mask: int) -> int:
-        """Number of cached k-sets disjoint from avoid_mask."""
+    def compatible_count(self, k: int, avoid: int, through: int = 0) -> int:
+        """Number of cached k-sets that contain every vertex of the mask
+        through and none of the mask avoid; needs avoid & through == 0."""
         arr = self.masks_by_size[k]
-        if len(arr) == 0:
+        if len(arr) == 0:  # k above the base's independence number: skip numpy's fixed cost
             return 0
-        return int(np.count_nonzero((arr & np.uint64(avoid_mask)) == 0))
+        return int(np.count_nonzero((arr & np.uint64(avoid | through)) == np.uint64(through)))
 
 
-def build_indep_cache(
-    base: Graph, sizes, max_sets_per_size: int = 2_000_000
-) -> IndepSetCache:
+def build_indep_cache(base: Graph, sizes) -> IndepSetCache:
     """Enumerate every independent set of the requested sizes in one DFS pass."""
     wanted = tuple(sorted(set(sizes)))
     if not wanted:
         raise ValueError("no sizes requested")
     if wanted[0] < 1 or wanted[-1] > base.n:
         raise ValueError(f"sizes must lie within 1..{base.n}")
-    comp = _complement_rows(base.adj)
+    comp = base.complement_rows
+    cap = MAX_CACHE_SETS
     kmax = wanted[-1]
     wanted_set = set(wanted)
     # smallest requested size still reachable from a partial set of each size
@@ -258,10 +259,8 @@ def build_indep_cache(
             nsize = size + 1
             if nsize in wanted_set:
                 bucket = collected[nsize]
-                if len(bucket) >= max_sets_per_size:
-                    raise CacheBudgetError(
-                        f"more than {max_sets_per_size} independent sets of size {nsize}"
-                    )
+                if len(bucket) >= cap:
+                    raise CacheBudgetError(f"more than {cap} independent sets of size {nsize}")
                 bucket.append(nchosen)
             if nsize < kmax:
                 nxt = cand & comp[v]
@@ -270,7 +269,7 @@ def build_indep_cache(
 
     rec((1 << base.n) - 1, 0, 0)
     masks_by_size = {k: np.array(collected[k], dtype=np.uint64) for k in wanted}
-    return IndepSetCache(base, wanted, masks_by_size)
+    return IndepSetCache(base, masks_by_size)
 
 
 def _check_extension(cache: IndepSetCache, ext, p: int, q: int) -> None:
@@ -303,18 +302,8 @@ def extension_fitness(cache: IndepSetCache, ext, p: int, q: int) -> FitnessRepor
     fresh random positions; a neighbour is scored by attachment_flip_fitness.
     """
     _check_extension(cache, ext, p, q)
-    m = cache.base.n
-    indep = 0
-    for combo in _independent_subsets(ext.inner):
-        k = q - len(combo)
-        if k == 0:
-            indep += 1
-        elif 0 < k <= m:
-            avoid = 0
-            for j in combo:
-                avoid |= ext.attachments[j]
-            indep += cache.compatible_count(k, avoid)
-    full = (1 << (m + ext.inner.n)) - 1
+    indep = _cross_count(cache, ext.inner, ext.attachments, q)
+    full = (1 << (cache.base.n + ext.inner.n)) - 1
     return FitnessReport(_count_complete(assembled_adj(ext), full, p), indep)
 
 
@@ -348,19 +337,32 @@ def attachment_flip_fitness(
     cliques = _count_complete(adj, common, p - 2)
     atts = list(ext.attachments)
     atts[i] &= ~bv
-    indep = 0
-    for combo in _independent_subsets(ext.inner):
+    indep = _cross_count(cache, ext.inner, atts, q, member=i, through=bv)
+    return _apply_flip(rep, att_i >> v & 1, cliques, indep)
+
+
+def _cross_count(
+    cache: IndepSetCache, inner: Graph, atts, q: int, member: int | None = None, through: int = 0
+) -> int:
+    """q-independent sets holding added vertex member (if given) and base
+    mask through: an independent set T of the inner graph plus a cached
+    (q - |T|)-set of the base that holds through and misses T's attachments
+    atts. An empty base side counts only when through is empty."""
+    m = cache.base.n
+    count = 0
+    for combo in _independent_subsets(inner):
         k = q - len(combo)
-        if i not in combo or not 0 < k <= m:
+        if not 0 <= k <= m or (member is not None and member not in combo):
+            continue
+        if k == 0:
+            count += not through
             continue
         avoid = 0
         for j in combo:
             avoid |= atts[j]
-        if avoid & bv:  # another added vertex of T is attached to v
-            continue
-        arr = cache.masks_by_size[k]
-        indep += int(np.count_nonzero((arr & np.uint64(avoid | bv)) == np.uint64(bv)))
-    return _apply_flip(rep, att_i >> v & 1, cliques, indep)
+        if not avoid & through:  # else T and through share an edge
+            count += cache.compatible_count(k, avoid, through)
+    return count
 
 
 @lru_cache(maxsize=256)

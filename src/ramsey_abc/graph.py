@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 MAX_VERTICES = 64
 
@@ -99,6 +100,12 @@ class Graph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
 
+    @cached_property
+    def complement_rows(self) -> tuple[int, ...]:
+        """Adjacency rows of complement(self), computed at most once per graph."""
+        full = (1 << self.n) - 1
+        return tuple(full ^ m ^ (1 << v) for v, m in enumerate(self.adj))
+
 
 def _bits(mask: int):
     """Yield set bit positions of mask in ascending order."""
@@ -152,12 +159,7 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
 
 
 def complement(g: Graph) -> Graph:
-    return Graph(g.n, _complement_rows(g.adj))
-
-
-def _complement_rows(adj: tuple[int, ...]) -> tuple[int, ...]:
-    full = (1 << len(adj)) - 1
-    return tuple(full ^ m ^ (1 << v) for v, m in enumerate(adj))
+    return Graph(g.n, g.complement_rows)
 
 
 def relabel(g: Graph, perm) -> Graph:

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bounds, dataset
-from .counting import count_cliques, count_independent_sets, find_clique, find_independent_set
-from .graph import Graph, delete_vertex
+from .counting import _count_complete, count_cliques, count_independent_sets
+from .counting import find_clique, find_independent_set
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -168,31 +169,25 @@ class DeletionReport:
         return out
 
 
-def _deletion_counts(g: Graph, vertex_1idx: int) -> tuple[int, int]:
-    smaller, _ = delete_vertex(g, vertex_1idx - 1)
-    return count_cliques(smaller, 3), count_independent_sets(smaller, 10)
-
-
 def verify_deletions(reports=None) -> DeletionReport:
     """Scan every single-vertex deletion of all four graphs for witnesses,
     and certify the four claimed deletions exactly.
 
-    The scan short-circuits on the triangle count, so only triangle-free
-    deletions pay for an exact 10-independent-set count. A claimed deletion
-    reads its row from those counts; only one with triangles is counted again.
+    G - v is counted as the vertex mask of G without v, on G's rows for
+    triangles and on its complement rows for 10-independent sets, so no
+    smaller graph is built. Only triangle-free and claimed deletions pay for
+    the 10-independent-set count.
     """
     if reports is None:
         reports = dataset.load_all()
-    graphs = {name: rep.graph for name, rep in reports.items()}
-    triangle_free: dict[tuple[str, int], tuple[int, int]] = {}
-    for name in sorted(graphs):
-        for v in range(graphs[name].n):
-            smaller, _ = delete_vertex(graphs[name], v)
-            if not count_cliques(smaller, 3):
-                triangle_free[(name, v + 1)] = (0, count_independent_sets(smaller, 10))
-    named = []
-    for name, v in DELETION_CLAIMS:
-        counts = triangle_free.get((name, v)) or _deletion_counts(graphs[name], v)
-        named.append(DeletionRow(name, v, *counts))
-    scan = tuple(key for key, (_, ten) in triangle_free.items() if ten == 0)
-    return DeletionReport(tuple(named), scan)
+    counts: dict[tuple[str, int], tuple[int, int]] = {}
+    for name in sorted(reports):
+        g = reports[name].graph
+        for v in range(g.n):
+            keep = ((1 << g.n) - 1) ^ (1 << v)
+            triangles = _count_complete(g.adj, keep, 3)
+            if not triangles or (name, v + 1) in DELETION_CLAIMS:
+                counts[(name, v + 1)] = (triangles, _count_complete(g.complement_rows, keep, 10))
+    named = tuple(DeletionRow(name, v, *counts[(name, v)]) for name, v in DELETION_CLAIMS)
+    scan = tuple(key for key, row in counts.items() if row == (0, 0))
+    return DeletionReport(named, scan)

@@ -14,6 +14,7 @@ from ramsey_abc.abc_search import (
     default_init_density,
     employed_phase,
     init_colony,
+    make_colony,
     onlooker_phase,
     run,
     scout_phase,
@@ -45,6 +46,8 @@ def test_params_validation():
         small_params(mode="annealing").validate()
     with pytest.raises(ValueError):
         small_params(p=6).validate()
+    with pytest.raises(ValueError, match="at most 64"):  # no Graph holds 65 vertices
+        small_params(n=65).validate()
     # field types, as a config file may give them
     for bad in ({"seed": True}, {"budget": 10.0}, {"alpha": "1"},
                 {"degree_range": (9, 4)}, {"degree_range": (1, 2, 3)}):
@@ -61,6 +64,17 @@ def test_resolved_degree_range():
     assert small_params(n=39, degree_range=(5, 7), **ext).resolved().degree_range == (5, 7)
     with pytest.raises(ValueError, match="degree_range"):  # R(3,10) is not exactly known
         small_params(q=11, n=46, mode=EXTENSION_MODE).resolved()
+    # bounds.degree_range(3, 5, 40) is [31, 4]: the band is empty, not the user's range
+    with pytest.raises(ValueError, match=r"witness band \[31, 4\] of \(3,5,40\) is empty"):
+        small_params(q=5, n=40, mode=EXTENSION_MODE).resolved()
+
+
+def test_make_colony_rejects_infeasible_inner_before_any_draw():
+    # the star K1,3 (catalog index 5) has a degree-3 centre, above the ceiling 2;
+    # every catalog graph is checked up front, not when a scout first draws it
+    params = small_params(q=10, n=39, mode=EXTENSION_MODE, degree_range=(1, 2), budget=100000)
+    with pytest.raises(ValueError, match=r"inner degrees \(3, 1, 1, 1\) exceed the ceiling"):
+        make_colony(params, base=dataset.extract_base())
 
 
 def test_default_init_density():

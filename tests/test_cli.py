@@ -1,11 +1,10 @@
-import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
-from ramsey_abc import abc_search, cli, counting
+from ramsey_abc import cli, counting
 from ramsey_abc.abc_search import BUDGET_EXHAUSTED, WITNESS_FOUND, SearchParams, SearchResult
 from ramsey_abc.cli import (
     EXIT_BUDGET,
@@ -235,6 +234,40 @@ def test_search_extension_mode_derives_degree_range(tmp_path, capsys):
     assert not (tmp_path / "inexact").exists()
 
 
+def test_search_empty_derived_band_exits_cleanly(tmp_path):
+    # bounds.degree_range(3, 5, 40) is [31, 4]; the user gave no range to blame
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramsey_abc", "search", "--mode", "extension",
+         "--p", "3", "--q", "5", "--n", "40", "--out", str(tmp_path / "runs")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert "witness band [31, 4] of (3,5,40) is empty" in proc.stderr
+    assert "two integers" not in proc.stderr
+    assert not (tmp_path / "runs").exists()
+
+
+def test_search_rejects_n_above_max_vertices_before_running(tmp_path, monkeypatch, capsys):
+    # a 62-vertex base plus 5 added vertices is n = 67: refused before any search
+    def never_run(params, base=None):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(cli, "run", never_run)  # the abc_search.run that cmd_search calls
+    (tmp_path / "c62.adj").write_text(emit_adjacency_list(Graph.cycle(62)))
+    code = main(
+        [
+            "search", "--mode", "extension", "--base", str(tmp_path / "c62.adj"),
+            "--p", "3", "--q", "3", "--degree-range", "1..5", "--budget", "20000",
+            "--out", str(tmp_path / "runs"),
+        ]
+    )
+    assert code == EXIT_USAGE
+    assert "n must be at most 64, got 67" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_search_rejects_witness_that_fails_certification(tmp_path, monkeypatch, capsys):
     def fake_run(params, base=None):
         return SearchResult(
@@ -273,8 +306,7 @@ def test_search_rejects_best_fitness_that_fails_certification(tmp_path, monkeypa
 
 
 def test_search_cache_over_budget_exits_cleanly(tmp_path, monkeypatch, capsys):
-    capped = functools.partial(counting.build_indep_cache, max_sets_per_size=10)
-    monkeypatch.setattr(abc_search, "build_indep_cache", capped)
+    monkeypatch.setattr(counting, "MAX_CACHE_SETS", 10)
     code = main(
         [
             "search", "--mode", "extension", "--p", "3", "--q", "10",

@@ -12,6 +12,7 @@ from helpers import (
     graphs,
     random_graph,
 )
+from ramsey_abc import counting
 from ramsey_abc.construct import (
     ExtensionState,
     decompose_extension,
@@ -153,9 +154,27 @@ def test_build_cache_small_graphs(c5):
         build_indep_cache(c5, [0, 2])
 
 
-def test_cache_budget_error(c5):
+def test_cache_budget_error(c5, monkeypatch):
+    monkeypatch.setattr(counting, "MAX_CACHE_SETS", 3)
     with pytest.raises(CacheBudgetError, match="size 2"):
-        build_indep_cache(Graph.empty(10), [2], max_sets_per_size=3)
+        build_indep_cache(Graph.empty(10), [2])
+
+
+def test_compatible_count_matches_filter():
+    rng = random.Random(12)
+    g = random_graph(12, rng, density=0.3)
+    cache = build_indep_cache(g, range(1, 6))
+    for _ in range(200):
+        k = rng.randint(1, 5)
+        avoid = rng.getrandbits(12) & rng.getrandbits(12)
+        through = rng.getrandbits(12) & rng.getrandbits(12) & rng.getrandbits(12) & ~avoid
+        want = sum(
+            1 for s in map(int, cache.masks_by_size[k]) if s & through == through and not s & avoid
+        )
+        assert cache.compatible_count(k, avoid, through) == want
+        assert cache.compatible_count(k, avoid) == sum(
+            1 for s in map(int, cache.masks_by_size[k]) if not s & avoid
+        )
 
 
 def test_cache_counts_match_oracle():

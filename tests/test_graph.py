@@ -110,6 +110,17 @@ def test_complement_involution(g):
 
 
 @given(graphs(min_n=2, max_n=12), st.data())
+def test_complement_rows_are_the_complement_of_their_own_graph(g, data):
+    assert g.complement_rows == complement(g).adj
+    assert g.complement_rows is g.complement_rows  # computed once per graph
+    # a child of a graph whose rows were already read gets its own rows
+    u = data.draw(st.integers(0, g.n - 1))
+    v = data.draw(st.integers(0, g.n - 2))
+    child = toggle_edge(g, u, v + (v >= u))
+    assert child.complement_rows == complement(child).adj != g.complement_rows
+
+
+@given(graphs(min_n=2, max_n=12), st.data())
 def test_delete_vertex_edge_count(g, data):
     v = data.draw(st.integers(0, g.n - 1))
     smaller, labels = delete_vertex(g, v)

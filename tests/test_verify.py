@@ -77,6 +77,24 @@ def test_deletion_report_named_rows():
             assert (row.name, row.vertex) in report.scan_witnesses
 
 
+def test_verify_deletions_builds_no_graph(monkeypatch):
+    # G - v is a vertex mask over G's rows, not a new Graph per deletion
+    from ramsey_abc import dataset
+
+    reports = dataset.load_all()
+    built = []
+    check = Graph.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    report = verify_deletions(reports)
+    assert not built
+    assert report.ok and report.scan_witnesses == DELETION_CLAIMS
+
+
 def test_deletion_witnesses_certify_with_feasible_degrees():
     # full certification of the four claimed 39-vertex witnesses: exact
     # counts zero and every degree inside the admissible [3, 9] band
