@@ -19,7 +19,6 @@ import time
 
 from ramsey_abc import dataset
 from ramsey_abc.abc_search import SearchParams, run
-from ramsey_abc.counting import build_indep_cache
 
 
 def batch(params_for_seed, seeds) -> int:
@@ -49,7 +48,6 @@ def main() -> int:
 
     if args.extension:
         base = dataset.extract_base()
-        cache = build_indep_cache(base, range(5, 11))
         budget = args.budget or 20_000
         print(f"extension search toward (3,10,40), budget {budget} per seed")
         batch(
@@ -59,7 +57,6 @@ def main() -> int:
                     colony_size=args.colony_size, maxlimit=args.maxlimit,
                 ),
                 base=base,
-                cache=cache,
             ),
             seeds,
         )

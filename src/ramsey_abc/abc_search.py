@@ -264,7 +264,9 @@ def make_colony(
     """Wire up the mode-specific callables of params.resolved() (no positions
     generated yet); full mode draws its random graphs at default_init_density.
     Extension mode raises ValueError unless every catalog inner graph can
-    reach the degree range (construct.check_feasible)."""
+    reach the degree range (construct.check_feasible). Given no cache, it
+    builds one for every size q - |T| in 1..base.n an added-vertex set T
+    can ask of the base; the count names any size a given cache lacks."""
     params.validate()
     params = params.resolved()
     if params.mode == FULL_MODE:
@@ -296,9 +298,8 @@ def make_colony(
     for inner in catalog:
         check_feasible(base, inner, params.degree_range)
     if cache is None:
-        lo_k = max(1, params.q - added)
-        hi_k = min(params.q, base.n)
-        cache = build_indep_cache(base, range(lo_k, hi_k + 1))
+        q = params.q
+        cache = build_indep_cache(base, range(max(1, q - added), min(q, base.n) + 1))
     inners = cycle(catalog)
 
     def random_position(rng: random.Random):

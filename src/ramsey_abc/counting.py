@@ -228,10 +228,9 @@ class IndepSetCache:
 
     def compatible_count(self, k: int, avoid: int, through: int = 0) -> int:
         """Number of cached k-sets that contain every vertex of the mask
-        through and none of the mask avoid; needs avoid & through == 0."""
+        through and none of the mask avoid; needs avoid & through == 0.
+        Exact for every held size, 0 for one with no set."""
         arr = self.masks_by_size[k]
-        if len(arr) == 0:  # k above the base's independence number: skip numpy's fixed cost
-            return 0
         return int(np.count_nonzero((arr & np.uint64(avoid | through)) == np.uint64(through)))
 
 
@@ -273,21 +272,16 @@ def build_indep_cache(base: Graph, sizes) -> IndepSetCache:
 
 
 def _check_extension(cache: IndepSetCache, ext, p: int, q: int) -> None:
-    """Raise unless ext extends the cache's base and the cache holds every
-    base-side independent-set size a (p, q) count of ext needs."""
+    """Raise unless ext extends the cache's base and p, q are orders of its
+    assembled graph. Cache sizes are checked as the walk reads them."""
     base = cache.base
     if ext.base.n != base.n or ext.base.adj != base.adj:
         raise ValueError("extension base does not match cache base")
-    a = ext.inner.n
-    m = base.n
-    n = m + a
+    n = base.n + ext.inner.n
     if not 1 <= p <= n:
         raise ValueError(f"clique order must be in 1..{n}, got {p}")
     if not 1 <= q <= n:
         raise ValueError(f"independent-set order must be in 1..{n}, got {q}")
-    missing = [k for k in range(max(1, q - a), min(q, m) + 1) if k not in cache.masks_by_size]
-    if missing:
-        raise ValueError(f"cache does not cover independent-set sizes {missing}")
 
 
 def extension_fitness(cache: IndepSetCache, ext, p: int, q: int) -> FitnessReport:
@@ -347,21 +341,27 @@ def _cross_count(
     """q-independent sets holding added vertex member (if given) and base
     mask through: an independent set T of the inner graph plus a cached
     (q - |T|)-set of the base that holds through and misses T's attachments
-    atts. An empty base side counts only when through is empty."""
+    atts. An empty base side counts only when through is empty; a size
+    outside 1..m, or one the cache holds no set of, is skipped unqueried.
+    Raises ValueError if the cache lacks a size in 1..m that the walk reads."""
     m = cache.base.n
+    sizes = cache.masks_by_size
     count = 0
-    for combo in _independent_subsets(inner):
-        k = q - len(combo)
-        if not 0 <= k <= m or (member is not None and member not in combo):
-            continue
-        if k == 0:
-            count += not through
-            continue
-        avoid = 0
-        for j in combo:
-            avoid |= atts[j]
-        if not avoid & through:  # else T and through share an edge
-            count += cache.compatible_count(k, avoid, through)
+    try:
+        for combo in _independent_subsets(inner):
+            if member is not None and member not in combo:
+                continue
+            k = q - len(combo)
+            if k == 0:
+                count += not through
+            elif 0 < k <= m and len(sizes[k]):
+                avoid = 0
+                for j in combo:
+                    avoid |= atts[j]
+                if not avoid & through:  # else T and through share an edge
+                    count += cache.compatible_count(k, avoid, through)
+    except KeyError:
+        raise ValueError(f"cache holds independent-set sizes {sorted(sizes)}, not {k}") from None
     return count
 
 

@@ -402,3 +402,12 @@ def test_extension_run_rejects_cache_of_another_base():
     params = small_params(q=4, n=12, mode=EXTENSION_MODE, degree_range=(1, 3))
     with pytest.raises(ValueError, match="extension base does not match cache base"):
         run(params, base=base, cache=cache)
+
+
+def test_extension_run_rejects_cache_missing_a_size():
+    # a (3,4,12) count over a 10-vertex base reads base-side sizes 2..4
+    base = Graph.cycle(10)
+    cache = build_indep_cache(base, [3, 4])
+    params = small_params(q=4, n=12, mode=EXTENSION_MODE, degree_range=(1, 3))
+    with pytest.raises(ValueError, match="sizes"):
+        run(params, base=base, cache=cache)

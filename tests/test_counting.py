@@ -240,6 +240,44 @@ def test_extension_fitness_missing_sizes(c5):
         extension_fitness(cache, ext, 3, 6)
 
 
+def test_sizes_above_the_base_order_count_nothing():
+    # q = 5 over a 3-vertex base asks the walk for base-side sizes 4 and 5
+    base = Graph.empty(3)
+    ext = ExtensionState(base, Graph.empty(2), (0, 0))
+    cache = build_indep_cache(base, range(1, 4))
+    for q in range(1, 6):
+        assert extension_fitness(cache, ext, 2, q) == fitness(extension_to_graph(ext), 2, q)
+
+
+def test_walk_never_queries_an_empty_size(monkeypatch):
+    # the bundled base has independence number 8, so sizes 9 and 10 hold no
+    # set: the walk skips them before querying the cache
+    from ramsey_abc import dataset
+    from ramsey_abc.construct import enumerate_triangle_free
+
+    base = dataset.extract_base()
+    cache = build_indep_cache(base, range(6, 11))
+    assert [k for k, c in cache.counts().items() if c == 0] == [9, 10]
+    queried = []
+    query = counting.IndepSetCache.compatible_count
+
+    def counted(self, k, avoid, through=0):
+        queried.append(k)
+        return query(self, k, avoid, through)
+
+    monkeypatch.setattr(counting.IndepSetCache, "compatible_count", counted)
+    rng = random.Random(3)
+    for inner in enumerate_triangle_free(4):
+        ext = random_extension(base, inner, (3, 9), rng)
+        rep = extension_fitness(cache, ext, 3, 10)
+        assert rep == fitness(extension_to_graph(ext), 3, 10)
+        for _ in range(3):
+            i, v = mutate_extension(ext, rng, (3, 9))
+            flipped = attachment_flip_fitness(cache, ext, rep, i, v, 3, 10)
+            assert flipped == fitness(extension_to_graph(toggle_attachment(ext, i, v)), 3, 10)
+    assert queried and not {9, 10} & set(queried)
+
+
 def test_decomposed_appendix_graph_fitness():
     from ramsey_abc import dataset
     from ramsey_abc.construct import extension_to_graph
