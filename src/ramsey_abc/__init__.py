@@ -29,6 +29,7 @@ from .counting import (
 )
 from .bounds import DegreeRange, RamseyValue, degree_range, known_ramsey
 from .construct import (
+    ExtensionSpace,
     ExtensionState,
     decompose_extension,
     enumerate_triangle_free,

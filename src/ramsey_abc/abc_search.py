@@ -30,7 +30,7 @@ from typing import Any, Callable
 
 from . import bounds
 from .construct import (
-    check_feasible,
+    ExtensionSpace,
     enumerate_triangle_free,
     mutate_extension,
     random_extension,
@@ -263,8 +263,8 @@ def make_colony(
 ) -> Colony:
     """Wire up the mode-specific callables of params.resolved() (no positions
     generated yet); full mode draws its random graphs at default_init_density.
-    Extension mode raises ValueError unless every catalog inner graph can
-    reach the degree range (construct.check_feasible). Given no cache, it
+    Extension mode builds one construct.ExtensionSpace over the inner-graph
+    catalog, and random positions cycle through the catalog. Given no cache, it
     builds one for every size q - |T| in 1..base.n an added-vertex set T
     can ask of the base; the count names any size a given cache lacks."""
     params.validate()
@@ -294,19 +294,17 @@ def make_colony(
         raise ValueError(
             f"extension mode supports 1..7 added vertices, got n={params.n} over base {base.n}"
         )
-    catalog = enumerate_triangle_free(added)
-    for inner in catalog:
-        check_feasible(base, inner, params.degree_range)
+    space = ExtensionSpace(base, tuple(enumerate_triangle_free(added)), params.degree_range)
     if cache is None:
         q = params.q
         cache = build_indep_cache(base, range(max(1, q - added), min(q, base.n) + 1))
-    inners = cycle(catalog)
+    inner_indices = cycle(range(len(space.inners)))
 
     def random_position(rng: random.Random):
-        return random_extension(base, next(inners), params.degree_range, rng)
+        return random_extension(space, next(inner_indices), rng)
 
     def neighbor(pos, rep: FitnessReport, rng: random.Random):
-        move = mutate_extension(pos, rng, params.degree_range)
+        move = mutate_extension(space, pos, rng)
         if move is None:
             return None
         return move, attachment_flip_fitness(cache, pos, rep, *move, params.p, params.q)

@@ -82,14 +82,19 @@ RUN_FILE_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name 
 
 
 def load_graph_file(path: str | Path) -> Graph:
-    """Read a graph file, sniffing adjacency-list vs graph6 format."""
+    """Read an adjacency-list or graph6 file; note reconciled entries on stderr."""
     text = Path(path).read_text()
     stripped = text.strip()
     if not stripped:
         raise ParseError(f"{path}: empty graph file")
-    if ":" in stripped.splitlines()[0]:
-        return parse_adjacency_list(text).graph
-    return decode_graph6(stripped)
+    if ":" not in stripped.splitlines()[0]:
+        return decode_graph6(stripped)
+    report = parse_adjacency_list(text)
+    if report.warnings:
+        u, v, reason = report.warnings[0]
+        print(f"warning: {path}: reconciled adjacency entries: {len(report.warnings)} "
+              f"(first {u}-{v}: {reason})", file=sys.stderr)
+    return report.graph
 
 
 def write_graph_files(g: Graph, stem: Path) -> list[str]:
@@ -152,8 +157,7 @@ def _write_run_record(
 def cmd_search(args) -> int:
     config_dict = {}
     if args.config:
-        with open(args.config) as fh:
-            config_dict = json.load(fh)
+        config_dict = json.loads(Path(args.config).read_text())
         if not isinstance(config_dict, dict):
             print(f"config error: {args.config} does not hold a JSON object", file=sys.stderr)
             return EXIT_DATA
@@ -442,7 +446,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except json.JSONDecodeError as exc:

@@ -7,6 +7,9 @@ other vertex set in the package. Attachment sets are kept pairwise disjoint:
 with an 8-regular base and a degree ceiling of 9, a base vertex receiving two
 new edges would exceed the admissible degree range.
 
+A search draws from an ExtensionSpace (base, inner graphs, degree band), which
+is checked once when built; random_extension and mutate_extension trust it.
+
 Attachments are drawn by chunking a random permutation of the base vertices:
 added vertex k takes the permutation positions (S_{k-1}, S_k], where S_k is
 the running total of requested attachment counts.
@@ -36,13 +39,6 @@ class ExtensionState:
     def added_degree(self, i: int) -> int:
         """Total degree of added vertex i in the assembled graph."""
         return self.attachments[i].bit_count() + self.inner.degree(i)
-
-
-def _mask(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 def _is_independent(g: Graph, mask: int) -> bool:
@@ -125,41 +121,42 @@ def enumerate_triangle_free(k: int) -> list[Graph]:
     return [_from_canonical_bits(k, key) for _, key in ordered]
 
 
-def check_feasible(base: Graph, inner: Graph, degree_range: tuple[int, int]) -> None:
-    """Raise unless inner's vertices can all reach degree_range by attaching
-    to distinct base vertices: no inner degree exceeds the ceiling, and the
-    attachments the floor needs fit in the base."""
-    lo, hi = degree_range
-    t = inner.degrees()
-    if any(hi < ti for ti in t):
-        raise ValueError(
-            f"degree range [{lo}, {hi}] infeasible: inner degrees {t} exceed the ceiling"
-        )
-    if sum(max(lo, ti) - ti for ti in t) > base.n:
-        raise ValueError(
-            f"degree range [{lo}, {hi}] infeasible: minimum attachment total exceeds {base.n}"
-        )
+@dataclass(frozen=True)
+class ExtensionSpace:
+    """What one search draws from: a base graph, the inner graphs its added
+    vertices may carry, and the band [lo, hi] of each added vertex's total
+    degree. Building it is the one feasibility check: ValueError unless every
+    inner degree is at most hi and the attachments lo needs fit in the base."""
+
+    base: Graph
+    inners: tuple[Graph, ...]
+    degree_range: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        lo, hi = self.degree_range
+        bad = f"degree range [{lo}, {hi}] infeasible"
+        for t in (inner.degrees() for inner in self.inners):
+            if any(hi < ti for ti in t):
+                raise ValueError(f"{bad}: inner degrees {t} exceed the ceiling")
+            if sum(max(lo, ti) - ti for ti in t) > self.base.n:
+                raise ValueError(f"{bad}: minimum attachment total exceeds {self.base.n}")
 
 
-def random_extension(
-    base: Graph, inner: Graph, degree_range: tuple[int, int], rng: random.Random
-) -> ExtensionState:
-    """Draw a random extension state with the given total-degree range from rng.
+def random_extension(space: ExtensionSpace, k: int, rng: random.Random) -> ExtensionState:
+    """Draw from rng a random extension of space.base by space.inners[k].
 
-    Each added vertex's total degree is sampled uniformly from the range; the
+    Each added vertex's total degree is sampled uniformly from the band; the
     whole vector is rejected and resampled whenever some vertex would need a
     negative attachment count or the attachment total exceeds the number of
     base vertices. Attachment sets come from chunking one random permutation
     of the base vertices, which makes them pairwise disjoint by construction.
-    Raises ValueError, drawing nothing, when check_feasible does.
     """
-    check_feasible(base, inner, degree_range)
-    lo, hi = degree_range
+    inner = space.inners[k]
+    lo, hi = space.degree_range
     t = inner.degrees()
-    a = inner.n
-    m = base.n
+    m = space.base.n
     for _ in range(MAX_RESAMPLES):
-        degs = [rng.randint(lo, hi) for _ in range(a)]
+        degs = [rng.randint(lo, hi) for _ in t]
         if all(d >= ti for d, ti in zip(degs, t)) and sum(degs) - sum(t) <= m:
             break
     else:
@@ -170,9 +167,9 @@ def random_extension(
     pos = 0
     for d, ti in zip(degs, t):
         take = d - ti
-        attachments.append(_mask(perm[pos : pos + take]))
+        attachments.append(sum(1 << v for v in perm[pos : pos + take]))
         pos += take
-    return ExtensionState(base, inner, tuple(attachments))
+    return ExtensionState(space.base, inner, tuple(attachments))
 
 
 def extension_to_graph(ext: ExtensionState) -> Graph:
@@ -226,12 +223,12 @@ def check_extension_invariants(ext: ExtensionState, degree_range: tuple[int, int
 
 
 def mutate_extension(
-    ext: ExtensionState, rng: random.Random, degree_range: tuple[int, int]
+    space: ExtensionSpace, ext: ExtensionState, rng: random.Random
 ) -> tuple[int, int] | None:
     """Draw one legal attachment toggle (i, v): added vertex i gains or loses
     its edge to base vertex v. toggle_attachment(ext, i, v) applies it.
 
-    A removal is legal while the vertex stays at or above degree_range's
+    A removal is legal while the vertex stays at or above the space's
     floor; an addition may only claim a base vertex not attached to ANY added
     vertex and must respect its ceiling. Returns None when no legal move
     exists anywhere.
@@ -241,7 +238,7 @@ def mutate_extension(
     uniform move of it. The order fixes which move each rng draw picks, so a
     seed replays the same search. Moves are counted, not listed.
     """
-    lo, hi = degree_range
+    lo, hi = space.degree_range
     attached = 0
     for att in ext.attachments:
         attached |= att

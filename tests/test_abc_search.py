@@ -19,6 +19,7 @@ from ramsey_abc.abc_search import (
     run,
     scout_phase,
 )
+from ramsey_abc.construct import ExtensionSpace
 from ramsey_abc.counting import FitnessReport, build_indep_cache, extension_fitness, fitness
 from ramsey_abc.graph import Graph, toggle_edge
 
@@ -75,6 +76,22 @@ def test_make_colony_rejects_infeasible_inner_before_any_draw():
     params = small_params(q=10, n=39, mode=EXTENSION_MODE, degree_range=(1, 2), budget=100000)
     with pytest.raises(ValueError, match=r"inner degrees \(3, 1, 1, 1\) exceed the ceiling"):
         make_colony(params, base=dataset.extract_base())
+
+
+def test_extension_run_builds_one_space(monkeypatch):
+    # the space is checked once when built; scouts draw from it unchecked
+    built = []
+    check = ExtensionSpace.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(ExtensionSpace, "__post_init__", counted)
+    params = small_params(q=4, n=12, mode=EXTENSION_MODE, degree_range=(1, 3), maxlimit=1)
+    result = run(params, base=Graph.cycle(10))
+    assert result.scout_restarts > 10
+    assert len(built) == 1
 
 
 def test_default_init_density():

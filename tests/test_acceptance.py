@@ -20,6 +20,7 @@ from ramsey_abc.abc_search import SearchParams, run
 from ramsey_abc.bounds import degree_range
 from ramsey_abc.cli import main
 from ramsey_abc.construct import (
+    ExtensionSpace,
     decompose_extension,
     enumerate_triangle_free,
     extension_to_graph,
@@ -189,7 +190,7 @@ def test_criterion_10_incremental_fitness(base):
         min_total = sum(lo - t for t in inner.degrees())
         n_base = rng.randint(max(8, min_total), 12)
         small = random_graph(n_base, rng, density=0.35)
-        ext = random_extension(small, inner, (lo, lo + 2), rng)
+        ext = random_extension(ExtensionSpace(small, (inner,), (lo, lo + 2)), 0, rng)
         cache = build_indep_cache(small, range(1, n_base + 1))
         g = extension_to_graph(ext)
         for p, q in [(3, 3), (3, 5)]:

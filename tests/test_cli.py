@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ramsey_abc import cli, counting
+from ramsey_abc import abc_search, cli, counting
 from ramsey_abc.abc_search import BUDGET_EXHAUSTED, WITNESS_FOUND, SearchParams, SearchResult
 from ramsey_abc.cli import (
     EXIT_BUDGET,
@@ -38,6 +38,23 @@ def test_load_graph_file_sniffs_formats(tmp_path):
     g6.write_text(encode_graph6(g) + "\n")
     assert load_graph_file(adj) == g
     assert load_graph_file(g6) == g
+
+
+def test_load_graph_file_notes_reconciled_entries(tmp_path, capsys):
+    # row 3 omits vertex 2: the parser merges the one-sided entry, and the
+    # CLI says so on stderr while certifying the same triangle
+    path = tmp_path / "tri.adj"
+    path.write_text("1:2 3\n2:1 3\n3:1\n")
+    assert main(["verify", str(path), "--p", "3", "--q", "3"]) == EXIT_NONWITNESS
+    out, err = capsys.readouterr()
+    assert "clique count: 1" in out and "warning" not in out
+    assert err.splitlines() == [
+        f"warning: {path}: reconciled adjacency entries: 1 "
+        "(first 2-3: listed in row 2 but not in row 3)"
+    ]
+    path.write_text("1:2 3\n2:1 3\n3:1 2\n")
+    assert main(["verify", str(path), "--p", "3", "--q", "3"]) == EXIT_NONWITNESS
+    assert capsys.readouterr().err == ""
 
 
 def test_search_writes_run_record(tmp_path, capsys):
@@ -268,6 +285,25 @@ def test_search_rejects_n_above_max_vertices_before_running(tmp_path, monkeypatc
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("n", [35, 43])
+def test_search_rejects_added_vertex_count_before_running(tmp_path, monkeypatch, capsys, n):
+    # extension mode adds 1..7 vertices to the 35-vertex bundled base
+    def never(*args):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(abc_search, "build_indep_cache", never)
+    monkeypatch.setattr(abc_search, "random_extension", never)
+    code = main(
+        [
+            "search", "--mode", "extension", "--p", "3", "--q", "10", "--n", str(n),
+            "--degree-range", "4..9", "--out", str(tmp_path / "runs"),
+        ]
+    )
+    assert code == EXIT_USAGE
+    assert f"1..7 added vertices, got n={n} over base 35" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_search_rejects_witness_that_fails_certification(tmp_path, monkeypatch, capsys):
     def fake_run(params, base=None):
         return SearchResult(
@@ -349,6 +385,29 @@ def test_os_errors_exit_data(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == EXIT_DATA
     assert "file error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{bad}", "--p", "3", "--q", "3"],
+        ["count", "--file", "{bad}", "--p", "3", "--q", "3"],
+        ["search", "--config", "{bad}", "--out", "{runs}"],
+        ["search", "--mode", "extension", "--p", "3", "--q", "10", "--base", "{bad}",
+         "--out", "{runs}"],
+    ],
+    ids=["verify", "count", "config", "base"],
+)
+def test_undecodable_file_exits_data(tmp_path, capsys, argv):
+    # bytes that are not UTF-8 text are a data error, like an unreadable file
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    runs = tmp_path / "runs"
+    code = main([arg.replace("{bad}", str(bad)).replace("{runs}", str(runs)) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert "file error" in err and "Traceback" not in err
+    assert not runs.exists()
 
 
 def test_verify_appendix_cli(capsys):

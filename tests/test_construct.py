@@ -14,6 +14,7 @@ from helpers import (
     random_graph,
 )
 from ramsey_abc.construct import (
+    ExtensionSpace,
     ExtensionState,
     check_extension_invariants,
     decompose_extension,
@@ -85,7 +86,7 @@ def test_worked_permutation_chunk_example():
     perm += [v for v in range(35) if v not in perm]
     inner = Graph.empty(5)
     ext = random_extension(
-        Graph.empty(35), inner, (4, 9), StubRng([5, 8, 7, 6, 6], perm)
+        ExtensionSpace(Graph.empty(35), (inner,), (4, 9)), 0, StubRng([5, 8, 7, 6, 6], perm)
     )
     assert ext.attachments[0] == sum(1 << (v - 1) for v in [1, 2, 3, 4, 5])
     assert ext.attachments[1] == sum(1 << (v - 1) for v in [6, 7, 8, 9, 10, 11, 13, 14])
@@ -94,17 +95,16 @@ def test_worked_permutation_chunk_example():
 
 def test_zero_attachment_boundary():
     inner = Graph.cycle(4)  # all inner degrees 2
-    ext = random_extension(Graph.empty(6), inner, (2, 2), random.Random(0))
+    ext = random_extension(ExtensionSpace(Graph.empty(6), (inner,), (2, 2)), 0, random.Random(0))
     assert all(not att for att in ext.attachments)
 
 
 def test_random_extension_invariants_hold():
     rng = random.Random(5)
     base = random_graph(20, rng, density=0.3)
-    catalog = enumerate_triangle_free(5)
+    space = ExtensionSpace(base, tuple(enumerate_triangle_free(5)), (2, 4))
     for trial in range(1000):
-        inner = catalog[trial % len(catalog)]
-        ext = random_extension(base, inner, (2, 4), rng)
+        ext = random_extension(space, trial % len(space.inners), rng)
         check_extension_invariants(ext, (2, 4))
         seen = 0
         for i, att in enumerate(ext.attachments):
@@ -113,14 +113,19 @@ def test_random_extension_invariants_hold():
             assert 2 <= ext.added_degree(i) <= 4
 
 
-def test_random_extension_infeasible():
+def test_extension_space_rejects_infeasible_band():
+    # building the space is the one feasibility check, over every inner graph
     inner = Graph.cycle(5)  # degrees all 2
-    with pytest.raises(ValueError, match="infeasible"):
-        random_extension(Graph.empty(35), inner, (0, 1), random.Random(0))
+    with pytest.raises(ValueError, match=r"infeasible: inner degrees \(2, 2, 2, 2, 2\) exceed"):
+        ExtensionSpace(Graph.empty(35), (inner,), (0, 1))
     # minimum attachment total larger than the base
     star = Graph.empty(5)
+    with pytest.raises(ValueError, match="infeasible: minimum attachment total exceeds 3"):
+        ExtensionSpace(Graph.empty(3), (star,), (4, 9))
+    # one infeasible graph anywhere in the catalog refuses the whole space
     with pytest.raises(ValueError, match="infeasible"):
-        random_extension(Graph.empty(3), star, (4, 9), random.Random(0))
+        ExtensionSpace(Graph.empty(35), (Graph.empty(5), inner), (0, 1))
+    ExtensionSpace(Graph.empty(35), (Graph.empty(5), inner), (0, 2))
 
 
 def test_extension_to_graph_shapes():
@@ -154,7 +159,7 @@ def test_decompose_roundtrip():
     catalog = enumerate_triangle_free(4)
     inner = catalog[5]
     lo = max(inner.degrees())
-    ext = random_extension(base, inner, (lo, lo + 2), rng)
+    ext = random_extension(ExtensionSpace(base, (inner,), (lo, lo + 2)), 0, rng)
     g = extension_to_graph(ext)
     back = decompose_extension(g, base.n)
     assert back.base == ext.base
@@ -170,9 +175,10 @@ def test_mutate_single_edge_difference():
     base = random_graph(15, rng, density=0.3)
     inner = enumerate_triangle_free(5)[3]
     lo = max(1, max(inner.degrees()))
-    ext = random_extension(base, inner, (lo, lo + 3), rng)
+    space = ExtensionSpace(base, (inner,), (lo, lo + 3))
+    ext = random_extension(space, 0, rng)
     for _ in range(200):
-        move = mutate_extension(ext, rng, (lo, lo + 3))
+        move = mutate_extension(space, ext, rng)
         if move is None:
             break
         nxt = toggle_attachment(ext, *move)
@@ -188,9 +194,10 @@ def test_mutate_respects_floor():
     base = Graph.empty(10)
     inner = Graph.empty(2)
     ext = ExtensionState(base, inner, (0b1, 0b10))
+    space = ExtensionSpace(base, (inner,), (1, 2))
     rng = random.Random(2)
     for _ in range(50):
-        move = mutate_extension(ext, rng, (1, 2))
+        move = mutate_extension(space, ext, rng)
         assert move is not None
         nxt = toggle_attachment(ext, *move)
         grew = [a.bit_count() for a in nxt.attachments]
@@ -202,7 +209,7 @@ def test_mutate_no_move():
     base = Graph.empty(2)
     inner = Graph.empty(2)
     ext = ExtensionState(base, inner, (0b1, 0b10))
-    assert mutate_extension(ext, random.Random(3), (1, 1)) is None
+    assert mutate_extension(ExtensionSpace(base, (inner,), (1, 1)), ext, random.Random(3)) is None
 
 
 def test_mutation_invariant_fuzz():
@@ -211,9 +218,10 @@ def test_mutation_invariant_fuzz():
     inner = enumerate_triangle_free(5)[7]
     lo = max(1, max(inner.degrees()))
     hi = lo + 2
-    ext = random_extension(base, inner, (lo, hi), rng)
+    space = ExtensionSpace(base, (inner,), (lo, hi))
+    ext = random_extension(space, 0, rng)
     for _ in range(10_000):
-        move = mutate_extension(ext, rng, (lo, hi))
+        move = mutate_extension(space, ext, rng)
         assert move is not None
         nxt = toggle_attachment(ext, *move)
         check_extension_invariants(nxt, (lo, hi))
@@ -245,9 +253,12 @@ def test_mutate_extension_matches_listed_oracle(
         degree_range = (max(0, min(degs) - slack), min(degs))
     else:
         degree_range = (max(0, min(degs) - slack), max(degs) + slack)
+    # mutate_extension reads only the space's band; these states may lie
+    # outside any feasible space, so the space lists no inner graph to check
+    space = ExtensionSpace(base, (), degree_range)
     rng, oracle_rng = random.Random(seed), random.Random(seed)
     for _ in range(8):
-        move = mutate_extension(ext, rng, degree_range)
+        move = mutate_extension(space, ext, rng)
         assert move == brute_mutate_extension(ext, oracle_rng, degree_range)
         assert rng.getstate() == oracle_rng.getstate()
         if move is None:
@@ -260,7 +271,7 @@ def test_serialize_roundtrip():
     base = random_graph(10, rng, density=0.4)
     inner = enumerate_triangle_free(5)[2]
     lo = max(inner.degrees())
-    ext = random_extension(base, inner, (lo, lo + 2), rng)
+    ext = random_extension(ExtensionSpace(base, (inner,), (lo, lo + 2)), 0, rng)
     payload = serialize_extension(ext)
     assert payload["inner_index"] == 2
     assert all(all(1 <= v <= 10 for v in att) for att in payload["attachments"])

@@ -14,6 +14,7 @@ from helpers import (
 )
 from ramsey_abc import counting
 from ramsey_abc.construct import (
+    ExtensionSpace,
     ExtensionState,
     decompose_extension,
     extension_to_graph,
@@ -193,7 +194,8 @@ def _random_ext(seed, base_n=10, added=4, degree_range=(0, 4)):
     catalog = enumerate_triangle_free(added)
     inner = catalog[rng.randrange(len(catalog))]
     lo = max(degree_range[0], max(inner.degrees()))
-    return base, random_extension(base, inner, (lo, degree_range[1] + lo), rng)
+    space = ExtensionSpace(base, (inner,), (lo, degree_range[1] + lo))
+    return base, random_extension(space, 0, rng)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -216,7 +218,7 @@ def test_extension_fitness_wheelish_base():
     # 5-cycle base, one added vertex attached everywhere
     c5 = Graph.cycle(5)
     inner = Graph.empty(1)
-    ext = random_extension(c5, inner, (5, 5), random.Random(0))
+    ext = random_extension(ExtensionSpace(c5, (inner,), (5, 5)), 0, random.Random(0))
     assert ext.attachments == (0b11111,)
     from ramsey_abc.construct import extension_to_graph
 
@@ -267,12 +269,13 @@ def test_walk_never_queries_an_empty_size(monkeypatch):
 
     monkeypatch.setattr(counting.IndepSetCache, "compatible_count", counted)
     rng = random.Random(3)
-    for inner in enumerate_triangle_free(4):
-        ext = random_extension(base, inner, (3, 9), rng)
+    space = ExtensionSpace(base, tuple(enumerate_triangle_free(4)), (3, 9))
+    for k in range(len(space.inners)):
+        ext = random_extension(space, k, rng)
         rep = extension_fitness(cache, ext, 3, 10)
         assert rep == fitness(extension_to_graph(ext), 3, 10)
         for _ in range(3):
-            i, v = mutate_extension(ext, rng, (3, 9))
+            i, v = mutate_extension(space, ext, rng)
             flipped = attachment_flip_fitness(cache, ext, rep, i, v, 3, 10)
             assert flipped == fitness(extension_to_graph(toggle_attachment(ext, i, v)), 3, 10)
     assert queried and not {9, 10} & set(queried)
@@ -342,12 +345,12 @@ def test_counting_builds_no_graph(monkeypatch):
 def test_attachment_flip_fitness_walk_matches_recount(ext_seed, walk_seed):
     base, ext = _random_ext(ext_seed)
     lo = max(ext.inner.degrees())
-    degree_range = (lo, lo + 4)  # as _random_ext draws it
+    space = ExtensionSpace(base, (ext.inner,), (lo, lo + 4))  # as _random_ext draws it
     cache = build_indep_cache(base, range(1, base.n + 1))
     rng = random.Random(walk_seed)
     reps = {pq: extension_fitness(cache, ext, *pq) for pq in [(3, 3), (3, 5), (2, 5), (4, 6)]}
     for _ in range(15):
-        move = mutate_extension(ext, rng, degree_range)
+        move = mutate_extension(space, ext, rng)
         if move is None:
             break
         i, v = move
