@@ -294,7 +294,7 @@ def make_colony(
         raise ValueError(
             f"extension mode supports 1..7 added vertices, got n={params.n} over base {base.n}"
         )
-    space = ExtensionSpace(base, tuple(enumerate_triangle_free(added)), params.degree_range)
+    space = ExtensionSpace(base, enumerate_triangle_free(added), params.degree_range)
     if cache is None:
         q = params.q
         cache = build_indep_cache(base, range(max(1, q - added), min(q, base.n) + 1))

@@ -81,9 +81,17 @@ PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SearchParams))
 RUN_FILE_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "params")
 
 
+def _read_text(path: str | Path) -> str:
+    """A file's UTF-8 text; a file that is not UTF-8 is an OSError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_graph_file(path: str | Path) -> Graph:
     """Read an adjacency-list or graph6 file; note reconciled entries on stderr."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     stripped = text.strip()
     if not stripped:
         raise ParseError(f"{path}: empty graph file")
@@ -157,7 +165,7 @@ def _write_run_record(
 def cmd_search(args) -> int:
     config_dict = {}
     if args.config:
-        config_dict = json.loads(Path(args.config).read_text())
+        config_dict = json.loads(_read_text(args.config))
         if not isinstance(config_dict, dict):
             print(f"config error: {args.config} does not hold a JSON object", file=sys.stderr)
             return EXIT_DATA
@@ -446,7 +454,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except json.JSONDecodeError as exc:

@@ -20,8 +20,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cache
 
-from .graph import Graph, _bits, induced_subgraph
+from .graph import Graph, _bits, encode_graph6, induced_subgraph
 
 # The (3,10,40) witness band, no function's default: bench/workloads.py reads it.
 DEFAULT_DEGREE_RANGE = (4, 9)
@@ -91,9 +92,11 @@ def _from_canonical_bits(n: int, bits: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def enumerate_triangle_free(k: int) -> list[Graph]:
+@cache
+def enumerate_triangle_free(k: int) -> tuple[Graph, ...]:
     """One canonical representative per isomorphism class of triangle-free
     graphs on k vertices, in a deterministic order (14 classes for k = 5).
+    Enumerated once per k; the tuple is shared by every caller.
 
     Built level by level: every triangle-free graph on j vertices arises from
     one on j-1 vertices by adding a vertex whose neighbourhood is an
@@ -118,7 +121,7 @@ def enumerate_triangle_free(k: int) -> list[Graph]:
                     nxt[key] = cand
         reps = nxt
     ordered = sorted((g.edge_count(), key) for key, g in reps.items())
-    return [_from_canonical_bits(k, key) for _, key in ordered]
+    return tuple(_from_canonical_bits(k, key) for _, key in ordered)
 
 
 @dataclass(frozen=True)
@@ -277,16 +280,9 @@ def toggle_attachment(ext: ExtensionState, i: int, v: int) -> ExtensionState:
 def serialize_extension(ext: ExtensionState) -> dict:
     """JSON-friendly form: base graph6, inner index in the canonical catalog
     (or its graph6 when not catalogued), 1-indexed attachment lists."""
-    from .graph import encode_graph6
-
-    inner_key = _canonical_bits(ext.inner)
-    index = None
-    if ext.inner.n <= 7:
-        catalog = enumerate_triangle_free(ext.inner.n)
-        for idx, item in enumerate(catalog):
-            if _canonical_bits(item) == inner_key:
-                index = idx
-                break
+    key = _canonical_bits(ext.inner)
+    catalog = enumerate_triangle_free(ext.inner.n) if ext.inner.n <= 7 else ()
+    index = next((i for i, item in enumerate(catalog) if _canonical_bits(item) == key), None)
     return {
         "base_graph6": encode_graph6(ext.base),
         "inner_index": index,

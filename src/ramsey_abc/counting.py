@@ -9,11 +9,14 @@ so f(G) = 0 exactly when G is an n-vertex witness for R(p, q) > n.
 
 Counting walks subsets in ascending vertex order, extending a partial clique
 only through the bitmask intersection of common neighbours, which keeps the
-enumeration exact while pruning almost all of the C(n, k) subsets. One kernel
-counts the cliques inside any candidate vertex mask of adjacency rows: a
-graph's, its complement's (Graph.complement_rows) for independent sets, or
-an extension's (construct.assembled_adj). Part of a graph is a vertex mask
-over those rows, so counting never builds a Graph.
+enumeration exact while pruning almost all of the C(n, k) subsets. A branch
+that still needs `need` vertices stops once fewer than `need` candidates
+remain: no need-set fits in such a mask, so the bound cuts only empty
+branches, and counts and the first set found stay exact. One kernel counts
+the cliques inside any candidate vertex mask of adjacency rows: a graph's,
+its complement's (Graph.complement_rows) for independent sets, or an
+extension's (construct.assembled_adj). Part of a graph is a vertex mask over
+those rows, so counting never builds a Graph.
 
 A search move flips one edge {u, v}, which creates or destroys only the
 cliques and independent sets containing both u and v. flip_fitness (a whole
@@ -64,7 +67,8 @@ def _check_order(g: Graph, k: int, what: str) -> None:
 
 def _count_complete(adj: tuple[int, ...], cand: int, k: int) -> int:
     """Number of k-subsets of the vertex mask cand that are pairwise adjacent;
-    1 for k = 0 (the empty set) and 0 for k < 0."""
+    1 for k = 0 (the empty set) and 0 for k < 0. A branch stops drawing once
+    fewer than `need` candidates remain, which cuts only empty branches."""
     if k <= 1:
         return cand.bit_count() if k == 1 else int(k == 0)
     count = 0
@@ -74,7 +78,7 @@ def _count_complete(adj: tuple[int, ...], cand: int, k: int) -> int:
         if need == 1:
             count += cand.bit_count()
             return
-        while cand:
+        while cand.bit_count() >= need:
             b = cand & -cand
             v = b.bit_length() - 1
             cand ^= b
@@ -87,26 +91,25 @@ def _count_complete(adj: tuple[int, ...], cand: int, k: int) -> int:
 
 
 def _find_complete(adj: tuple[int, ...], n: int, p: int) -> tuple[int, ...] | None:
-    """Lexicographically first p-subset that is pairwise adjacent, or None."""
+    """Lexicographically first p-subset of range(n) that is pairwise adjacent,
+    or None; () for p = 0. Under _count_complete's bound, which cuts only
+    empty branches, the first set found is still the first."""
     out: list[int] = []
 
     def rec(cand: int, need: int) -> bool:
-        while cand:
+        if need <= 0:
+            return not need
+        while cand.bit_count() >= need:
             b = cand & -cand
             v = b.bit_length() - 1
             cand ^= b
             out.append(v)
-            if need == 1:
-                return True
-            nxt = cand & adj[v]
-            if nxt.bit_count() >= need - 1 and rec(nxt, need - 1):
+            if rec(cand & adj[v], need - 1):
                 return True
             out.pop()
         return False
 
-    if rec((1 << n) - 1, p):
-        return tuple(out)
-    return None
+    return tuple(out) if rec((1 << n) - 1, p) else None
 
 
 def count_cliques(g: Graph, p: int) -> int:

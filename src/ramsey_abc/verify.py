@@ -158,14 +158,8 @@ class DeletionReport:
                 f"{r.name}-{r.vertex:<6}  {r.triangle_count:>9}  "
                 f"{r.ten_indep_count:>8}  {'yes' if r.is_witness else 'NO'}"
             )
-        out.append(
-            "scan: witness deletions "
-            + (
-                ", ".join(f"{n}-{v}" for n, v in self.scan_witnesses)
-                if self.scan_witnesses
-                else "(none)"
-            )
-        )
+        scan = ", ".join(f"{n}-{v}" for n, v in self.scan_witnesses) or "(none)"
+        out.append(f"scan: witness deletions {scan}")
         return out
 
 

@@ -399,14 +399,15 @@ def test_os_errors_exit_data(tmp_path, capsys, argv):
     ids=["verify", "count", "config", "base"],
 )
 def test_undecodable_file_exits_data(tmp_path, capsys, argv):
-    # bytes that are not UTF-8 text are a data error, like an unreadable file
+    # bytes that are not UTF-8 text are a data error, like an unreadable file,
+    # and the message names the file
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"\xff\xfe")
     runs = tmp_path / "runs"
     code = main([arg.replace("{bad}", str(bad)).replace("{runs}", str(runs)) for arg in argv])
     err = capsys.readouterr().err
     assert code == EXIT_DATA
-    assert "file error" in err and "Traceback" not in err
+    assert f"file error: {bad}: not UTF-8 text" in err and "Traceback" not in err
     assert not runs.exists()
 
 

@@ -75,8 +75,9 @@ def test_enumeration_matches_brute_force_k4():
 
 def test_enumeration_deterministic():
     first = enumerate_triangle_free(5)
-    second = enumerate_triangle_free(5)
-    assert first == second
+    assert isinstance(first, tuple)
+    assert enumerate_triangle_free(5) is first
+    assert enumerate_triangle_free.__wrapped__(5) == first  # a fresh enumeration
 
 
 def test_worked_permutation_chunk_example():
@@ -102,7 +103,7 @@ def test_zero_attachment_boundary():
 def test_random_extension_invariants_hold():
     rng = random.Random(5)
     base = random_graph(20, rng, density=0.3)
-    space = ExtensionSpace(base, tuple(enumerate_triangle_free(5)), (2, 4))
+    space = ExtensionSpace(base, enumerate_triangle_free(5), (2, 4))
     for trial in range(1000):
         ext = random_extension(space, trial % len(space.inners), rng)
         check_extension_invariants(ext, (2, 4))
@@ -274,6 +275,8 @@ def test_serialize_roundtrip():
     ext = random_extension(ExtensionSpace(base, (inner,), (lo, lo + 2)), 0, rng)
     payload = serialize_extension(ext)
     assert payload["inner_index"] == 2
+    for idx, item in enumerate(enumerate_triangle_free(5)):  # the cached catalog's order
+        assert serialize_extension(ExtensionState(base, item, (0,) * 5))["inner_index"] == idx
     assert all(all(1 <= v <= 10 for v in att) for att in payload["attachments"])
     back = ExtensionState(
         decode_graph6(payload["base_graph6"]),

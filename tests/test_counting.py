@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,24 @@ def test_oracle_equivalence_random(g, data):
     k = data.draw(st.integers(1, g.n))
     assert count_cliques(g, k) == brute_count_cliques(g, k)
     assert count_independent_sets(g, k) == brute_count_indep(g, k)
+
+
+@given(graphs(max_n=10), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_brute_force_inside_a_mask_with_holes(g, data):
+    # verify_deletions counts G - v as a mask with a hole; the kernel stops a
+    # branch once too few candidates remain, which must cut no set
+    hole = data.draw(st.integers(0, g.n - 1))
+    mask = data.draw(st.integers(0, (1 << g.n) - 1)) & ~(1 << hole)
+    for rows in (g.adj, g.complement_rows):
+        for k in range(-1, g.n + 2):
+            complete = [] if k < 0 else [
+                c for c in combinations(range(g.n), k)
+                if all(rows[u] >> w & 1 for u, w in combinations(c, 2))
+            ]
+            inside = [c for c in complete if all(mask >> v & 1 for v in c)]
+            assert counting._count_complete(rows, mask, k) == len(inside)
+            assert counting._find_complete(rows, g.n, k) == (complete[0] if complete else None)
 
 
 @given(graphs(max_n=10), st.data())
@@ -269,7 +288,7 @@ def test_walk_never_queries_an_empty_size(monkeypatch):
 
     monkeypatch.setattr(counting.IndepSetCache, "compatible_count", counted)
     rng = random.Random(3)
-    space = ExtensionSpace(base, tuple(enumerate_triangle_free(4)), (3, 9))
+    space = ExtensionSpace(base, enumerate_triangle_free(4), (3, 9))
     for k in range(len(space.inners)):
         ext = random_extension(space, k, rng)
         rep = extension_fitness(cache, ext, 3, 10)
