@@ -165,7 +165,12 @@ def _write_run_record(
 def cmd_search(args) -> int:
     config_dict = {}
     if args.config:
-        config_dict = json.loads(_read_text(args.config))
+        text = _read_text(args.config)
+        try:
+            config_dict = json.loads(text)
+        except json.JSONDecodeError as exc:
+            print(f"config error: {args.config}: {exc}", file=sys.stderr)
+            return EXIT_DATA
         if not isinstance(config_dict, dict):
             print(f"config error: {args.config} does not hold a JSON object", file=sys.stderr)
             return EXIT_DATA
@@ -456,9 +461,6 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except json.JSONDecodeError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except CacheBudgetError as exc:
         print(f"cache error: {exc}", file=sys.stderr)

@@ -124,6 +124,12 @@ def enumerate_triangle_free(k: int) -> tuple[Graph, ...]:
     return tuple(_from_canonical_bits(k, key) for _, key in ordered)
 
 
+@cache
+def _catalog_index(k: int) -> dict[int, int]:
+    """Canonical key -> position in enumerate_triangle_free(k), computed once per k."""
+    return {_canonical_bits(g): i for i, g in enumerate(enumerate_triangle_free(k))}
+
+
 @dataclass(frozen=True)
 class ExtensionSpace:
     """What one search draws from: a base graph, the inner graphs its added
@@ -280,9 +286,8 @@ def toggle_attachment(ext: ExtensionState, i: int, v: int) -> ExtensionState:
 def serialize_extension(ext: ExtensionState) -> dict:
     """JSON-friendly form: base graph6, inner index in the canonical catalog
     (or its graph6 when not catalogued), 1-indexed attachment lists."""
-    key = _canonical_bits(ext.inner)
-    catalog = enumerate_triangle_free(ext.inner.n) if ext.inner.n <= 7 else ()
-    index = next((i for i, item in enumerate(catalog) if _canonical_bits(item) == key), None)
+    catalog = _catalog_index(ext.inner.n) if ext.inner.n <= 7 else {}
+    index = catalog.get(_canonical_bits(ext.inner))
     return {
         "base_graph6": encode_graph6(ext.base),
         "inner_index": index,

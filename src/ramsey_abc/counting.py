@@ -24,11 +24,18 @@ graph) and attachment_flip_fitness (an extension candidate) derive the
 neighbour's exact fitness from its parent's by counting just those, in
 N(u) & N(v) and in the common non-neighbourhood. Their one caller is the
 colony, whose inputs fitness / extension_fitness check, so they check none.
+
+An extension's base-side independent sets come from IndepSetCache. Its one
+query, compatible_count, reads a column index of the sets that hold the
+query's lowest through vertex, built on first use, so a move query reads
+only the sets through its base vertex (see IndepSetCache for why the count
+stays exact).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
@@ -215,30 +222,77 @@ def max_independent_set(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class IndepSetCache:
-    """All independent sets of the base graph, grouped by size.
+    """All independent sets of the base graph, grouped by size, indexed by
+    vertex on demand.
 
     masks_by_size[k] is a uint64 array with one bit-set per k-independent
     set. Combining a cached set S with vertices attached to the base
     reduces to one mask test: S stays independent of an added-vertex set T
     iff S & (union of T's attachment masks) == 0.
+
+    compatible_count reads an index derived from masks_by_size on the first
+    query of each (k, anchor), where the anchor is the lowest vertex of the
+    query's through mask, or none when through is empty. The index holds
+    the k-sets that contain the anchor (every k-set when there is none), in
+    array order, as one int column per base vertex u: bit s is set iff the
+    s-th of those sets holds u. A query then reads only the sets through its
+    anchor, and its count is exact: it is the number of those sets that hold
+    every other through vertex (an AND of columns) and no avoid vertex (an
+    OR of columns, cleared). Only the anchor's non-neighbours are ORed,
+    because no independent set holding the anchor holds a neighbour of it,
+    so their columns are empty.
     """
 
     base: Graph
     masks_by_size: dict[int, np.ndarray]
-
-    def counts(self) -> dict[int, int]:
-        return {k: len(arr) for k, arr in self.masks_by_size.items()}
+    _index: dict = field(default_factory=dict, init=False, repr=False)
 
     def compatible_count(self, k: int, avoid: int, through: int = 0) -> int:
         """Number of cached k-sets that contain every vertex of the mask
-        through and none of the mask avoid; needs avoid & through == 0.
-        Exact for every held size, 0 for one with no set."""
-        arr = self.masks_by_size[k]
-        return int(np.count_nonzero((arr & np.uint64(avoid | through)) == np.uint64(through)))
+        through and none of the mask avoid; needs avoid & through == 0 and
+        through within the base. Exact for every held size, 0 for one with
+        no set."""
+        anchor = (through & -through).bit_length() - 1  # -1: no anchor
+        index = self._index.get((k, anchor))
+        if index is None:
+            index = self._index[k, anchor] = _column_index(self, k, anchor)
+        held, columns, keep = index
+        rest = through & (through - 1)
+        while rest:
+            b = rest & -rest
+            held &= columns[b.bit_length() - 1]
+            rest ^= b
+        avoid &= keep
+        out = 0
+        while avoid:
+            b = avoid & -avoid
+            out |= columns[b.bit_length() - 1]
+            avoid ^= b
+        return (held & ~out).bit_count()
+
+
+def _column_index(cache: IndepSetCache, k: int, anchor: int) -> tuple[int, list[int], int]:
+    """(held, columns, keep) over the cached k-sets that contain the base
+    vertex anchor, or over all of them for anchor -1: held has one bit per
+    set, bit s of columns[u] is set iff the s-th set holds u, and keep masks
+    the vertices such a set may hold besides the anchor."""
+    m = cache.base.n
+    sets = cache.masks_by_size[k]
+    keep = (1 << m) - 1
+    if anchor >= 0:
+        sets = sets[sets & np.uint64(1 << anchor) != 0]
+        keep = cache.base.complement_rows[anchor]
+    columns = [
+        int.from_bytes(np.packbits(sets & np.uint64(1 << u) != 0, bitorder="little"), "little")
+        for u in range(m)
+    ]
+    return (1 << len(sets)) - 1, columns, keep
 
 
 def build_indep_cache(base: Graph, sizes) -> IndepSetCache:
-    """Enumerate every independent set of the requested sizes in one DFS pass."""
+    """Enumerate every independent set of the requested sizes in one DFS pass.
+    Each size is collected in an array('Q') that its uint64 array then
+    shares, so no list of Python ints is ever held."""
     wanted = tuple(sorted(set(sizes)))
     if not wanted:
         raise ValueError("no sizes requested")
@@ -250,7 +304,7 @@ def build_indep_cache(base: Graph, sizes) -> IndepSetCache:
     wanted_set = set(wanted)
     # smallest requested size still reachable from a partial set of each size
     next_wanted = [min((k for k in wanted if k > s), default=kmax + 1) for s in range(kmax + 1)]
-    collected: dict[int, list[int]] = {k: [] for k in wanted}
+    collected = {k: array("Q") for k in wanted}
 
     def rec(cand: int, chosen: int, size: int) -> None:
         while cand:
@@ -270,7 +324,7 @@ def build_indep_cache(base: Graph, sizes) -> IndepSetCache:
                     rec(nxt, nchosen, nsize)
 
     rec((1 << base.n) - 1, 0, 0)
-    masks_by_size = {k: np.array(collected[k], dtype=np.uint64) for k in wanted}
+    masks_by_size = {k: np.frombuffer(collected[k], dtype=np.uint64) for k in wanted}
     return IndepSetCache(base, masks_by_size)
 
 

@@ -411,6 +411,18 @@ def test_undecodable_file_exits_data(tmp_path, capsys, argv):
     assert not runs.exists()
 
 
+def test_invalid_json_config_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "truncated.json"
+    bad.write_text('{"p": 3,')
+    runs = tmp_path / "runs"
+    code = main(["search", "--config", str(bad), "--out", str(runs)])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith(f"config error: {bad}: Expecting property name")
+    assert "Traceback" not in err
+    assert not runs.exists()
+
+
 def test_verify_appendix_cli(capsys):
     assert main(["verify-appendix"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -26,7 +26,7 @@ from ramsey_abc.construct import (
     toggle_attachment,
 )
 from ramsey_abc.counting import count_cliques
-from ramsey_abc.graph import Graph, decode_graph6
+from ramsey_abc.graph import Graph, decode_graph6, relabel
 
 
 class StubRng:
@@ -277,6 +277,8 @@ def test_serialize_roundtrip():
     assert payload["inner_index"] == 2
     for idx, item in enumerate(enumerate_triangle_free(5)):  # the cached catalog's order
         assert serialize_extension(ExtensionState(base, item, (0,) * 5))["inner_index"] == idx
+        shuffled = relabel(item, (4, 2, 0, 3, 1))
+        assert serialize_extension(ExtensionState(base, shuffled, (0,) * 5))["inner_index"] == idx
     assert all(all(1 <= v <= 10 for v in att) for att in payload["attachments"])
     back = ExtensionState(
         decode_graph6(payload["base_graph6"]),
@@ -284,3 +286,16 @@ def test_serialize_roundtrip():
         tuple(sum(1 << (v - 1) for v in att) for att in payload["attachments"]),
     )
     assert extension_to_graph(back) == extension_to_graph(ext)
+
+
+def test_serialize_computes_no_catalog_key_twice(monkeypatch):
+    from ramsey_abc import construct
+
+    inner = enumerate_triangle_free(5)[3]
+    ext = ExtensionState(Graph.empty(3), inner, (0,) * 5)
+    assert serialize_extension(ext)["inner_index"] == 3
+    keyed = []
+    key = construct._canonical_bits
+    monkeypatch.setattr(construct, "_canonical_bits", lambda g: keyed.append(g) or key(g))
+    assert serialize_extension(ext)["inner_index"] == 3
+    assert keyed == [inner]  # the inner graph's own key, none of the catalog's

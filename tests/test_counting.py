@@ -165,9 +165,9 @@ def test_max_independent_set_up_to_twenty_vertices():
 
 def test_build_cache_small_graphs(c5):
     cache = build_indep_cache(c5, [2])
-    assert cache.counts() == {2: 5}
+    assert {k: len(sets) for k, sets in cache.masks_by_size.items()} == {2: 5}
     k4 = build_indep_cache(Graph.complete(4), [2, 3])
-    assert k4.counts() == {2: 0, 3: 0}
+    assert {k: len(sets) for k, sets in k4.masks_by_size.items()} == {2: 0, 3: 0}
     with pytest.raises(ValueError):
         build_indep_cache(c5, [])
     with pytest.raises(ValueError):
@@ -197,12 +197,64 @@ def test_compatible_count_matches_filter():
         )
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compatible_count_matches_brute_filter(data):
+    # every size 1..n, so sizes above the independence number hold no set
+    n = data.draw(st.integers(1, 20), label="n")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = random_graph(n, rng, density=data.draw(st.sampled_from([0.3, 0.5, 0.8])))
+    cache = build_indep_cache(g, range(1, n + 1))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)]
+    for _ in range(6):
+        picked = data.draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+        if edges and data.draw(st.booleans()):
+            picked += data.draw(st.sampled_from(edges))  # an adjacent pair: no set holds both
+        through = sum(1 << v for v in set(picked))
+        avoid = data.draw(st.integers(0, (1 << n) - 1)) & ~through
+        if through and data.draw(st.booleans()):
+            anchor = (through & -through).bit_length() - 1
+            avoid |= g.adj[anchor] & ~through  # every neighbour of the anchor
+        for k in range(1, n + 1):
+            want = sum(
+                1 for s in map(int, cache.masks_by_size[k])
+                if s & through == through and not s & avoid
+            )
+            assert cache.compatible_count(k, avoid, through) == want
+
+
+def test_each_index_is_built_once_on_first_query(monkeypatch):
+    cache = build_indep_cache(Graph.cycle(7), range(1, 4))
+    assert not cache._index  # building the cache builds no index
+    built = []
+    build = counting._column_index
+    monkeypatch.setattr(
+        counting, "_column_index", lambda c, k, a: built.append((k, a)) or build(c, k, a)
+    )
+    queries = [(3, 0, 1), (3, 0b100, 1), (3, 0, 0b1001), (2, 0, 0), (3, 0b10, 0b1000), (2, 1, 0)]
+    counts = [cache.compatible_count(*query) for query in queries]
+    assert [cache.compatible_count(*query) for query in queries] == counts
+    assert built == [(3, 0), (2, -1), (3, 3)]  # anchor: the lowest through vertex, -1 for none
+    assert sorted(cache._index) == sorted(built)
+
+
+def test_full_mode_and_certification_build_no_index(monkeypatch):
+    from ramsey_abc import abc_search, dataset, verify
+
+    built = []
+    monkeypatch.setattr(counting, "_column_index", lambda *args: built.append(args))
+    result = abc_search.run(abc_search.SearchParams(3, 3, 5, seed=1, budget=2000))
+    assert verify.certify(result.best_position, 3, 3).is_witness
+    verify.certify(dataset.load_all()["A"].graph, 3, 10)
+    assert built == []
+
+
 def test_cache_counts_match_oracle():
     rng = random.Random(11)
     g = random_graph(12, rng, density=0.4)
     cache = build_indep_cache(g, range(1, 6))
     for k in range(1, 6):
-        assert cache.counts()[k] == brute_count_indep(g, k)
+        assert len(cache.masks_by_size[k]) == brute_count_indep(g, k)
 
 
 def _random_ext(seed, base_n=10, added=4, degree_range=(0, 4)):
@@ -278,7 +330,7 @@ def test_walk_never_queries_an_empty_size(monkeypatch):
 
     base = dataset.extract_base()
     cache = build_indep_cache(base, range(6, 11))
-    assert [k for k, c in cache.counts().items() if c == 0] == [9, 10]
+    assert [k for k, sets in cache.masks_by_size.items() if len(sets) == 0] == [9, 10]
     queried = []
     query = counting.IndepSetCache.compatible_count
 
