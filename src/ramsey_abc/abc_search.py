@@ -245,7 +245,7 @@ def _random_graph(n: int, density: float, rng: random.Random) -> Graph:
             if rng.random() < density:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return Graph._derived(n, tuple(adj))  # symmetric by construction
 
 
 def _random_pair(n: int, rng: random.Random) -> tuple[int, int]:

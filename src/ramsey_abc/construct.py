@@ -185,9 +185,15 @@ def extension_to_graph(ext: ExtensionState) -> Graph:
     """Assemble the full graph: base edges, inner edges, attachment edges.
 
     Added vertices occupy indices m..m+a-1, mirroring the 1-indexed labels
-    36..40 used by the shipped 40-vertex dataset.
+    36..40 used by the shipped 40-vertex dataset. The rows are symmetric by
+    construction once every attachment lies inside the base, one per inner
+    vertex, which is checked here in O(added vertices); base and inner are
+    valid Graphs already.
     """
-    return Graph(ext.base.n + ext.inner.n, assembled_adj(ext))
+    m = ext.base.n
+    if len(ext.attachments) != ext.inner.n or any(att >> m for att in ext.attachments):
+        raise ValueError("attachments must be one base-vertex mask per inner vertex")
+    return Graph._derived(m + ext.inner.n, assembled_adj(ext))
 
 
 def assembled_adj(ext: ExtensionState) -> tuple[int, ...]:

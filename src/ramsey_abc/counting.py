@@ -74,11 +74,22 @@ def _check_order(g: Graph, k: int, what: str) -> None:
 
 def _count_complete(adj: tuple[int, ...], cand: int, k: int) -> int:
     """Number of k-subsets of the vertex mask cand that are pairwise adjacent;
-    1 for k = 0 (the empty set) and 0 for k < 0. A branch stops drawing once
-    fewer than `need` candidates remain, which cuts only empty branches."""
+    1 for k = 0 (the empty set) and 0 for k < 0.
+
+    k <= 2 is answered without a walk: k = 1 is |cand|, and k = 2 counts the
+    edges inside cand as the sum over its vertices v of |N(v) & the cand
+    bits above v|. k >= 3 runs the recursive walk, where a branch stops
+    drawing once fewer than `need` candidates remain, which cuts only empty
+    branches."""
     if k <= 1:
         return cand.bit_count() if k == 1 else int(k == 0)
     count = 0
+    if k == 2:
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            count += (cand & adj[b.bit_length() - 1]).bit_count()
+        return count
 
     def rec(cand: int, need: int) -> None:
         nonlocal count

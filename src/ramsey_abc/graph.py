@@ -35,6 +35,10 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ValueError(f"vertex count must be an int, got {self.n!r}")
+        if not isinstance(self.adj, tuple) or any(type(m) is not int for m in self.adj):
+            raise ValueError("adjacency table must be a tuple of int rows")
         if not 1 <= self.n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {self.n}")
         if len(self.adj) != self.n:
@@ -52,6 +56,20 @@ class Graph:
                 m &= m - 1
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+
+    @classmethod
+    def _derived(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """Build a Graph without __post_init__'s checks.
+
+        Precondition: adj is a valid adjacency table for n vertices, as
+        Graph(n, adj) would accept: a tuple of n int rows within 0..n-1, no
+        self-loops, symmetric. Only rows derived from a valid Graph, or
+        symmetric by construction, may come through here; every outside
+        input goes through Graph(n, adj) or a parser.
+        """
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, adj=adj)
+        return g
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -124,7 +142,7 @@ def toggle_edge(g: Graph, u: int, v: int) -> Graph:
     adj = list(g.adj)
     adj[u] ^= 1 << v
     adj[v] ^= 1 << u
-    return Graph(g.n, tuple(adj))
+    return Graph._derived(g.n, tuple(adj))
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
@@ -140,7 +158,7 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
             if g.adj[v] >> vs[j] & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return Graph(len(vs), tuple(adj))
+    return Graph._derived(len(vs), tuple(adj))
 
 
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
@@ -159,7 +177,7 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
 
 
 def complement(g: Graph) -> Graph:
-    return Graph(g.n, g.complement_rows)
+    return Graph._derived(g.n, g.complement_rows)
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -176,7 +194,7 @@ def relabel(g: Graph, perm) -> Graph:
             new |= 1 << perm[b.bit_length() - 1]
             m ^= b
         adj[perm[v]] = new
-    return Graph(g.n, tuple(adj))
+    return Graph._derived(g.n, tuple(adj))
 
 
 @dataclass(frozen=True)

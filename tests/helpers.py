@@ -72,6 +72,27 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+def count_graph_builds(monkeypatch) -> tuple[list, list]:
+    """Record every Graph built from now on. Returns (checked, derived): the
+    graphs built through Graph(n, adj), which runs __post_init__, and those
+    built through the unchecked Graph._derived."""
+    checked, derived = [], []
+    check = Graph.__post_init__
+    derive = Graph._derived.__func__
+
+    def counted_check(self):
+        checked.append(self)
+        check(self)
+
+    def counted_derive(cls, n, adj):
+        derived.append(derive(cls, n, adj))
+        return derived[-1]
+
+    monkeypatch.setattr(Graph, "__post_init__", counted_check)
+    monkeypatch.setattr(Graph, "_derived", classmethod(counted_derive))
+    return checked, derived
+
+
 def graph_from_mask(n: int, mask: int) -> Graph:
     """Graph from an integer encoding the upper triangle, pair by pair."""
     edges = []

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from helpers import count_graph_builds
+
 from ramsey_abc import abc_search, dataset
 from ramsey_abc.abc_search import (
     BUDGET_EXHAUSTED,
@@ -428,3 +430,13 @@ def test_extension_run_rejects_cache_missing_a_size():
     params = small_params(q=4, n=12, mode=EXTENSION_MODE, degree_range=(1, 3))
     with pytest.raises(ValueError, match="sizes"):
         run(params, base=base, cache=cache)
+
+
+def test_full_mode_run_validates_no_graph(monkeypatch):
+    # every position of a full-mode run is a random start or an accepted flip,
+    # both built unchecked: the colony never pays Graph's O(n + edges) check
+    checked, derived = count_graph_builds(monkeypatch)
+    result = run(SearchParams(4, 4, 17, seed=0, budget=2000))
+    assert result.reason == BUDGET_EXHAUSTED and result.evaluations == 2000
+    assert result.accepted_moves > 0 and result.scout_restarts > 0
+    assert not checked and derived

@@ -10,6 +10,7 @@ from helpers import (
     brute_count_indep,
     brute_fitness,
     brute_independence_number,
+    count_graph_builds,
     graphs,
     random_graph,
 )
@@ -384,20 +385,12 @@ def test_flip_fitness_walk_matches_recount(g, orders, data):
 
 
 def test_counting_builds_no_graph(monkeypatch):
-    # counting reads adjacency rows; only parsers and constructors build
-    # (and validate) a Graph
+    # counting reads adjacency rows; it builds no Graph, checked or derived
     g = Graph.cycle(7)
     rep = fitness(g, 3, 3)
     base, ext = _random_ext(3)
     cache = build_indep_cache(base, range(1, base.n + 1))
-    built = []
-    check = Graph.__post_init__
-
-    def counted(self):
-        built.append(self)
-        check(self)
-
-    monkeypatch.setattr(Graph, "__post_init__", counted)
+    checked, derived = count_graph_builds(monkeypatch)
     calls = {
         "count_independent_sets": lambda: count_independent_sets(g, 3),
         "find_independent_set": lambda: find_independent_set(g, 3),
@@ -408,7 +401,7 @@ def test_counting_builds_no_graph(monkeypatch):
     }
     for name, call in calls.items():
         call()
-        assert not built, name
+        assert not checked and not derived, name
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))

@@ -1,8 +1,13 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import graphs
+from ramsey_abc.abc_search import _random_graph
+from ramsey_abc.construct import decompose_extension, extension_to_graph
 from ramsey_abc.graph import (
     Graph,
     ParseError,
@@ -29,6 +34,12 @@ def test_graph_validation():
         Graph(2, (2, 0))  # asymmetric
     with pytest.raises(ValueError):
         Graph(2, (4, 0))  # neighbour out of range
+    with pytest.raises(ValueError):
+        Graph(2, [0, 0])  # rows in a list: unhashable
+    with pytest.raises(ValueError):
+        Graph(2, (1.0, 0))  # a row that is not an int
+    with pytest.raises(ValueError):
+        Graph(True, (0,))  # a bool vertex count
 
 
 def test_basic_accessors(g1):
@@ -209,3 +220,38 @@ def test_relabel_preserves_structure(g, rnd):
     h = relabel(g, perm)
     assert h.edge_count() == g.edge_count()
     assert sorted(h.degrees()) == sorted(g.degrees())
+
+
+@given(graphs(min_n=2, max_n=12), st.data())
+def test_derived_graphs_pass_the_checked_constructor(g, data):
+    # every function that builds its result with Graph._derived returns rows
+    # that Graph(n, adj) accepts unchanged
+    u, v = data.draw(st.permutations(range(g.n)))[:2]
+    keep = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    perm = data.draw(st.permutations(range(g.n)))
+    split = data.draw(st.integers(1, g.n - 1))
+    density = data.draw(st.floats(0, 1))
+    seed = data.draw(st.integers(0, 2**32))
+    ext = decompose_extension(g, split)
+    derived = {
+        "toggle_edge": toggle_edge(g, u, v),
+        "induced_subgraph": induced_subgraph(g, keep),
+        "delete_vertex": delete_vertex(g, u)[0],
+        "complement": complement(g),
+        "relabel": relabel(g, perm),
+        "extension_to_graph": extension_to_graph(ext),
+        "_random_graph": _random_graph(g.n, density, random.Random(seed)),
+    }
+    assert derived["extension_to_graph"] == g
+    for name, h in derived.items():
+        checked = Graph(h.n, h.adj)
+        assert checked == h, name
+        assert checked.complement_rows == h.complement_rows, name
+
+
+def test_extension_to_graph_rejects_attachments_outside_the_base():
+    ext = decompose_extension(Graph.cycle(6), 4)
+    with pytest.raises(ValueError):
+        extension_to_graph(dataclasses.replace(ext, attachments=(1 << 4, 0)))
+    with pytest.raises(ValueError):
+        extension_to_graph(dataclasses.replace(ext, attachments=(1,)))

@@ -1,4 +1,4 @@
-from helpers import brute_fitness, graphs
+from helpers import brute_fitness, count_graph_builds, graphs
 from ramsey_abc.graph import Graph, induced_subgraph
 from ramsey_abc.verify import (
     DELETION_CLAIMS,
@@ -79,16 +79,9 @@ def test_verify_deletions_builds_no_graph(monkeypatch):
     from ramsey_abc import dataset
 
     reports = dataset.load_all()
-    built = []
-    check = Graph.__post_init__
-
-    def counted(self):
-        built.append(self)
-        check(self)
-
-    monkeypatch.setattr(Graph, "__post_init__", counted)
+    checked, derived = count_graph_builds(monkeypatch)
     report = verify_deletions(reports)
-    assert not built
+    assert not checked and not derived
     assert report.ok and report.scan_witnesses == DELETION_CLAIMS
 
 
