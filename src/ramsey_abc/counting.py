@@ -34,12 +34,11 @@ stays exact).
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
-
-import numpy as np
+from itertools import combinations, compress
 
 from .construct import assembled_adj
 from .graph import Graph, _bits
@@ -236,10 +235,10 @@ class IndepSetCache:
     """All independent sets of the base graph, grouped by size, indexed by
     vertex on demand.
 
-    masks_by_size[k] is a uint64 array with one bit-set per k-independent
-    set. Combining a cached set S with vertices attached to the base
-    reduces to one mask test: S stays independent of an added-vertex set T
-    iff S & (union of T's attachment masks) == 0.
+    masks_by_size[k] is an array('Q') with one vertex bitmask per
+    k-independent set. Combining a cached set S with vertices attached to
+    the base reduces to one mask test: S stays independent of an
+    added-vertex set T iff S & (union of T's attachment masks) == 0.
 
     compatible_count reads an index derived from masks_by_size on the first
     query of each (k, anchor), where the anchor is the lowest vertex of the
@@ -255,7 +254,7 @@ class IndepSetCache:
     """
 
     base: Graph
-    masks_by_size: dict[int, np.ndarray]
+    masks_by_size: dict[int, array]
     _index: dict = field(default_factory=dict, init=False, repr=False)
 
     def compatible_count(self, k: int, avoid: int, through: int = 0) -> int:
@@ -282,28 +281,35 @@ class IndepSetCache:
         return (held & ~out).bit_count()
 
 
+# _LANES[u]: the offset of the byte that holds bit u of an 8-byte array('Q') item, in
+# the host's byte order, and a table that maps that byte to bit u as b"0" or b"1"
+_BIG = 7 if sys.byteorder == "big" else 0
+_LANES = [((u >> 3) ^ _BIG, bytes(48 + (x >> u % 8 & 1) for x in range(256))) for u in range(64)]
+
+
 def _column_index(cache: IndepSetCache, k: int, anchor: int) -> tuple[int, list[int], int]:
     """(held, columns, keep) over the cached k-sets that contain the base
     vertex anchor, or over all of them for anchor -1: held has one bit per
     set, bit s of columns[u] is set iff the s-th set holds u, and keep masks
-    the vertices such a set may hold besides the anchor."""
+    the vertices such a set may hold besides the anchor. Column u is bit u
+    of every set as b"0"/b"1" digits (see _LANES), reversed and parsed."""
     m = cache.base.n
     sets = cache.masks_by_size[k]
     keep = (1 << m) - 1
     if anchor >= 0:
-        sets = sets[sets & np.uint64(1 << anchor) != 0]
+        j, digits = _LANES[anchor]
+        flags = sets.tobytes()[j::8].translate(digits).replace(b"0", b"\0")
+        sets = array("Q", compress(sets, flags))
         keep = cache.base.complement_rows[anchor]
-    columns = [
-        int.from_bytes(np.packbits(sets & np.uint64(1 << u) != 0, bitorder="little"), "little")
-        for u in range(m)
-    ]
+    raw = sets.tobytes()
+    columns = [int(b"0" + raw[j::8].translate(digits)[::-1], 2) for j, digits in _LANES[:m]]
     return (1 << len(sets)) - 1, columns, keep
 
 
 def build_indep_cache(base: Graph, sizes) -> IndepSetCache:
-    """Enumerate every independent set of the requested sizes in one DFS pass.
-    Each size is collected in an array('Q') that its uint64 array then
-    shares, so no list of Python ints is ever held."""
+    """Enumerate every independent set of the requested sizes in one DFS pass,
+    collecting each size as bitmasks in an array('Q'), so no list of Python
+    ints is ever held."""
     wanted = tuple(sorted(set(sizes)))
     if not wanted:
         raise ValueError("no sizes requested")
@@ -335,8 +341,7 @@ def build_indep_cache(base: Graph, sizes) -> IndepSetCache:
                     rec(nxt, nchosen, nsize)
 
     rec((1 << base.n) - 1, 0, 0)
-    masks_by_size = {k: np.frombuffer(collected[k], dtype=np.uint64) for k in wanted}
-    return IndepSetCache(base, masks_by_size)
+    return IndepSetCache(base, collected)
 
 
 def _check_extension(cache: IndepSetCache, ext, p: int, q: int) -> None:

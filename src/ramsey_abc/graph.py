@@ -137,8 +137,8 @@ def toggle_edge(g: Graph, u: int, v: int) -> Graph:
     """Return a copy of g with the edge {u, v} flipped (present <-> absent)."""
     if u == v:
         raise ValueError("cannot toggle a self-loop")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"vertex out of range: ({u}, {v}) with n={g.n}")
+    if not (type(u) is type(v) is int and 0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"vertices must be ints in 0..{g.n - 1}, got ({u!r}, {v!r})")
     adj = list(g.adj)
     adj[u] ^= 1 << v
     adj[v] ^= 1 << u
@@ -181,10 +181,10 @@ def complement(g: Graph) -> Graph:
 
 
 def relabel(g: Graph, perm) -> Graph:
-    """Relabel vertices: perm[old] = new. perm must be a permutation of 0..n-1."""
+    """Relabel vertices: perm[old] = new. perm must be a permutation of the ints 0..n-1."""
     perm = tuple(perm)
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("not a permutation of the vertex set")
+    if any(type(x) is not int for x in perm) or sorted(perm) != list(range(g.n)):
+        raise ValueError(f"not a permutation of the ints 0..{g.n - 1}")
     adj = [0] * g.n
     for v in range(g.n):
         m = g.adj[v]

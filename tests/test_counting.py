@@ -182,20 +182,21 @@ def test_cache_budget_error(c5, monkeypatch):
 
 
 def test_compatible_count_matches_filter():
-    rng = random.Random(12)
-    g = random_graph(12, rng, density=0.3)
-    cache = build_indep_cache(g, range(1, 6))
-    for _ in range(200):
-        k = rng.randint(1, 5)
-        avoid = rng.getrandbits(12) & rng.getrandbits(12)
-        through = rng.getrandbits(12) & rng.getrandbits(12) & rng.getrandbits(12) & ~avoid
-        want = sum(
-            1 for s in map(int, cache.masks_by_size[k]) if s & through == through and not s & avoid
-        )
-        assert cache.compatible_count(k, avoid, through) == want
-        assert cache.compatible_count(k, avoid) == sum(
-            1 for s in map(int, cache.masks_by_size[k]) if not s & avoid
-        )
+    # (n, density, sizes, low): the 61-vertex graph fills every byte of each
+    # 8-byte set, the top one too, and its queries use vertices low..n-1
+    for n, density, sizes, low in [(12, 0.3, range(1, 6), 0), (61, 0.5, range(1, 4), 56)]:
+        rng = random.Random(12)
+        g = random_graph(n, rng, density=density)
+        cache = build_indep_cache(g, sizes)
+        top = ((1 << n) - 1) >> low << low
+        for _ in range(200):
+            k = rng.choice(sizes)
+            avoid = rng.getrandbits(n) & rng.getrandbits(n) & top
+            through = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) & top & ~avoid
+            sets = list(map(int, cache.masks_by_size[k]))
+            want = sum(1 for s in sets if s & through == through and not s & avoid)
+            assert cache.compatible_count(k, avoid, through) == want
+            assert cache.compatible_count(k, avoid) == sum(1 for s in sets if not s & avoid)
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,6 +9,8 @@ meant to alter the search, and say so in CHANGES.md.
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -72,3 +74,25 @@ def test_library_run_matches_cli_golden(tmp_path):
     _write_run_record(tmp_path, RunConfig(params.resolved()), result, best_graph, 0.0)
     assert hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest() == digest
     assert json.loads((tmp_path / "result.json").read_text())["best_graph6"] == best_graph6
+
+
+def test_extension_golden_runs_without_numpy(tmp_path):
+    # the package has no runtime dependency: with numpy made unimportable,
+    # the CLI still writes the pinned extension history
+    (flags, digest, _), = (case for case in GOLDEN if "extension" in case[0])
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None  # every import of numpy now raises ImportError\n"
+        "from ramsey_abc.cli import main\n"
+        "main(sys.argv[1:])\n"
+        "assert sys.modules['numpy'] is None\n"
+        "assert not [name for name in sys.modules if name.startswith('numpy.')]\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "search", *flags, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (run_dir,) = tmp_path.iterdir()
+    assert hashlib.sha256((run_dir / "history.csv").read_bytes()).hexdigest() == digest

@@ -68,6 +68,25 @@ def test_toggle_involution_and_errors():
         toggle_edge(g, 0, 3)
 
 
+def test_derived_graph_entries_reject_non_int_vertices():
+    import numpy as np
+
+    g = Graph.cycle(5)
+    with pytest.raises(ValueError):
+        toggle_edge(g, np.int64(0), np.int64(2))
+    with pytest.raises(ValueError):
+        toggle_edge(g, 0, True)
+    with pytest.raises(ValueError):
+        relabel(g, [np.int64(v) for v in (1, 2, 3, 4, 0)])
+    with pytest.raises(ValueError):
+        relabel(g, (1.0, 2, 3, 4, 0))
+    # int labels build the same graphs as before
+    assert toggle_edge(g, 0, 2) == Graph(5, (0b10110, 0b00101, 0b01011, 0b10100, 0b01001))
+    assert relabel(g, (1, 2, 3, 4, 0)) == g
+    pentagram = Graph.from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
+    assert relabel(g, (0, 2, 4, 1, 3)) == pentagram
+
+
 def test_toggle_complete_graph():
     g = toggle_edge(Graph.complete(4), 0, 1)
     assert g.edge_count() == 5
