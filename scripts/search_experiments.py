@@ -11,23 +11,39 @@ With --extension the script instead runs the extension-mode search over the
 bundled 35-vertex base toward the open (3,10,40) target and reports the best
 fitness reached per seed (0 has never been achieved; small totals are the
 interesting output).
+
+Every reported best is recounted exactly (verify.certify), and only certified
+witnesses count as successes. Exit codes follow ``ramsey-abc search``: 2 for
+bad parameters, 5 when a reported best fitness fails certification.
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 
-from ramsey_abc import dataset
-from ramsey_abc.abc_search import SearchParams, run
+from ramsey_abc import dataset, verify
+from ramsey_abc.abc_search import EXTENSION_MODE, SearchParams, run
+from ramsey_abc.cli import EXIT_CLAIM, EXIT_OK, EXIT_USAGE
+from ramsey_abc.construct import extension_to_graph
 
 
-def batch(params_for_seed, seeds) -> int:
+def batch(params: SearchParams, seeds, base=None) -> int | None:
+    """Search params once per seed; the number of certified witnesses, or
+    None once a reported best fitness fails certification."""
     wins = 0
     for seed in seeds:
         t0 = time.perf_counter()
-        result = run(**params_for_seed(seed))
+        result = run(dataclasses.replace(params, seed=seed), base=base)
+        best = result.best_position
+        graph = extension_to_graph(best) if params.mode == EXTENSION_MODE else best
+        cert = verify.certify(graph, params.p, params.q)
         total = result.best_fitness.total
-        wins += total == 0
+        if cert.total != total:
+            print(f"error: seed {seed}: reported best fitness {total} fails certification: "
+                  f"exact count {cert.total}", file=sys.stderr)
+            return None
+        wins += cert.is_witness
         print(
             f"  seed {seed:>3}: best {total:>4}  {result.reason:<16} "
             f"evals {result.evaluations:>7}  {time.perf_counter() - t0:.1f}s"
@@ -35,7 +51,7 @@ def batch(params_for_seed, seeds) -> int:
     return wins
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--extension", action="store_true",
@@ -43,47 +59,35 @@ def main() -> int:
     parser.add_argument("--budget", type=int, default=None)
     parser.add_argument("--colony-size", type=int, default=20)
     parser.add_argument("--maxlimit", type=int, default=15)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     seeds = range(args.seeds)
 
-    if args.extension:
-        base = dataset.extract_base()
-        budget = args.budget or 20_000
-        print(f"extension search toward (3,10,40), budget {budget} per seed")
-        batch(
-            lambda seed: dict(
-                params=SearchParams(
-                    p=3, q=10, n=40, mode="extension", seed=seed, budget=budget,
-                    colony_size=args.colony_size, maxlimit=args.maxlimit,
-                ),
-                base=base,
-            ),
-            seeds,
+    def params(p, q, n, budget, **mode) -> SearchParams:
+        return SearchParams(
+            p, q, n, colony_size=args.colony_size, maxlimit=args.maxlimit,
+            budget=budget if args.budget is None else args.budget, **mode,
         )
-        return 0
 
-    print(f"(3,3,5) with budget {args.budget or 10_000}")
-    wins_small = batch(
-        lambda seed: dict(
-            params=SearchParams(
-                p=3, q=3, n=5, seed=seed, budget=args.budget or 10_000,
-                colony_size=args.colony_size, maxlimit=args.maxlimit,
-            )
-        ),
-        seeds,
-    )
-    print(f"(3,4,8) with budget {args.budget or 1_000_000}")
-    wins_large = batch(
-        lambda seed: dict(
-            params=SearchParams(
-                p=3, q=4, n=8, seed=seed, budget=args.budget or 1_000_000,
-                colony_size=args.colony_size, maxlimit=args.maxlimit,
-            )
-        ),
-        seeds,
-    )
-    print(f"success: (3,3,5) {wins_small}/{len(seeds)}, (3,4,8) {wins_large}/{len(seeds)}")
-    return 0
+    try:
+        if args.extension:
+            targets = [params(3, 10, 40, 20_000, mode=EXTENSION_MODE)]
+        else:
+            targets = [params(3, 3, 5, 10_000), params(3, 4, 8, 1_000_000)]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    base = dataset.extract_base() if args.extension else None
+
+    summary = []
+    for target in targets:
+        name = f"({target.p},{target.q},{target.n})"
+        print(f"{name} {target.mode} search, budget {target.budget} per seed")
+        wins = batch(target, seeds, base)
+        if wins is None:
+            return EXIT_CLAIM
+        summary.append(f"{name} {wins}/{len(seeds)}")
+    print(f"success (certified): {', '.join(summary)}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ all sampling, so identical params reproduce identical histories.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import cycle
 from typing import Any, Callable
 
@@ -55,8 +55,12 @@ EXTENSION_MODE = "extension"
 
 @dataclass(frozen=True)
 class SearchParams:
-    """A run's parameters. Only extension mode reads degree_range, the band
-    [LO, HI] each added vertex's total degree stays in; None derives it."""
+    """A run's parameters, checked when built. Only extension mode reads
+    degree_range, the band [LO, HI] each added vertex's total degree stays
+    in: full mode stores None, and extension mode given None stores
+    bounds.degree_range(p, q, n), raising ValueError when that needs a Ramsey
+    value not exactly known or derives an empty band. A derived band is then
+    stored like a given one, so dataclasses.replace keeps it."""
 
     p: int
     q: int
@@ -69,7 +73,7 @@ class SearchParams:
     mode: str = FULL_MODE
     degree_range: tuple[int, int] | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("p", "q", "n", "colony_size", "maxlimit", "seed", "budget"):
             value = getattr(self, name)
             if not _is_int(value):
@@ -96,26 +100,21 @@ class SearchParams:
             raise ValueError("orders p, q must lie in 1..n")
         if self.n > MAX_VERTICES:
             raise ValueError(f"n must be at most {MAX_VERTICES}, got {self.n}")
-
-    def resolved(self) -> SearchParams:
-        """The params as a run reads them: no range in full mode; in extension
-        mode a None range becomes bounds.degree_range(p, q, n), which raises
-        ValueError when it needs a Ramsey value not exactly known or when the
-        band it derives is empty."""
         if self.mode == FULL_MODE:
-            return replace(self, degree_range=None)
-        if self.degree_range is not None:
-            return self
-        try:
-            rng = bounds.degree_range(self.p, self.q, self.n)
-        except ValueError as exc:
-            raise ValueError(f"cannot derive degree_range: {exc}") from None
-        if not rng.feasible:
-            raise ValueError(
-                f"the derived witness band [{rng.lo}, {rng.hi}] of "
-                f"({self.p},{self.q},{self.n}) is empty"
-            )
-        return replace(self, degree_range=(rng.lo, rng.hi))
+            rng = None
+        elif rng is None:
+            hint = "; pass degree_range (--degree-range LO..HI)"
+            try:
+                band = bounds.degree_range(self.p, self.q, self.n)
+            except ValueError as exc:
+                raise ValueError(f"cannot derive degree_range: {exc}{hint}") from None
+            if not band.feasible:
+                raise ValueError(
+                    f"the derived witness band [{band.lo}, {band.hi}] of "
+                    f"({self.p},{self.q},{self.n}) is empty{hint}"
+                )
+            rng = (band.lo, band.hi)
+        object.__setattr__(self, "degree_range", None if rng is None else tuple(rng))
 
 
 def _is_int(value) -> bool:
@@ -196,8 +195,15 @@ class Colony:
         self.best_fitness: FitnessReport | None = None
         self.finished: str | None = None
 
-    def budget_left(self) -> bool:
-        return self.evaluations < self.params.budget
+    def spent(self) -> bool:
+        """Whether the budget is used up; once it is, the run is over. The
+        caller asks before its next evaluation or at the end of a round, never
+        as one is charged: the draw that spends the budget still completes
+        its source's step."""
+        if self.evaluations < self.params.budget:
+            return False
+        self.finished = self.finished or BUDGET_EXHAUSTED
+        return True
 
     def assess(self, position: Any) -> FitnessReport:
         """Evaluate a fresh position, charge the budget and offer it as best."""
@@ -261,14 +267,12 @@ def make_colony(
     base: Graph | None = None,
     cache=None,
 ) -> Colony:
-    """Wire up the mode-specific callables of params.resolved() (no positions
-    generated yet); full mode draws its random graphs at default_init_density.
+    """Wire up the mode-specific callables of params (no positions generated
+    yet); full mode draws its random graphs at default_init_density.
     Extension mode builds one construct.ExtensionSpace over the inner-graph
     catalog, and random positions cycle through the catalog. Given no cache, it
     builds one for every size q - |T| in 1..base.n an added-vertex set T
     can ask of the base; the count names any size a given cache lacks."""
-    params.validate()
-    params = params.resolved()
     if params.mode == FULL_MODE:
         density = default_init_density(params.p, params.q, params.n)
 
@@ -332,13 +336,11 @@ def init_colony(
     for _ in range(params.colony_size):
         pos = colony.random_position(rng)
         scored.append((pos, colony.assess(pos)))
-        if colony.finished or not colony.budget_left():
+        if colony.finished or colony.spent():
             break
     scored.sort(key=lambda item: item[1].total)
     colony.sources = [Source(pos, rep) for pos, rep in scored[: params.colony_size // 2]]
     colony.onlookers = params.colony_size - len(colony.sources)
-    if colony.finished is None and not colony.budget_left():
-        colony.finished = BUDGET_EXHAUSTED
     return colony
 
 
@@ -363,8 +365,7 @@ def employed_phase(colony: Colony, rng: random.Random) -> None:
         draws = 2 if src.followed else 1
         candidates: list[tuple[FitnessReport, Any]] = []
         for _ in range(draws):
-            if not colony.budget_left():
-                colony.finished = BUDGET_EXHAUSTED
+            if colony.spent():
                 break
             drawn = colony.neighbor(src.position, src.fitness, rng)
             if drawn is None:
@@ -428,8 +429,7 @@ def scout_phase(colony: Colony, rng: random.Random) -> None:
             return
         if not src.scout:
             continue
-        if not colony.budget_left():
-            colony.finished = BUDGET_EXHAUSTED
+        if colony.spent():
             return
         pos = colony.random_position(rng)
         rep = colony.assess(pos)
@@ -450,7 +450,7 @@ def run(
     rng = random.Random(params.seed)
     colony = init_colony(params, rng, base=base, cache=cache)
     history = [colony.stats()]
-    while colony.finished is None:
+    while not (colony.finished or colony.spent()):
         colony.round_no += 1
         employed_phase(colony, rng)
         if colony.finished is None:
@@ -459,8 +459,6 @@ def run(
             scout_phase(colony, rng)
         assert colony.best_fitness.total <= history[-1].best_total
         history.append(colony.stats())
-        if colony.finished is None and not colony.budget_left():
-            colony.finished = BUDGET_EXHAUSTED
     return SearchResult(
         best_position=colony.best_position,
         best_fitness=colony.best_fitness,

@@ -71,8 +71,6 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         params = {k: v for k, v in d.items() if k in PARAM_FIELDS}
-        if params.get("degree_range") is not None:
-            params["degree_range"] = tuple(params["degree_range"])
         files = {k: v for k, v in d.items() if k in RUN_FILE_FIELDS}
         return cls(SearchParams(**params), **files)
 
@@ -198,21 +196,14 @@ def cmd_search(args) -> int:
             return EXIT_USAGE
     try:
         config = RunConfig.from_dict(config_dict)
-        params = config.params
-        params.validate()
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    params = config.params
     for key in ("degree_range", "base_file"):
         if params.mode == FULL_MODE and config_dict.get(key) is not None:
             print(f"error: {key} applies to extension mode only", file=sys.stderr)
             return EXIT_USAGE
-    try:
-        params = params.resolved()
-    except ValueError as exc:
-        print(f"error: {exc}; pass --degree-range LO..HI", file=sys.stderr)
-        return EXIT_USAGE
-    config = dataclasses.replace(config, params=params)
 
     t0 = time.perf_counter()
     result = run(params, base=base)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from ramsey_abc.abc_search import (
     run,
     scout_phase,
 )
-from ramsey_abc.construct import ExtensionSpace
+from ramsey_abc.construct import DEFAULT_DEGREE_RANGE, ExtensionSpace
 from ramsey_abc.counting import FitnessReport, build_indep_cache, extension_fitness, fitness
 from ramsey_abc.graph import Graph, toggle_edge
 
@@ -34,42 +35,48 @@ def small_params(**overrides) -> SearchParams:
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        small_params(colony_size=3).validate()
+        small_params(colony_size=3)
     with pytest.raises(ValueError):
-        small_params(colony_size=5).validate()
+        small_params(colony_size=5)
     with pytest.raises(ValueError):
-        small_params(maxlimit=0).validate()
+        small_params(maxlimit=0)
     with pytest.raises(ValueError):
-        small_params(alpha=0.0).validate()
+        small_params(alpha=0.0)
     with pytest.raises(ValueError):
-        small_params(alpha=1.5).validate()
+        small_params(alpha=1.5)
     with pytest.raises(ValueError):
-        small_params(budget=0).validate()
+        small_params(budget=0)
     with pytest.raises(ValueError):
-        small_params(mode="annealing").validate()
+        small_params(mode="annealing")
     with pytest.raises(ValueError):
-        small_params(p=6).validate()
+        small_params(p=6)
     with pytest.raises(ValueError, match="at most 64"):  # no Graph holds 65 vertices
-        small_params(n=65).validate()
+        small_params(n=65)
     # field types, as a config file may give them
     for bad in ({"seed": True}, {"budget": 10.0}, {"alpha": "1"},
                 {"degree_range": (9, 4)}, {"degree_range": (1, 2, 3)}):
         with pytest.raises(ValueError, match=next(iter(bad))):
-            small_params(**bad).validate()
+            small_params(**bad)
+    # a copy is built, so it is checked too
+    with pytest.raises(ValueError, match="budget"):
+        dataclasses.replace(small_params(), budget=0)
 
 
 def test_resolved_degree_range():
     # only extension mode reads a range, and None there derives the witness bound
-    assert small_params(degree_range=(1, 2)).resolved().degree_range is None
+    assert small_params(degree_range=(1, 2)).degree_range is None
+    # full mode drops the band it is given, as bench/ passes the default one
+    assert small_params(degree_range=DEFAULT_DEGREE_RANGE).degree_range is None
     ext = dict(q=10, mode=EXTENSION_MODE)
-    assert small_params(n=39, **ext).resolved().degree_range == (3, 9)
-    assert small_params(n=40, **ext).resolved().degree_range == (4, 9)
-    assert small_params(n=39, degree_range=(5, 7), **ext).resolved().degree_range == (5, 7)
+    assert small_params(n=39, **ext).degree_range == (3, 9)
+    assert small_params(n=40, **ext).degree_range == (4, 9)
+    assert small_params(n=39, degree_range=(5, 7), **ext).degree_range == (5, 7)
+    assert small_params(n=39, degree_range=[5, 7], **ext).degree_range == (5, 7)
     with pytest.raises(ValueError, match="degree_range"):  # R(3,10) is not exactly known
-        small_params(q=11, n=46, mode=EXTENSION_MODE).resolved()
+        small_params(q=11, n=46, mode=EXTENSION_MODE)
     # bounds.degree_range(3, 5, 40) is [31, 4]: the band is empty, not the user's range
     with pytest.raises(ValueError, match=r"witness band \[31, 4\] of \(3,5,40\) is empty"):
-        small_params(q=5, n=40, mode=EXTENSION_MODE).resolved()
+        small_params(q=5, n=40, mode=EXTENSION_MODE)
 
 
 def test_make_colony_rejects_infeasible_inner_before_any_draw():
@@ -379,8 +386,7 @@ def test_run_counts_accepted_moves_and_scout_restarts(monkeypatch):
                      for src, pos in zip(colony.sources, before))
         onlooker_phase(colony, rng)
         scout_phase(colony, rng)
-        if colony.finished is None and not colony.budget_left():
-            colony.finished = BUDGET_EXHAUSTED
+        colony.spent()
     assert colony.accepted_moves == moves == len(toggles) > 0
     assert colony.scout_restarts > 0
     assert len(calls) == params.colony_size + colony.scout_restarts

@@ -7,6 +7,7 @@ these values pin it across commits. Update them only with a change that is
 meant to alter the search, and say so in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -15,9 +16,10 @@ import sys
 import pytest
 
 from ramsey_abc import dataset
-from ramsey_abc.abc_search import EXTENSION_MODE, SearchParams, run
+from ramsey_abc.abc_search import EXTENSION_MODE, WITNESS_FOUND, SearchParams, run
 from ramsey_abc.cli import RunConfig, _write_run_record, main
 from ramsey_abc.construct import extension_to_graph
+from ramsey_abc.counting import build_indep_cache
 
 GOLDEN = [
     (
@@ -71,7 +73,7 @@ def test_library_run_matches_cli_golden(tmp_path):
     params = SearchParams(3, 10, 39, mode=EXTENSION_MODE, seed=0, budget=1000)
     result = run(params, dataset.extract_base())
     best_graph = extension_to_graph(result.best_position)
-    _write_run_record(tmp_path, RunConfig(params.resolved()), result, best_graph, 0.0)
+    _write_run_record(tmp_path, RunConfig(params), result, best_graph, 0.0)
     assert hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest() == digest
     assert json.loads((tmp_path / "result.json").read_text())["best_graph6"] == best_graph6
 
@@ -96,3 +98,37 @@ def test_extension_golden_runs_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     (run_dir,) = tmp_path.iterdir()
     assert hashlib.sha256((run_dir / "history.csv").read_bytes()).hexdigest() == digest
+
+
+def _sweep_digest(runs) -> str:
+    digest = hashlib.sha256()
+    for result in runs:
+        rows = [dataclasses.astuple(row) for row in result.history]
+        digest.update(repr((result.reason, result.evaluations, result.rounds, rows)).encode())
+    return digest.hexdigest()
+
+
+def test_budget_boundary_is_pinned():
+    # where a run stops when its budget runs out, at every budget around the
+    # phases: the initial draws, an employed bee's second draw, a scout's
+    # draw, the end of a round, and a witness found on the last evaluation
+    full = [run(SearchParams(3, 5, 12, colony_size=6, maxlimit=2, seed=0, budget=b))
+            for b in range(1, 121)]
+    base = dataset.extract_base()
+    cache = build_indep_cache(base, range(6, 11))
+    ext = [run(SearchParams(3, 10, 39, colony_size=4, maxlimit=2, mode=EXTENSION_MODE,
+                            seed=0, budget=b), base, cache)
+           for b in range(1, 41)]
+    witness = []
+    for seed in range(20):
+        small = SearchParams(3, 3, 5, colony_size=4, maxlimit=2, seed=seed, budget=10_000)
+        found = run(small)
+        assert found.reason == WITNESS_FOUND
+        needed = found.evaluations
+        witness += [run(dataclasses.replace(small, budget=b))
+                    for b in range(max(1, needed - 3), needed + 2)]
+    assert [_sweep_digest(full), _sweep_digest(ext), _sweep_digest(witness)] == [
+        "55ec7f315abe2f89e5aedd8d115dcf67bebfa92ab25390d76a7c5671df63ad0b",
+        "a1e5417345cd7b4d30fbd40a2ed4029c59c721d14e39d6d958e08da537bad0d1",
+        "3e7f4421fd3ccb951e29bd0c65cf25094073303e8283fc98577b3a53426e2977",
+    ]

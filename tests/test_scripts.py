@@ -1,0 +1,47 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from ramsey_abc.abc_search import WITNESS_FOUND, SearchResult
+from ramsey_abc.cli import EXIT_CLAIM, EXIT_OK, EXIT_USAGE
+from ramsey_abc.counting import FitnessReport
+from ramsey_abc.graph import Graph
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture
+def experiments():
+    spec = importlib.util.spec_from_file_location(
+        "search_experiments", SCRIPTS / "search_experiments.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_search_experiments_counts_certified_witnesses(experiments, capsys):
+    # seed 0 finds a (3,3,5) witness after 149 of its 500 evaluations
+    assert experiments.main(["--seeds", "1", "--budget", "500"]) == EXIT_OK
+    assert "success (certified): (3,3,5) 1/1, (3,4,8) " in capsys.readouterr().out
+
+
+def test_search_experiments_refuses_an_uncertified_best(experiments, monkeypatch, capsys):
+    # a search that reports K5 as a (3,3) witness: the exact recount has 10 triangles
+    def lying_run(params, base=None):
+        return SearchResult(Graph.complete(5), FitnessReport(0, 0), 0, 1, (), WITNESS_FOUND)
+
+    monkeypatch.setattr(experiments, "run", lying_run)
+    assert experiments.main(["--seeds", "1"]) == EXIT_CLAIM
+    out, err = capsys.readouterr()
+    assert "fails certification: exact count 10" in err
+    assert "success" not in out
+
+
+@pytest.mark.parametrize("flags", [["--budget", "0"], ["--colony-size", "3"]])
+def test_search_experiments_rejects_bad_params(experiments, capsys, flags):
+    # --budget 0 is refused, not replaced by the default budget
+    assert experiments.main(["--seeds", "1", *flags]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "search" not in out
