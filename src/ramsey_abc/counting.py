@@ -18,6 +18,13 @@ its complement's (Graph.complement_rows) for independent sets, or an
 extension's (construct.assembled_adj). Part of a graph is a vertex mask over
 those rows, so counting never builds a Graph.
 
+A deep whole-graph count (count_cliques, count_independent_sets and the
+deletion scan's 10-set count, from k = 5 up) first relabels the rows inside
+its mask into min-degree peel order (degeneracy order), so each vertex
+extends a set only through the few neighbours peeled after it; a count does
+not depend on labels, so it stays exact. Smaller k and every move scorer walk
+the rows as they are, where the peel would cost more than it saves.
+
 A search move flips one edge {u, v}, which creates or destroys only the
 cliques and independent sets containing both u and v. flip_fitness (a whole
 graph) and attachment_flip_fitness (an extension candidate) derive the
@@ -39,6 +46,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, compress
+from operator import itemgetter
 
 from .construct import assembled_adj
 from .graph import Graph, _bits
@@ -79,7 +87,9 @@ def _count_complete(adj: tuple[int, ...], cand: int, k: int) -> int:
     edges inside cand as the sum over its vertices v of |N(v) & the cand
     bits above v|. k >= 3 runs the recursive walk, where a branch stops
     drawing once fewer than `need` candidates remain, which cuts only empty
-    branches."""
+    branches. The walk extends a set only through higher labels, so its work
+    depends on the labelling; _count_deep gives it rows in peel order.
+    This is the only subset-counting walk."""
     if k <= 1:
         return cand.bit_count() if k == 1 else int(k == 0)
     count = 0
@@ -107,6 +117,46 @@ def _count_complete(adj: tuple[int, ...], cand: int, k: int) -> int:
     return count
 
 
+_PEEL_FROM = 5  # smallest k whose whole-mask count walks in peel order
+
+
+def _peel_rows(adj: tuple[int, ...], cand: int) -> tuple[int, ...]:
+    """Rows of the subgraph that the vertex mask cand induces, relabelled
+    0..|cand|-1 in min-degree peel order: position i holds the unplaced
+    vertex with the fewest unplaced neighbours, ties to the lowest index.
+    The walk extends a set only through higher positions, so each vertex
+    branches over at most the graph's degeneracy of neighbours.
+
+    A row is relabelled as its binary digits: digit i of the new row, read
+    from the right, is the old row's digit of the vertex at position i."""
+    if not cand:
+        return ()
+    degree = {v: (adj[v] & cand).bit_count() for v in _bits(cand)}  # ascending keys
+    order = []
+    left = cand
+    while degree:
+        v = min(degree, key=degree.__getitem__)  # the first minimum: lowest index
+        del degree[v]
+        order.append(v)
+        left ^= 1 << v
+        for u in _bits(adj[v] & left):
+            degree[u] -= 1
+    width = cand.bit_length()
+    pick = itemgetter(*[width - 1 - v for v in reversed(order)])
+    return tuple(int("".join(pick(format(adj[v] & cand, f"0{width}b"))), 2) for v in order)
+
+
+def _count_deep(adj: tuple[int, ...], cand: int, k: int) -> int:
+    """_count_complete(adj, cand, k) for a whole-graph count: from k =
+    _PEEL_FROM up, the walk runs on _peel_rows(adj, cand), whose count is the
+    same because a count does not depend on vertex labels. Below it the
+    peel would cost more than the walk it shortens, so the walk runs as is."""
+    if k < _PEEL_FROM:
+        return _count_complete(adj, cand, k)
+    rows = _peel_rows(adj, cand)
+    return _count_complete(rows, (1 << len(rows)) - 1, k)
+
+
 def _find_complete(adj: tuple[int, ...], n: int, p: int) -> tuple[int, ...] | None:
     """Lexicographically first p-subset of range(n) that is pairwise adjacent,
     or None; () for p = 0. Under _count_complete's bound, which cuts only
@@ -130,15 +180,18 @@ def _find_complete(adj: tuple[int, ...], n: int, p: int) -> tuple[int, ...] | No
 
 
 def count_cliques(g: Graph, p: int) -> int:
-    """Exact number of p-vertex complete subgraphs."""
+    """Exact number of p-vertex complete subgraphs; walked in min-degree
+    peel order from p = _PEEL_FROM up (see _count_deep)."""
     _check_order(g, p, "clique order")
-    return _count_complete(g.adj, (1 << g.n) - 1, p)
+    return _count_deep(g.adj, (1 << g.n) - 1, p)
 
 
 def count_independent_sets(g: Graph, q: int) -> int:
-    """Exact number of q-vertex independent sets."""
+    """Exact number of q-vertex independent sets: the q-cliques of the
+    complement rows, walked in min-degree peel order from q = _PEEL_FROM up
+    (see _count_deep)."""
     _check_order(g, q, "independent-set order")
-    return _count_complete(g.complement_rows, (1 << g.n) - 1, q)
+    return _count_deep(g.complement_rows, (1 << g.n) - 1, q)
 
 
 def fitness(g: Graph, p: int, q: int) -> FitnessReport:

@@ -10,6 +10,7 @@ from graph A and validates it rather than trusting the file blindly.
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 
 from .counting import count_cliques, count_independent_sets, max_independent_set
@@ -35,7 +36,11 @@ def dataset_text(name: str) -> str:
     return ref.read_text()
 
 
+@cache
 def load_graph(name: str) -> ParseReport:
+    """Parsed bundled graph A, B, C or D. Parsed once per process: the
+    report, its Graph and its warnings tuple are immutable, so every caller
+    shares them."""
     return parse_adjacency_list(dataset_text(name))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bounds, dataset
-from .counting import _count_complete, count_cliques, count_independent_sets
+from .counting import _count_complete, _count_deep, count_cliques, count_independent_sets
 from .counting import find_clique, find_independent_set
 from .graph import Graph
 
@@ -167,21 +167,25 @@ def verify_deletions(reports=None) -> DeletionReport:
     """Scan every single-vertex deletion of all four graphs for witnesses,
     and certify the four claimed deletions exactly.
 
-    G - v is counted as the vertex mask of G without v, on G's rows for
-    triangles and on its complement rows for 10-independent sets, so no
-    smaller graph is built. Only triangle-free and claimed deletions pay for
-    the 10-independent-set count.
+    No smaller graph is built. A triangle of G misses v unless v and two
+    adjacent neighbours of v span it, so triangles(G - v) = triangles(G) -
+    (edges inside N(v)): one triangle walk per graph and one 2-set count per
+    vertex. Only triangle-free and claimed deletions pay for the
+    10-independent-set count, a deep count on G's complement rows under the
+    vertex mask of G without v.
     """
     if reports is None:
         reports = dataset.load_all()
     counts: dict[tuple[str, int], tuple[int, int]] = {}
     for name in sorted(reports):
         g = reports[name].graph
+        full = (1 << g.n) - 1
+        total = count_cliques(g, 3)
         for v in range(g.n):
-            keep = ((1 << g.n) - 1) ^ (1 << v)
-            triangles = _count_complete(g.adj, keep, 3)
+            triangles = total - _count_complete(g.adj, g.adj[v], 2)
             if not triangles or (name, v + 1) in DELETION_CLAIMS:
-                counts[(name, v + 1)] = (triangles, _count_complete(g.complement_rows, keep, 10))
+                ten = _count_deep(g.complement_rows, full ^ (1 << v), 10)
+                counts[(name, v + 1)] = (triangles, ten)
     named = tuple(DeletionRow(name, v, *counts[(name, v)]) for name, v in DELETION_CLAIMS)
     scan = tuple(key for key, row in counts.items() if row == (0, 0))
     return DeletionReport(named, scan)

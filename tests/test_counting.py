@@ -108,10 +108,22 @@ def test_oracle_equivalence_random(g, data):
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_brute_force_inside_a_mask_with_holes(g, data):
     # verify_deletions counts G - v as a mask with a hole; the kernel stops a
-    # branch once too few candidates remain, which must cut no set
+    # branch once too few candidates remain, which must cut no set. The deep
+    # count walks the mask's rows relabelled into peel order, which must be
+    # the mask's induced subgraph again, and is checked at every k, not only
+    # from the order where _count_deep starts to peel
     hole = data.draw(st.integers(0, g.n - 1))
     mask = data.draw(st.integers(0, (1 << g.n) - 1)) & ~(1 << hole)
     for rows in (g.adj, g.complement_rows):
+        peeled = counting._peel_rows(rows, mask)
+        assert len(peeled) == mask.bit_count()
+        if peeled:
+            relabelled = Graph(len(peeled), peeled)  # symmetric, loop-free rows
+            inside_degrees = [(rows[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1]
+            assert sorted(relabelled.degrees()) == sorted(inside_degrees)
+        for i, row in enumerate(peeled):
+            # position i has the fewest neighbours among positions i and above
+            assert all((row >> i).bit_count() <= (later >> i).bit_count() for later in peeled[i:])
         for k in range(-1, g.n + 2):
             complete = [] if k < 0 else [
                 c for c in combinations(range(g.n), k)
@@ -119,6 +131,8 @@ def test_kernel_matches_brute_force_inside_a_mask_with_holes(g, data):
             ]
             inside = [c for c in complete if all(mask >> v & 1 for v in c)]
             assert counting._count_complete(rows, mask, k) == len(inside)
+            assert counting._count_deep(rows, mask, k) == len(inside)
+            assert counting._count_complete(peeled, (1 << len(peeled)) - 1, k) == len(inside)
             assert counting._find_complete(rows, g.n, k) == (complete[0] if complete else None)
 
 
@@ -366,6 +380,22 @@ def test_decomposed_appendix_graph_fitness():
     assert (inc.clique_count, inc.indep_count) == (3, 0)
 
 
+def test_deep_independent_set_counts_of_the_dataset_graphs():
+    # non-zero deep counts, measured with the ascending-label walk before the
+    # peel order existed; the 10-set counts are the appendix's zero claims
+    from ramsey_abc import dataset
+
+    expected = {
+        "A": [64268, 30510, 5989, 0],
+        "B": [59434, 27592, 5282, 0],
+        "C": [62972, 29744, 5801, 0],
+        "D": [60951, 28403, 5447, 0],
+    }
+    for name, counts in expected.items():
+        g = dataset.load_graph(name).graph
+        assert [count_independent_sets(g, k) for k in range(7, 11)] == counts, name
+
+
 # p - 2 and q - 2 reach -1 and 0, the kernel's two boundary orders
 FLIP_ORDERS = [(1, 3), (2, 4), (3, 3), (3, 5), (4, 4)]
 
@@ -394,6 +424,7 @@ def test_counting_builds_no_graph(monkeypatch):
     checked, derived = count_graph_builds(monkeypatch)
     calls = {
         "count_independent_sets": lambda: count_independent_sets(g, 3),
+        "count_independent_sets (peel order)": lambda: count_independent_sets(g, 5),
         "find_independent_set": lambda: find_independent_set(g, 3),
         "max_independent_set": lambda: max_independent_set(g),
         "build_indep_cache": lambda: build_indep_cache(g, range(1, 4)),

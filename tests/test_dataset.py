@@ -33,6 +33,22 @@ def test_dataset_files_roundtrip():
         assert parse_adjacency_list(emit_adjacency_list(g)).graph == g
 
 
+def test_bundled_graphs_are_parsed_once(monkeypatch):
+    # every later load, and every certification step, reuses the first parse
+    from ramsey_abc import verify
+
+    first = dataset.load_all()
+    parsed = []
+    monkeypatch.setattr(dataset, "parse_adjacency_list", lambda text: parsed.append(text))
+    assert dataset.load_all() == first
+    assert dataset.load_graph("A") is first["A"]
+    dataset.validate_base(dataset.extract_base())
+    dataset.bases_identical()
+    verify.verify_appendix()
+    verify.verify_deletions()
+    assert parsed == []
+
+
 def test_unknown_name():
     with pytest.raises(ValueError):
         dataset.load_graph("E")
