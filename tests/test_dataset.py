@@ -39,7 +39,9 @@ def test_bundled_graphs_are_parsed_once(monkeypatch):
 
     first = dataset.load_all()
     parsed = []
-    monkeypatch.setattr(dataset, "parse_adjacency_list", lambda text: parsed.append(text))
+    monkeypatch.setattr(
+        dataset, "parse_adjacency_list", lambda text: parsed.append(text) or parse_adjacency_list(text)
+    )
     assert dataset.load_all() == first
     assert dataset.load_graph("A") is first["A"]
     dataset.validate_base(dataset.extract_base())
