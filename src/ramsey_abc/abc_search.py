@@ -10,12 +10,14 @@ position for maxlimit rounds turns scout, loses its onlooker, and re-enters
 from a fresh random position. Onlookers hold no position, so the colony
 keeps their number, not an object for each.
 
-A neighbour is a move: the one edge (or attachment) it flips, with its exact
-fitness, which is the parent's counts changed by the cliques and independent
-sets through that edge (counting.flip_fitness, attachment_flip_fitness).
-Only fresh random positions, at start-up and for scouts, are counted from
-scratch. A move is applied, building the child position, only when an
-employed bee accepts it; most sampled moves are rejected and never built.
+A neighbour is a move: the one edge (or attachment) it flips, with either
+its exact fitness, which is the parent's counts changed by the cliques and
+independent sets through that edge (counting.flip_fitness,
+attachment_flip_fitness), or None, when counting stopped once the move was
+known to be no better than its source. Only fresh random positions, at
+start-up and for scouts, are counted from scratch. A move is applied,
+building the child position, only when an employed bee accepts it; most
+sampled moves are rejected and never built.
 
 Every run is a pure function of its parameters: one seeded generator drives
 all sampling, so identical params reproduce identical histories.
@@ -24,7 +26,7 @@ all sampling, so identical params reproduce identical histories.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import cycle
 from typing import Any, Callable
 
@@ -55,12 +57,13 @@ EXTENSION_MODE = "extension"
 
 @dataclass(frozen=True)
 class SearchParams:
-    """A run's parameters, checked when built. Only extension mode reads
-    degree_range, the band [LO, HI] each added vertex's total degree stays
-    in: full mode stores None, and extension mode given None stores
+    """A run's parameters, checked when built. degree_range is the band
+    [LO, HI] each added vertex's total degree stays in, as given (None to
+    derive it). band is the one the run searches: None in full mode, which
+    reads no band; in extension mode degree_range, or, given None,
     bounds.degree_range(p, q, n), raising ValueError when that needs a Ramsey
-    value not exactly known or derives an empty band. A derived band is then
-    stored like a given one, so dataclasses.replace keeps it."""
+    value not exactly known or derives an empty band. band is not an init
+    field, so dataclasses.replace derives it again for the copy's p, q, n."""
 
     p: int
     q: int
@@ -72,6 +75,7 @@ class SearchParams:
     budget: int = 100_000
     mode: str = FULL_MODE
     degree_range: tuple[int, int] | None = None
+    band: tuple[int, int] | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         for name in ("p", "q", "n", "colony_size", "maxlimit", "seed", "budget"):
@@ -100,21 +104,22 @@ class SearchParams:
             raise ValueError("orders p, q must lie in 1..n")
         if self.n > MAX_VERTICES:
             raise ValueError(f"n must be at most {MAX_VERTICES}, got {self.n}")
-        if self.mode == FULL_MODE:
-            rng = None
-        elif rng is None:
+        if rng is not None:
+            rng = tuple(rng)
+            object.__setattr__(self, "degree_range", rng)
+        if self.mode == EXTENSION_MODE and rng is None:
             hint = "; pass degree_range (--degree-range LO..HI)"
             try:
-                band = bounds.degree_range(self.p, self.q, self.n)
+                derived = bounds.degree_range(self.p, self.q, self.n)
             except ValueError as exc:
                 raise ValueError(f"cannot derive degree_range: {exc}{hint}") from None
-            if not band.feasible:
+            if not derived.feasible:
                 raise ValueError(
-                    f"the derived witness band [{band.lo}, {band.hi}] of "
+                    f"the derived witness band [{derived.lo}, {derived.hi}] of "
                     f"({self.p},{self.q},{self.n}) is empty{hint}"
                 )
-            rng = (band.lo, band.hi)
-        object.__setattr__(self, "degree_range", None if rng is None else tuple(rng))
+            rng = (derived.lo, derived.hi)
+        object.__setattr__(self, "band", rng if self.mode == EXTENSION_MODE else None)
 
 
 def _is_int(value) -> bool:
@@ -164,11 +169,14 @@ class Colony:
     """Mutable search state: the food sources, the number of onlookers,
     counters, best-so-far, and the four mode-specific callables: evaluate
     scores a position from scratch, random_position draws a fresh one,
-    neighbor(position, fitness, rng) draws one move together with the exact
+    neighbor(position, fitness, rng) draws one move together with the
     fitness of the position it leads to, derived from the parent's fitness
     and the one edge the move flips (or None when no move is legal), and
-    apply(position, move) builds that position. Only evaluate checks its
-    input; neighbor trusts it."""
+    apply(position, move) builds that position. That fitness is exact, or
+    None when the position's total is at least fitness.total: neighbor
+    passes the parent's total to its scorer as the bound, so a move that
+    cannot strictly improve its source is not counted to the end. Only
+    evaluate checks its input; neighbor trusts it."""
 
     def __init__(
         self,
@@ -176,7 +184,7 @@ class Colony:
         evaluate: Callable[[Any], FitnessReport],
         random_position: Callable[[random.Random], Any],
         neighbor: Callable[
-            [Any, FitnessReport, random.Random], tuple[Any, FitnessReport] | None
+            [Any, FitnessReport, random.Random], tuple[Any, FitnessReport | None] | None
         ],
         apply: Callable[[Any, Any], Any],
     ):
@@ -281,7 +289,7 @@ def make_colony(
 
         def neighbor(pos: Graph, rep: FitnessReport, rng: random.Random):
             u, v = _random_pair(params.n, rng)
-            return (u, v), flip_fitness(pos, rep, u, v, params.p, params.q)
+            return (u, v), flip_fitness(pos, rep, u, v, params.p, params.q, rep.total)
 
         def apply(pos: Graph, move: tuple[int, int]) -> Graph:
             return toggle_edge(pos, *move)
@@ -298,7 +306,7 @@ def make_colony(
         raise ValueError(
             f"extension mode supports 1..7 added vertices, got n={params.n} over base {base.n}"
         )
-    space = ExtensionSpace(base, enumerate_triangle_free(added), params.degree_range)
+    space = ExtensionSpace(base, enumerate_triangle_free(added), params.band)
     if cache is None:
         q = params.q
         cache = build_indep_cache(base, range(max(1, q - added), min(q, base.n) + 1))
@@ -311,7 +319,9 @@ def make_colony(
         move = mutate_extension(space, pos, rng)
         if move is None:
             return None
-        return move, attachment_flip_fitness(cache, pos, rep, *move, params.p, params.q)
+        return move, attachment_flip_fitness(
+            cache, pos, rep, *move, params.p, params.q, rep.total
+        )
 
     def apply(pos, move: tuple[int, int]):
         return toggle_attachment(pos, *move)
@@ -354,7 +364,10 @@ def employed_phase(colony: Colony, rng: random.Random) -> None:
     built and offered as the colony best. No other sample could have been
     it: the colony best is never above a source's fitness, so a sample
     below it also strictly improves the source, and min keeps the first of
-    equal samples as offer keeps the first strict best.
+    equal samples as offer keeps the first strict best. A sample scored
+    None is at least as bad as the source, so it is charged but is no
+    candidate: it could be neither the applied move nor a witness, and the
+    applied move and every rng draw are the same as if it were counted.
     """
     params = colony.params
     for src in colony.sources:
@@ -372,6 +385,8 @@ def employed_phase(colony: Colony, rng: random.Random) -> None:
                 continue
             move, rep = drawn
             colony.evaluations += 1
+            if rep is None:
+                continue
             candidates.append((rep, move))
             if rep.total == 0:
                 break

@@ -63,7 +63,10 @@ class RunConfig:
     out_dir: str = "runs"
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self.params) | {k: getattr(self, k) for k in RUN_FILE_FIELDS}
+        """The flat JSON object, whose degree_range is the band the run searched."""
+        params = {k: getattr(self.params, k) for k in PARAM_FIELDS}
+        params["degree_range"] = self.params.band
+        return params | {k: getattr(self, k) for k in RUN_FILE_FIELDS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -75,7 +78,7 @@ class RunConfig:
         return cls(SearchParams(**params), **files)
 
 
-PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SearchParams))
+PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SearchParams) if f.init)
 RUN_FILE_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "params")
 
 

@@ -29,8 +29,14 @@ A search move flips one edge {u, v}, which creates or destroys only the
 cliques and independent sets containing both u and v. flip_fitness (a whole
 graph) and attachment_flip_fitness (an extension candidate) derive the
 neighbour's exact fitness from its parent's by counting just those, in
-N(u) & N(v) and in the common non-neighbourhood. Their one caller is the
-colony, whose inputs fitness / extension_fitness check, so they check none.
+N(u) & N(v) and in the common non-neighbourhood. The neighbour's total is
+the parent's minus the gain (the sets through the edge that the flip
+destroys) plus the loss (those it creates). Given a bound, a scorer counts
+the gain first and returns None, counting no more, once the total is known
+to be at least the bound: before the loss when the gain alone settles it,
+or, in extension mode, as soon as the loss counted so far does. Every
+report a scorer returns is exact. Their one caller is the colony, whose
+inputs fitness / extension_fitness check, so they check none.
 
 An extension's base-side independent sets come from IndepSetCache. Its one
 query, compatible_count, reads a column index of the sets that hold the
@@ -199,32 +205,39 @@ def fitness(g: Graph, p: int, q: int) -> FitnessReport:
     return FitnessReport(count_cliques(g, p), count_independent_sets(g, q))
 
 
-def flip_fitness(g: Graph, rep: FitnessReport, u: int, v: int, p: int, q: int) -> FitnessReport:
-    """Exact fitness of toggle_edge(g, u, v), given rep == fitness(g, p, q).
+def flip_fitness(
+    g: Graph, rep: FitnessReport, u: int, v: int, p: int, q: int, bound: int | None = None
+) -> FitnessReport | None:
+    """Exact fitness of toggle_edge(g, u, v), given rep == fitness(g, p, q),
+    or None when bound is given and that fitness's total is at least bound.
 
     Flipping {u, v} creates or destroys exactly the p-cliques and
     q-independent sets that contain both u and v: the K_{p-2} inside
     N(u) & N(v), and the (q-2)-independent sets inside the common
-    non-neighbourhood. Adding the edge gains the first and loses the second;
-    removing it does the reverse.
+    non-neighbourhood. Removing the edge gains (destroys) the first and
+    loses (creates) the second; adding it does the reverse. The gain is
+    counted first, and the loss only if rep.total - gain < bound.
 
     Trusts its caller: p, q in 1..g.n (checked by fitness) and u != v in
     range(g.n) (drawn by abc_search._random_pair).
     """
     adj, comp = g.adj, g.complement_rows
-    cliques = _count_complete(adj, adj[u] & adj[v], p - 2)
-    indep = _count_complete(comp, comp[u] & comp[v], q - 2)
-    return _apply_flip(rep, adj[u] >> v & 1, cliques, indep)
+    present = adj[u] >> v & 1
+    cliques = adj, adj[u] & adj[v], p - 2
+    indep = comp, comp[u] & comp[v], q - 2
+    gain = _count_complete(*(cliques if present else indep))
+    if bound is not None and rep.total - gain >= bound:
+        return None
+    return _apply_flip(rep, present, gain, _count_complete(*(indep if present else cliques)))
 
 
-def _apply_flip(rep: FitnessReport, present: int, cliques: int, indep: int) -> FitnessReport:
-    """rep changed by flipping an edge that lies in `cliques` p-cliques or
-    `indep` q-independent sets of the graph with it (or without it): removing
-    a present edge loses those cliques and gains those independent sets,
-    adding an absent one does the reverse."""
+def _apply_flip(rep: FitnessReport, present: int, gain: int, loss: int) -> FitnessReport:
+    """rep changed by flipping an edge whose flip destroys `gain` sets and
+    creates `loss`: removing a present edge destroys p-cliques and creates
+    q-independent sets, adding an absent one does the reverse."""
     if present:
-        return FitnessReport(rep.clique_count - cliques, rep.indep_count + indep)
-    return FitnessReport(rep.clique_count + cliques, rep.indep_count - indep)
+        return FitnessReport(rep.clique_count - gain, rep.indep_count + loss)
+    return FitnessReport(rep.clique_count + loss, rep.indep_count - gain)
 
 
 def find_clique(g: Graph, p: int) -> tuple[int, ...] | None:
@@ -428,10 +441,12 @@ def extension_fitness(cache: IndepSetCache, ext, p: int, q: int) -> FitnessRepor
 
 
 def attachment_flip_fitness(
-    cache: IndepSetCache, ext, rep: FitnessReport, i: int, v: int, p: int, q: int
-) -> FitnessReport:
+    cache: IndepSetCache, ext, rep: FitnessReport, i: int, v: int, p: int, q: int,
+    bound: int | None = None,
+) -> FitnessReport | None:
     """Exact fitness of ext with the edge between added vertex i and base
-    vertex v flipped, given rep == extension_fitness(cache, ext, p, q).
+    vertex v flipped, given rep == extension_fitness(cache, ext, p, q), or
+    None when bound is given and that fitness's total is at least bound.
 
     The flip_fitness identity on the assembled graph, with x = m + i: the
     p-cliques through {x, v} are the K_{p-2} inside N(x) & N(v), which is
@@ -442,33 +457,58 @@ def attachment_flip_fitness(
     (q - |T|)-set S of the base containing v, where S avoids the union U of
     T's attachments taken without the edge.
 
+    As in flip_fitness, the gain is counted first and the loss only if
+    rep.total - gain < bound. A removal's loss, the independent sets, is
+    summed query by query and abandoned (None) once it reaches
+    bound - rep.total + gain, where the child's total reaches bound.
+
     Trusts its caller: extension_fitness has checked (cache, ext, p, q) on
     a position with ext's base and inner size, and (i, v) is a move of
     construct.mutate_extension, so 0 <= i < a and 0 <= v < m.
     """
     m = cache.base.n
     bv = 1 << v
+    present = ext.attachments[i] >> v & 1
+    atts = list(ext.attachments)
+    atts[i] &= ~bv
+    if present:
+        gain = _flip_cliques(ext, m, i, v, p)
+        if bound is not None and rep.total - gain >= bound:
+            return None
+        limit = None if bound is None else bound - rep.total + gain
+        loss = _cross_count(cache, ext.inner, atts, q, i, bv, limit)
+        if loss is None:
+            return None
+    else:
+        gain = _cross_count(cache, ext.inner, atts, q, member=i, through=bv)
+        if bound is not None and rep.total - gain >= bound:
+            return None
+        loss = _flip_cliques(ext, m, i, v, p)
+    return _apply_flip(rep, present, gain, loss)
+
+
+def _flip_cliques(ext, m: int, i: int, v: int, p: int) -> int:
+    """K_{p-2} count inside the common neighbourhood of added vertex i and
+    base vertex v in ext's assembled graph: the p-cliques through both when
+    they are joined."""
     owners_v = 0  # added vertices attached to v
     for j, att in enumerate(ext.attachments):
         owners_v |= (att >> v & 1) << j
-    att_i = ext.attachments[i]
-    common = (att_i & ext.base.adj[v]) | ((ext.inner.adj[i] & owners_v) << m)
+    common = (ext.attachments[i] & ext.base.adj[v]) | ((ext.inner.adj[i] & owners_v) << m)
     adj = assembled_adj(ext) if p - 2 >= 2 else ()
-    cliques = _count_complete(adj, common, p - 2)
-    atts = list(ext.attachments)
-    atts[i] &= ~bv
-    indep = _cross_count(cache, ext.inner, atts, q, member=i, through=bv)
-    return _apply_flip(rep, att_i >> v & 1, cliques, indep)
+    return _count_complete(adj, common, p - 2)
 
 
 def _cross_count(
-    cache: IndepSetCache, inner: Graph, atts, q: int, member: int | None = None, through: int = 0
-) -> int:
+    cache: IndepSetCache, inner: Graph, atts, q: int, member: int | None = None,
+    through: int = 0, limit: int | None = None,
+) -> int | None:
     """q-independent sets holding added vertex member (if given) and base
     mask through: an independent set T of the inner graph plus a cached
     (q - |T|)-set of the base that holds through and misses T's attachments
     atts. An empty base side counts only when through is empty; a size
     outside 1..m, or one the cache holds no set of, is skipped unqueried.
+    Given a limit, the sum stops, returning None, as soon as it reaches it.
     Raises ValueError if the cache lacks a size in 1..m that the walk reads."""
     m = cache.base.n
     sizes = cache.masks_by_size
@@ -486,6 +526,8 @@ def _cross_count(
                     avoid |= atts[j]
                 if not avoid & through:  # else T and through share an edge
                     count += cache.compatible_count(k, avoid, through)
+            if limit is not None and count >= limit:
+                return None
     except KeyError:
         raise ValueError(f"cache holds independent-set sizes {sorted(sizes)}, not {k}") from None
     return count

@@ -9,6 +9,7 @@ from ramsey_abc import abc_search, dataset
 from ramsey_abc.abc_search import (
     BUDGET_EXHAUSTED,
     EXTENSION_MODE,
+    FULL_MODE,
     WITNESS_FOUND,
     Colony,
     SearchParams,
@@ -23,7 +24,13 @@ from ramsey_abc.abc_search import (
     scout_phase,
 )
 from ramsey_abc.construct import DEFAULT_DEGREE_RANGE, ExtensionSpace
-from ramsey_abc.counting import FitnessReport, build_indep_cache, extension_fitness, fitness
+from ramsey_abc.counting import (
+    FitnessReport,
+    build_indep_cache,
+    extension_fitness,
+    fitness,
+    flip_fitness,
+)
 from ramsey_abc.graph import Graph, toggle_edge
 
 
@@ -64,19 +71,34 @@ def test_params_validation():
 
 def test_resolved_degree_range():
     # only extension mode reads a range, and None there derives the witness bound
-    assert small_params(degree_range=(1, 2)).degree_range is None
-    # full mode drops the band it is given, as bench/ passes the default one
-    assert small_params(degree_range=DEFAULT_DEGREE_RANGE).degree_range is None
+    assert small_params(degree_range=(1, 2)).band is None
+    # full mode searches no band, though bench/ passes the default one
+    assert small_params(degree_range=DEFAULT_DEGREE_RANGE).band is None
     ext = dict(q=10, mode=EXTENSION_MODE)
-    assert small_params(n=39, **ext).degree_range == (3, 9)
-    assert small_params(n=40, **ext).degree_range == (4, 9)
-    assert small_params(n=39, degree_range=(5, 7), **ext).degree_range == (5, 7)
-    assert small_params(n=39, degree_range=[5, 7], **ext).degree_range == (5, 7)
+    assert small_params(n=39, **ext).band == (3, 9)
+    assert small_params(n=40, **ext).band == (4, 9)
+    assert small_params(n=39, degree_range=(5, 7), **ext).band == (5, 7)
+    assert small_params(n=39, degree_range=[5, 7], **ext).band == (5, 7)
     with pytest.raises(ValueError, match="degree_range"):  # R(3,10) is not exactly known
         small_params(q=11, n=46, mode=EXTENSION_MODE)
     # bounds.degree_range(3, 5, 40) is [31, 4]: the band is empty, not the user's range
     with pytest.raises(ValueError, match=r"witness band \[31, 4\] of \(3,5,40\) is empty"):
         small_params(q=5, n=40, mode=EXTENSION_MODE)
+
+
+def test_replace_derives_the_band_again():
+    # a derived band belongs to its target: a copy for another n derives its own
+    derived = SearchParams(3, 10, 39, mode=EXTENSION_MODE)
+    assert (derived.degree_range, derived.band) == (None, (3, 9))
+    moved = dataclasses.replace(derived, n=40)
+    assert (moved.degree_range, moved.band) == (None, (4, 9))
+    assert moved == SearchParams(3, 10, 40, mode=EXTENSION_MODE)
+    # a given band is the user's and survives the copy, as it does in full mode
+    given = SearchParams(3, 10, 39, mode=EXTENSION_MODE, degree_range=[5, 7])
+    assert (given.degree_range, given.band) == ((5, 7), (5, 7))
+    assert dataclasses.replace(given, n=40).band == (5, 7)
+    full = dataclasses.replace(given, mode=FULL_MODE)
+    assert (full.degree_range, full.band) == ((5, 7), None)
 
 
 def test_make_colony_rejects_infeasible_inner_before_any_draw():
@@ -395,6 +417,45 @@ def test_run_counts_accepted_moves_and_scout_restarts(monkeypatch):
     assert (result.accepted_moves, result.scout_restarts) == (
         colony.accepted_moves, colony.scout_restarts)
 
+
+def test_settled_draw_is_charged_but_never_a_candidate():
+    # a followed source draws twice: the first draw is settled as no better
+    # (None), the second improves; only the second is applied, both are charged
+    colony, applied = _scripted_colony(lambda pos: FitnessReport(10 - pos, 0), maxlimit=5)
+    scores = iter([None, FitnessReport(8, 0), None])
+    colony.neighbor = lambda pos, rep, rng: (2, next(scores))
+    colony.sources[0].followed = True
+    employed_phase(colony, random.Random(0))
+    assert colony.evaluations == 3
+    assert applied == [2] and colony.accepted_moves == 1
+    first, second = colony.sources
+    assert (first.position, first.fitness.total, first.staynum) == (2, 8, 1)
+    assert (second.position, second.fitness.total, second.staynum) == (0, 10, 2)
+
+
+def test_run_charges_moves_settled_by_their_bound(monkeypatch):
+    # every scored move costs one evaluation, whether counted exactly or
+    # settled as no better than its source (None) part way through
+    scored, settled, fresh = [], [], []
+
+    def counted_flip(g, rep, u, v, p, q, bound=None):
+        out = flip_fitness(g, rep, u, v, p, q, bound)
+        assert bound == rep.total
+        scored.append(out)
+        if out is None:
+            settled.append((u, v))
+        return out
+
+    def counted_fitness(g, p, q):
+        fresh.append(g)
+        return fitness(g, p, q)
+
+    monkeypatch.setattr(abc_search, "flip_fitness", counted_flip)
+    monkeypatch.setattr(abc_search, "fitness", counted_fitness)
+    params = SearchParams(p=3, q=5, n=12, colony_size=6, maxlimit=4, seed=3, budget=3000)
+    result = run(params)
+    assert settled
+    assert result.evaluations == len(scored) + len(fresh) == params.budget
 
 def test_best_position_has_best_fitness():
     # the colony best is reported from a move's fitness and its position is

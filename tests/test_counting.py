@@ -473,3 +473,102 @@ def test_attachment_flip_fitness_with_shared_attachments():
             child = ExtensionState(ext.base, ext.inner, tuple(atts))
             flipped = attachment_flip_fitness(cache, ext, rep, i, v, p, q)
             assert flipped == fitness(extension_to_graph(child), p, q)
+
+
+def _assert_bounded(score, exact: counting.FitnessReport, total: int) -> None:
+    """score(bound) for every bound around total must be exact, or None only
+    where the exact total reaches the bound."""
+    for bound in range(total - 2, total + 3):
+        got = score(bound)
+        if got is None:
+            assert exact.total >= bound, (bound, exact)
+        else:
+            assert got == exact, (bound, got, exact)
+
+
+@given(graphs(min_n=5, max_n=9), st.sampled_from(FLIP_ORDERS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bounded_flip_fitness_is_exact_or_settled(g, orders, data):
+    p, q = orders
+    rep = fitness(g, p, q)
+    for _ in range(data.draw(st.integers(1, 8))):
+        u = data.draw(st.integers(0, g.n - 1))
+        v = data.draw(st.integers(0, g.n - 2))
+        v += v >= u
+        child = toggle_edge(g, u, v)
+        exact = fitness(child, p, q)
+        _assert_bounded(lambda b: flip_fitness(g, rep, u, v, p, q, b), exact, rep.total)
+        g, rep = child, exact
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_bounded_attachment_flip_fitness_is_exact_or_settled(ext_seed, walk_seed):
+    base, ext = _random_ext(ext_seed)
+    lo = max(ext.inner.degrees())
+    space = ExtensionSpace(base, (ext.inner,), (lo, lo + 4))  # as _random_ext draws it
+    cache = build_indep_cache(base, range(1, base.n + 1))
+    rng = random.Random(walk_seed)
+    for _ in range(10):
+        move = mutate_extension(space, ext, rng)
+        if move is None:
+            break
+        child = toggle_attachment(ext, *move)
+        g = extension_to_graph(child)
+        for p, q in [(3, 3), (3, 5), (2, 5), (4, 6)]:
+            rep = extension_fitness(cache, ext, p, q)
+            _assert_bounded(
+                lambda b: attachment_flip_fitness(cache, ext, rep, *move, p, q, b),
+                fitness(g, p, q), rep.total,
+            )
+        ext = child
+
+
+def test_bounded_attachment_flip_fitness_with_shared_attachments():
+    # every move of decomposed random graphs, whose added vertices may share
+    # base neighbours, at clique orders other than 3
+    rng = random.Random(11)
+    for _ in range(6):
+        ext = decompose_extension(random_graph(12, rng, density=0.45), 8)
+        cache = build_indep_cache(ext.base, range(1, 9))
+        for p, q in [(2, 4), (4, 4), (4, 5), (5, 3)]:
+            rep = extension_fitness(cache, ext, p, q)
+            for i in range(4):
+                for v in range(8):
+                    atts = list(ext.attachments)
+                    atts[i] ^= 1 << v
+                    child = ExtensionState(ext.base, ext.inner, tuple(atts))
+                    _assert_bounded(
+                        lambda b: attachment_flip_fitness(cache, ext, rep, i, v, p, q, b),
+                        fitness(extension_to_graph(child), p, q), rep.total,
+                    )
+
+
+def test_removing_an_edge_in_no_triangle_queries_nothing(monkeypatch):
+    # its gain is 0, so at the source's own total as bound it cannot improve
+    queried = []
+    query = counting.IndepSetCache.compatible_count
+
+    def counted(self, k, avoid, through=0):
+        queried.append(k)
+        return query(self, k, avoid, through)
+
+    monkeypatch.setattr(counting.IndepSetCache, "compatible_count", counted)
+    found = 0
+    for seed in range(10):
+        base, ext = _random_ext(seed)
+        cache = build_indep_cache(base, range(1, base.n + 1))
+        rep = extension_fitness(cache, ext, 3, 5)
+        g = extension_to_graph(ext)
+        for i, att in enumerate(ext.attachments):
+            for v in range(base.n):
+                x = base.n + i
+                if not att >> v & 1 or g.adj[x] & g.adj[v]:
+                    continue  # absent, or in a triangle
+                found += 1
+                queried.clear()
+                assert attachment_flip_fitness(cache, ext, rep, i, v, 3, 5, rep.total) is None
+                assert queried == []
+                unbounded = attachment_flip_fitness(cache, ext, rep, i, v, 3, 5)
+                assert unbounded.total >= rep.total and queried  # the bound saved queries
+    assert found
