@@ -25,6 +25,16 @@ extends a set only through the few neighbours peeled after it; a count does
 not depend on labels, so it stays exact. Smaller k and every move scorer walk
 the rows as they are, where the peel would cost more than it saves.
 
+One count is not the walk: independence_polynomial counts the independent
+sets of every size at once, and with them the independence number, by the
+vertex recursion I(G) = I(G - v) + x I(G - N[v]) (Gutman and Harary, 1983).
+The walk's cost grows with the number of sets it counts, the recursion's
+with its branching, so each is used where it is cheaper: the base census in
+dataset.validate_base asks for four sizes and alpha, about 60,000 sets,
+which one recursion settles about three times faster than four walks and a
+branch and bound; a single size, such as the 10-sets of a 40-vertex graph,
+is about three times faster walked.
+
 A search move flips one edge {u, v}, which creates or destroys only the
 cliques and independent sets containing both u and v. flip_fitness (a whole
 graph) and attachment_flip_fitness (an extension candidate) derive the
@@ -52,6 +62,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, compress
+from math import comb
 from operator import itemgetter
 
 from .construct import assembled_adj
@@ -294,6 +305,78 @@ def max_independent_set(g: Graph) -> tuple[int, tuple[int, ...]]:
 
     expand(0, 0, (1 << g.n) - 1)
     return best_size, tuple(_bits(best_mask))
+
+
+def independence_polynomial(g: Graph) -> tuple[int, ...]:
+    """Entry k is the exact number of k-vertex independent sets of g, for
+    k = 0..alpha(g), so the independence number is the length minus one.
+
+    Counted by the vertex recursion I(G) = I(G - v) + x I(G - N[v]) (see
+    _indep_poly), whose cost is set by its branching, not by how many sets
+    there are. It counts every size at once; a single size is faster with
+    count_independent_sets."""
+    return _indep_poly(g.adj, {}, (1 << g.n) - 1)
+
+
+def _indep_poly(adj: tuple[int, ...], memo: dict, mask: int) -> tuple[int, ...]:
+    """Independence polynomial of the subgraph that the vertex mask mask
+    induces in the rows adj, as its coefficient tuple; memo maps the masks
+    already solved in this call to their tuples.
+
+    A disconnected mask multiplies the polynomial of its lowest vertex's
+    component by that of the rest. A connected mask of maximum degree <= 2
+    is a path or a cycle on n vertices, with k-set counts C(n - k + 1, k)
+    and C(n - k, k) + C(n - k - 1, k - 1). Otherwise the recursion branches
+    on a vertex v of maximum degree, the lowest on ties: the sets without v,
+    plus, one size up, the sets of the mask outside v and its neighbours.
+    A module-level function keeps the memo free of reference cycles, so it
+    is freed when the call returns."""
+    if not mask:
+        return (1,)
+    hit = memo.get(mask)
+    if hit is not None:
+        return hit
+    comp = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        while frontier:
+            b = frontier & -frontier
+            reach |= adj[b.bit_length() - 1]
+            frontier ^= b
+        frontier = reach & mask & ~comp
+        comp |= frontier
+    if comp != mask:
+        a = _indep_poly(adj, memo, comp)
+        b = _indep_poly(adj, memo, mask ^ comp)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    else:
+        top, pivot, degrees = -1, -1, 0
+        left = mask
+        while left:
+            b = left & -left
+            left ^= b
+            v = b.bit_length() - 1
+            d = (adj[v] & mask).bit_count()
+            degrees += d
+            if d > top:
+                top, pivot = d, v
+        n = mask.bit_count()
+        if top <= 2 and degrees == 2 * n:  # a cycle
+            out = [1] + [comb(n - k, k) + comb(n - k - 1, k - 1) for k in range(1, n // 2 + 1)]
+        elif top <= 2:  # a path
+            out = [comb(n - k + 1, k) for k in range((n + 1) // 2 + 1)]
+        else:
+            bv = 1 << pivot
+            out = list(_indep_poly(adj, memo, mask ^ bv))
+            rest = _indep_poly(adj, memo, mask & ~(adj[pivot] | bv))
+            out += [0] * (len(rest) + 1 - len(out))
+            for k, c in enumerate(rest, 1):
+                out[k] += c
+    memo[mask] = out = tuple(out)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
+import gc
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,7 @@ from ramsey_abc.counting import (
     find_independent_set,
     fitness,
     flip_fitness,
+    independence_polynomial,
     max_independent_set,
 )
 from ramsey_abc.graph import Graph, complement, induced_subgraph, relabel, toggle_edge
@@ -176,6 +179,67 @@ def test_max_independent_set_up_to_twenty_vertices():
     cases += [random_graph(n, rng, density=d) for n in (16, 18, 20) for d in (0.3, 0.6)]
     for g in cases:
         assert max_independent_set(g)[0] == recursive_independence_number(g)
+
+
+@given(graphs(max_n=14))
+@settings(max_examples=150)
+def test_independence_polynomial_oracle(g):
+    poly = independence_polynomial(g)
+    assert len(poly) - 1 == brute_independence_number(g)
+    assert list(poly) == [brute_count_indep(g, k) if k else 1 for k in range(len(poly))]
+
+
+def _path(n: int) -> Graph:
+    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def test_independence_polynomial_examples():
+    fib, lucas = [0, 1], [2, 1]
+    for _ in range(14):
+        fib.append(fib[-1] + fib[-2])
+        lucas.append(lucas[-1] + lucas[-2])
+    cases = [(_path(n), fib[n + 2]) for n in range(1, 13)]  # all independent sets
+    cases += [(Graph.cycle(n), lucas[n]) for n in range(3, 13)]
+    for g, total in cases:
+        poly = independence_polynomial(g)
+        assert sum(poly) == total
+        assert list(poly) == [1] + [brute_count_indep(g, k) for k in range(1, len(poly))]
+        assert len(poly) - 1 == brute_independence_number(g)
+    # C5 + P3 + K4 (vertices 0-4, 5-7, 8-11): (1 + 5x + 5x^2)(1 + 3x + x^2)(1 + 4x)
+    cycle = [(v, (v + 1) % 5) for v in range(5)]
+    union = Graph.from_edges(12, cycle + [(5, 6), (6, 7)] + list(combinations(range(8, 12), 2)))
+    assert independence_polynomial(union) == (1, 12, 53, 104, 85, 20)
+    assert independence_polynomial(Graph.empty(9)) == tuple(comb(9, k) for k in range(10))
+    assert independence_polynomial(Graph.complete(9)) == (1, 9)
+
+
+def test_independence_polynomial_matches_the_walk_on_64_vertices():
+    g = random_graph(64, random.Random(64))
+    poly = independence_polynomial(g)
+    assert len(poly) - 1 == max_independent_set(g)[0]
+    assert list(poly[1:]) == [count_independent_sets(g, k) for k in range(1, len(poly))]
+
+
+def test_independence_polynomial_of_the_base():
+    from ramsey_abc import dataset
+
+    base = dataset.extract_base()
+    assert independence_polynomial(base) == (1, 35, 455, 2905, 10150, 20265, 22995, 13760, 3360)
+
+
+def test_independence_polynomial_leaves_no_garbage():
+    # the per-call memo must be freed when the call returns, not held by a
+    # reference cycle until the next full collection
+    from ramsey_abc import dataset
+
+    base = dataset.extract_base()
+    gc.collect()
+    gc.disable()
+    try:
+        independence_polynomial(base)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_build_cache_small_graphs(c5):
@@ -427,6 +491,7 @@ def test_counting_builds_no_graph(monkeypatch):
         "count_independent_sets (peel order)": lambda: count_independent_sets(g, 5),
         "find_independent_set": lambda: find_independent_set(g, 3),
         "max_independent_set": lambda: max_independent_set(g),
+        "independence_polynomial": lambda: independence_polynomial(g),
         "build_indep_cache": lambda: build_indep_cache(g, range(1, 4)),
         "flip_fitness": lambda: flip_fitness(g, rep, 0, 2, 3, 3),
         "extension_fitness": lambda: extension_fitness(cache, ext, 3, 4),

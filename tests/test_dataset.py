@@ -1,12 +1,15 @@
 """Ingestion checks for the bundled 40-vertex graphs and the extracted base."""
 
+import random
 from importlib import resources
 
 import pytest
+from helpers import random_graph
 
 from ramsey_abc import dataset
 from ramsey_abc.construct import decompose_extension, extension_to_graph
-from ramsey_abc.graph import emit_adjacency_list, parse_adjacency_list
+from ramsey_abc.counting import count_cliques, count_independent_sets, max_independent_set
+from ramsey_abc.graph import Graph, emit_adjacency_list, parse_adjacency_list, toggle_edge
 
 
 def test_all_graphs_parse_clean():
@@ -63,6 +66,40 @@ def test_bases_identical_across_graphs():
 def test_base_validation_passes():
     rows = dataset.validate_base(dataset.extract_base())
     assert all(ok for _, ok, _ in rows)
+
+
+def _reference_rows(base):
+    """validate_base's rows counted one question at a time: the triangles,
+    alpha by branch and bound and each census size by the walk."""
+    degs = set(base.degrees())
+    triangles = count_cliques(base, 3)
+    alpha = max_independent_set(base)[0]
+    rows = [
+        ("8-regular", base.n == 35 and degs == {8}, f"n={base.n}, degrees={sorted(degs)}"),
+        ("triangle-free", triangles == 0, f"triangle count {triangles}"),
+        ("independence number 8", alpha == 8, f"computed {alpha}"),
+    ]
+    for k, expected in sorted(dataset.BASE_INDEP_CENSUS.items()):
+        count = count_independent_sets(base, k)
+        rows.append((f"{k}-independent sets = {expected}", count == expected, f"computed {count}"))
+    return rows
+
+
+def test_base_validation_rows_on_other_graphs():
+    base = dataset.extract_base()
+    u, v = base.edges()[0]
+    w = next(w for w in range(1, 35) if not base.has_edge(0, w))
+    cases = {
+        "shipped base": base,
+        "an edge removed": toggle_edge(base, u, v),
+        "a non-edge added": toggle_edge(base, 0, w),
+        "C35": Graph.cycle(35),
+        "random": random_graph(35, random.Random(35)),
+    }
+    for name, g in cases.items():
+        rows = dataset.validate_base(g)
+        assert rows == _reference_rows(g), name
+        assert all(ok for _, ok, _ in rows) == (name == "shipped base"), name
 
 
 def test_appendix_graphs_decompose_and_reassemble():
