@@ -14,8 +14,13 @@ Exits nonzero if any computed value contradicts a shipped claim.
 """
 
 import argparse
+import importlib.util
 import sys
 import time
+from pathlib import Path
+
+if importlib.util.find_spec("ramsey_abc") is None:  # a source checkout, not installed
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ramsey_abc import dataset, verify
 from ramsey_abc.bounds import degree_range

@@ -19,8 +19,13 @@ bad parameters, 5 when a reported best fitness fails certification.
 
 import argparse
 import dataclasses
+import importlib.util
 import sys
 import time
+from pathlib import Path
+
+if importlib.util.find_spec("ramsey_abc") is None:  # a source checkout, not installed
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ramsey_abc import dataset, verify
 from ramsey_abc.abc_search import EXTENSION_MODE, SearchParams, run

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from .graph import Graph, _bits, encode_graph6, induced_subgraph
 
@@ -40,6 +40,15 @@ class ExtensionState:
     def added_degree(self, i: int) -> int:
         """Total degree of added vertex i in the assembled graph."""
         return self.attachments[i].bit_count() + self.inner.degree(i)
+
+    @cached_property
+    def _move_tables(self) -> dict[tuple[int, int], tuple]:
+        """This position's move tables, by degree band (lo, hi): what
+        mutate_extension reads to draw a move, built on the band's first draw
+        (see _move_table) and kept while the position lives, as
+        Graph.complement_rows is. A colony draws many moves from one
+        position, so only the first draw per band pays for the table."""
+        return {}
 
 
 def _is_independent(g: Graph, mask: int) -> bool:
@@ -251,19 +260,14 @@ def mutate_extension(
     The moves of vertex i are its removals ascending, then its additions
     ascending; a uniform added vertex with a legal move is drawn, then a
     uniform move of it. The order fixes which move each rng draw picks, so a
-    seed replays the same search. Moves are counted, not listed.
+    seed replays the same search. Moves are counted, not listed, and counted
+    once per position and band: later draws read ext's memoised table.
     """
-    lo, hi = space.degree_range
-    attached = 0
-    for att in ext.attachments:
-        attached |= att
-    unattached = ((1 << ext.base.n) - 1) & ~attached
-    free = unattached.bit_count()
-    counts: list[tuple[int, int]] = []  # (removals, additions) per added vertex
-    for i, att in enumerate(ext.attachments):
-        d = ext.added_degree(i)
-        counts.append((att.bit_count() if d > lo else 0, free if d < hi else 0))
-    legal = [i for i, (rem, add) in enumerate(counts) if rem + add]
+    band = space.degree_range
+    table = ext._move_tables.get(band)
+    if table is None:
+        table = ext._move_tables[band] = _move_table(ext, *band)
+    unattached, counts, legal = table
     if not legal:
         return None
     i = legal[rng.randrange(len(legal))]
@@ -272,6 +276,23 @@ def mutate_extension(
     if r < rem:
         return i, _nth_bit(ext.attachments[i], r)
     return i, _nth_bit(unattached, r - rem)
+
+
+def _move_table(ext: ExtensionState, lo: int, hi: int) -> tuple:
+    """(unattached, counts, legal) of ext under the band [lo, hi]: the mask
+    of base vertices no added vertex is attached to, each added vertex's
+    (removals, additions) move counts, and the added vertices with a move."""
+    attached = 0
+    for att in ext.attachments:
+        attached |= att
+    unattached = ((1 << ext.base.n) - 1) & ~attached
+    free = unattached.bit_count()
+    counts: list[tuple[int, int]] = []
+    for i, att in enumerate(ext.attachments):
+        d = ext.added_degree(i)
+        counts.append((att.bit_count() if d > lo else 0, free if d < hi else 0))
+    legal = [i for i, (rem, add) in enumerate(counts) if rem + add]
+    return unattached, counts, legal
 
 
 def _nth_bit(mask: int, r: int) -> int:

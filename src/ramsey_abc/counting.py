@@ -47,6 +47,11 @@ to be at least the bound: before the loss when the gain alone settles it,
 or, in extension mode, as soon as the loss counted so far does. Every
 report a scorer returns is exact. Their one caller is the colony, whose
 inputs fitness / extension_fitness check, so they check none.
+attachment_flip_fitness walks the inner independent sets through its added
+vertex from a plan built once per inner graph (_subset_plan), and
+extension_fitness counts a fresh position's p-cliques as the base's count,
+taken once per cache and p, plus those through each added vertex, so
+neither re-walks what a position shares with the base or its inner graph.
 
 An extension's base-side independent sets come from IndepSetCache. Its one
 query, compatible_count, reads a column index of the sets that hold the
@@ -405,6 +410,7 @@ class IndepSetCache:
     base: Graph
     masks_by_size: dict[int, array]
     _index: dict = field(default_factory=dict, init=False, repr=False)
+    _base_cliques: dict = field(default_factory=dict, init=False, repr=False)  # p -> base count
 
     def compatible_count(self, k: int, avoid: int, through: int = 0) -> int:
         """Number of cached k-sets that contain every vertex of the mask
@@ -512,15 +518,24 @@ def extension_fitness(cache: IndepSetCache, ext, p: int, q: int) -> FitnessRepor
     q-independent sets split as (k-set in the base) x ((q-k)-set among the
     added vertices) with no attachment edge between the parts; the base-side
     counts come from the cache, so only the added-vertex independent subsets
-    (enumerated once per inner graph) are walked per call. p-cliques are
-    counted directly on the assembled rows. Must agree exactly with
-    fitness() on extension_to_graph(ext). The search calls this only for
-    fresh random positions; a neighbour is scored by attachment_flip_fitness.
+    (enumerated once per inner graph) are walked per call. A p-clique lies
+    in the base or has a highest added vertex x, so p-cliques are the base's
+    count, taken once per (cache, p), plus for each x the (p - 1)-cliques in
+    N(x) & (the base and the added vertices below x), counted on the
+    assembled rows. Must agree exactly with fitness() on
+    extension_to_graph(ext). The search calls this only for fresh random
+    positions; a neighbour is scored by attachment_flip_fitness.
     """
     _check_extension(cache, ext, p, q)
-    indep = _cross_count(cache, ext.inner, ext.attachments, q)
-    full = (1 << (cache.base.n + ext.inner.n)) - 1
-    return FitnessReport(_count_complete(assembled_adj(ext), full, p), indep)
+    m = cache.base.n
+    cliques = cache._base_cliques.get(p)
+    if cliques is None:
+        cliques = cache._base_cliques[p] = _count_deep(cache.base.adj, (1 << m) - 1, p)
+    adj = assembled_adj(ext) if p - 1 >= 2 else ()  # smaller orders read no row
+    for i, att in enumerate(ext.attachments):
+        lower = att | (ext.inner.adj[i] & ((1 << i) - 1)) << m
+        cliques += _count_complete(adj, lower, p - 1)
+    return FitnessReport(cliques, _cross_count(cache, ext.inner, ext.attachments, q))
 
 
 def attachment_flip_fitness(
@@ -537,8 +552,9 @@ def attachment_flip_fitness(
     attached to v) << m; the assembled rows are built only when p - 2 >= 2,
     as smaller orders read no row. A q-independent set through x and v is an
     independent set T of the inner graph containing i plus a cached
-    (q - |T|)-set S of the base containing v, where S avoids the union U of
-    T's attachments taken without the edge.
+    (q - |T|)-set S of the base containing v, where S avoids the union of
+    T's attachments taken without the edge; _through_count walks those T
+    from a plan built once per inner graph (see _subset_plan).
 
     As in flip_fitness, the gain is counted first and the loss only if
     rep.total - gain < bound. A removal's loss, the independent sets, is
@@ -549,24 +565,20 @@ def attachment_flip_fitness(
     a position with ext's base and inner size, and (i, v) is a move of
     construct.mutate_extension, so 0 <= i < a and 0 <= v < m.
     """
-    m = cache.base.n
-    bv = 1 << v
     present = ext.attachments[i] >> v & 1
-    atts = list(ext.attachments)
-    atts[i] &= ~bv
     if present:
-        gain = _flip_cliques(ext, m, i, v, p)
+        gain = _flip_cliques(ext, cache.base.n, i, v, p)
         if bound is not None and rep.total - gain >= bound:
             return None
         limit = None if bound is None else bound - rep.total + gain
-        loss = _cross_count(cache, ext.inner, atts, q, i, bv, limit)
+        loss = _through_count(cache, ext, q, i, v, limit)
         if loss is None:
             return None
     else:
-        gain = _cross_count(cache, ext.inner, atts, q, member=i, through=bv)
+        gain = _through_count(cache, ext, q, i, v)
         if bound is not None and rep.total - gain >= bound:
             return None
-        loss = _flip_cliques(ext, m, i, v, p)
+        loss = _flip_cliques(ext, cache.base.n, i, v, p)
     return _apply_flip(rep, present, gain, loss)
 
 
@@ -582,38 +594,70 @@ def _flip_cliques(ext, m: int, i: int, v: int, p: int) -> int:
     return _count_complete(adj, common, p - 2)
 
 
-def _cross_count(
-    cache: IndepSetCache, inner: Graph, atts, q: int, member: int | None = None,
-    through: int = 0, limit: int | None = None,
-) -> int | None:
-    """q-independent sets holding added vertex member (if given) and base
-    mask through: an independent set T of the inner graph plus a cached
-    (q - |T|)-set of the base that holds through and misses T's attachments
-    atts. An empty base side counts only when through is empty; a size
-    outside 1..m, or one the cache holds no set of, is skipped unqueried.
-    Given a limit, the sum stops, returning None, as soon as it reaches it.
-    Raises ValueError if the cache lacks a size in 1..m that the walk reads."""
+def _cross_count(cache: IndepSetCache, inner: Graph, atts, q: int) -> int:
+    """q-independent sets of the assembled graph: an independent set T of
+    the inner graph plus a cached (q - |T|)-set of the base that misses T's
+    attachments atts. A size outside 1..m, or one the cache holds no set of,
+    is skipped unqueried. Raises ValueError if the cache lacks a size in
+    1..m that the walk reads."""
     m = cache.base.n
     sizes = cache.masks_by_size
     count = 0
     try:
         for combo in _independent_subsets(inner):
-            if member is not None and member not in combo:
-                continue
             k = q - len(combo)
             if k == 0:
-                count += not through
+                count += 1
             elif 0 < k <= m and len(sizes[k]):
                 avoid = 0
                 for j in combo:
                     avoid |= atts[j]
-                if not avoid & through:  # else T and through share an edge
-                    count += cache.compatible_count(k, avoid, through)
-            if limit is not None and count >= limit:
-                return None
+                count += cache.compatible_count(k, avoid)
     except KeyError:
         raise ValueError(f"cache holds independent-set sizes {sorted(sizes)}, not {k}") from None
     return count
+
+
+def _through_count(
+    cache: IndepSetCache, ext, q: int, i: int, v: int, limit: int | None = None
+) -> int | None:
+    """q-independent sets that hold added vertex i and base vertex v once
+    their edge is absent: an independent set T of the inner graph holding i
+    plus a cached (q - |T|)-set of the base that holds v and misses T's
+    attachments, i's taken without v. A T with another member attached to v
+    counts nothing, and a size outside 1..m, or one the cache holds no set
+    of, is skipped unqueried. Given a positive limit, the sum stops,
+    returning None, as soon as it reaches it. The cache sizes were checked
+    by the position's extension_fitness."""
+    m = cache.base.n
+    sizes = cache.masks_by_size
+    atts = ext.attachments
+    bv = 1 << v
+    own = atts[i] & ~bv
+    count = 0
+    for size, others in _subset_plan(ext.inner)[i]:
+        k = q - size
+        if 0 < k <= m and len(sizes[k]):
+            avoid = own
+            for j in others:
+                avoid |= atts[j]
+            if not avoid & bv:  # else T and v share an edge
+                count += cache.compatible_count(k, avoid, bv)
+                if limit is not None and count >= limit:
+                    return None
+    return count
+
+
+@lru_cache(maxsize=256)
+def _subset_plan(g: Graph) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """Entry i lists (|T|, the members of T other than i) for every
+    independent vertex tuple T of g that holds i, in _independent_subsets
+    order: the walk of a move of added vertex i, built once per inner graph."""
+    subsets = _independent_subsets(g)
+    return tuple(
+        tuple((len(t), tuple(j for j in t if j != i)) for t in subsets if i in t)
+        for i in range(g.n)
+    )
 
 
 @lru_cache(maxsize=256)

@@ -267,6 +267,21 @@ def test_mutate_extension_matches_listed_oracle(
         ext = toggle_attachment(ext, *move)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_move_table_is_kept_per_band(seed):
+    # added degrees 2, 3, 4 give vertex 1 removals under (2, 4) but none under
+    # (3, 6), so a table memoised for one band would misdraw under the other
+    base = Graph.empty(12)
+    ext = ExtensionState(base, Graph.empty(3), (0b11, 0b11100, 0b111100000))
+    spaces = [ExtensionSpace(base, (), (2, 4)), ExtensionSpace(base, (), (3, 6))]
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for step in range(40):
+        space = spaces[step % 2]
+        move = mutate_extension(space, ext, rng)
+        assert move == brute_mutate_extension(ext, oracle_rng, space.degree_range)
+        assert rng.getstate() == oracle_rng.getstate()
+
+
 def test_serialize_roundtrip():
     rng = random.Random(13)
     base = random_graph(10, rng, density=0.4)

@@ -21,6 +21,7 @@ from ramsey_abc.construct import (
     ExtensionSpace,
     ExtensionState,
     decompose_extension,
+    enumerate_triangle_free,
     extension_to_graph,
     mutate_extension,
     random_extension,
@@ -391,6 +392,75 @@ def test_extension_fitness_missing_sizes(c5):
     cache = build_indep_cache(base, [1])
     with pytest.raises(ValueError, match="sizes"):
         extension_fitness(cache, ext, 3, 6)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_subset_plan_lists_every_independent_set_through_each_member(k):
+    # singletons included: T = {i} asks the base for q - 1 vertices, which it
+    # holds wherever q - 1 <= its independence number
+    for inner in enumerate_triangle_free(k):
+        plan = counting._subset_plan(inner)
+        assert len(plan) == k
+        for i in range(k):
+            brute = [
+                (size, tuple(j for j in t if j != i))
+                for size in range(1, k + 1)
+                for t in combinations(range(k), size)
+                if i in t and not any(inner.has_edge(u, w) for u, w in combinations(t, 2))
+            ]
+            assert list(plan[i]) == brute
+            assert plan[i][0] == (1, ())
+
+
+def _clique_cases():
+    """(base, ext) pairs whose bases hold cliques: random extensions of
+    dense random bases, and decomposed dense random graphs, whose added
+    vertices share attachments and carry inner edges."""
+    rng = random.Random(17)
+    for _ in range(6):
+        base = random_graph(10, rng, density=0.6)
+        inner = rng.choice(enumerate_triangle_free(4))
+        lo = max(inner.degrees())
+        yield base, random_extension(ExtensionSpace(base, (inner,), (lo, lo + 2)), 0, rng)
+    for _ in range(6):
+        ext = decompose_extension(random_graph(13, rng, density=0.6), 9)
+        yield ext.base, ext
+
+
+def test_extension_cliques_match_direct_count():
+    cases = list(_clique_cases())
+    assert all(count_cliques(base, 4) for base, _ in cases)
+    assert any(ext.attachments[0] & ext.attachments[1] for _, ext in cases)
+    assert any(ext.inner.edge_count() for _, ext in cases)
+    for base, ext in cases:
+        cache = build_indep_cache(base, range(1, base.n + 1))
+        g = extension_to_graph(ext)
+        for p in range(1, 6):
+            assert extension_fitness(cache, ext, p, 3).clique_count == count_cliques(g, p), p
+
+
+def test_base_cliques_counted_once_per_cache_and_order(monkeypatch):
+    # extension_fitness counts the base's p-cliques with the whole-graph count
+    # and keeps the result on the cache
+    rng = random.Random(4)
+    base = random_graph(10, rng, density=0.5)
+    inners = enumerate_triangle_free(3)
+    space = ExtensionSpace(base, inners, (2, 6))
+    positions = [random_extension(space, k % len(inners), rng) for k in range(30)]
+    expected = [fitness(extension_to_graph(ext), p, 4) for ext in positions for p in (3, 4)]
+    counted = []
+    deep = counting._count_deep
+
+    def counting_deep(adj, cand, k):
+        counted.append(k)
+        return deep(adj, cand, k)
+
+    monkeypatch.setattr(counting, "_count_deep", counting_deep)
+    for _ in range(2):  # a second cache counts again
+        cache = build_indep_cache(base, range(1, 5))
+        got = [extension_fitness(cache, ext, p, 4) for ext in positions for p in (3, 4)]
+        assert got == expected
+    assert counted == [3, 4, 3, 4]
 
 
 def test_sizes_above_the_base_order_count_nothing():

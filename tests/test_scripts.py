@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from ramsey_abc.counting import FitnessReport
 from ramsey_abc.graph import Graph
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = SCRIPTS.parent
 
 
 @pytest.fixture
@@ -45,3 +49,23 @@ def test_search_experiments_rejects_bad_params(experiments, capsys, flags):
     assert experiments.main(["--seeds", "1", *flags]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and "search" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scripts/reproduce_results.py"],
+        ["scripts/search_experiments.py", "--seeds", "1", "--budget", "500"],
+    ],
+    ids=["reproduce_results", "search_experiments"],
+)
+def test_scripts_run_from_a_checkout_without_install(argv):
+    # -S skips site-packages and PYTHONPATH is cleared, so the package is not
+    # importable until the script puts the checkout's src/ on sys.path
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-S", *argv], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "ModuleNotFoundError" not in done.stderr
