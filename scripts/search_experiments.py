@@ -28,20 +28,23 @@ if importlib.util.find_spec("ramsey_abc") is None:  # a source checkout, not ins
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ramsey_abc import dataset, verify
-from ramsey_abc.abc_search import EXTENSION_MODE, SearchParams, run
+from ramsey_abc.abc_search import EXTENSION_MODE, SearchParams, extension_cache, run
 from ramsey_abc.cli import EXIT_CLAIM, EXIT_OK, EXIT_USAGE
 from ramsey_abc.construct import extension_to_graph
 
 
 def batch(params: SearchParams, seeds, base=None) -> int | None:
     """Search params once per seed; the number of certified witnesses, or
-    None once a reported best fitness fails certification."""
+    None once a reported best fitness fails certification. In extension mode
+    every seed shares one base cache."""
+    extension = params.mode == EXTENSION_MODE
+    cache = extension_cache(params, base) if extension else None
     wins = 0
     for seed in seeds:
         t0 = time.perf_counter()
-        result = run(dataclasses.replace(params, seed=seed), base=base)
+        result = run(dataclasses.replace(params, seed=seed), base=base, cache=cache)
         best = result.best_position
-        graph = extension_to_graph(best) if params.mode == EXTENSION_MODE else best
+        graph = extension_to_graph(best) if extension else best
         cert = verify.certify(graph, params.p, params.q)
         total = result.best_fitness.total
         if cert.total != total:

@@ -270,6 +270,15 @@ def _random_pair(n: int, rng: random.Random) -> tuple[int, int]:
     return u, v
 
 
+def extension_cache(params: SearchParams, base: Graph):
+    """The base's independent-set cache for an extension search of params:
+    one size for every q - |T| in 1..base.n that an added-vertex set T can
+    ask of the base. It depends only on base, q and n, so runs that share
+    them (a batch of seeds) can share one cache."""
+    added = params.n - base.n
+    return build_indep_cache(base, range(max(1, params.q - added), min(params.q, base.n) + 1))
+
+
 def make_colony(
     params: SearchParams,
     base: Graph | None = None,
@@ -279,8 +288,8 @@ def make_colony(
     yet); full mode draws its random graphs at default_init_density.
     Extension mode builds one construct.ExtensionSpace over the inner-graph
     catalog, and random positions cycle through the catalog. Given no cache, it
-    builds one for every size q - |T| in 1..base.n an added-vertex set T
-    can ask of the base; the count names any size a given cache lacks."""
+    builds extension_cache(params, base); the count names any size a given
+    cache lacks."""
     if params.mode == FULL_MODE:
         density = default_init_density(params.p, params.q, params.n)
 
@@ -308,8 +317,7 @@ def make_colony(
         )
     space = ExtensionSpace(base, enumerate_triangle_free(added), params.band)
     if cache is None:
-        q = params.q
-        cache = build_indep_cache(base, range(max(1, q - added), min(q, base.n) + 1))
+        cache = extension_cache(params, base)
     inner_indices = cycle(range(len(space.inners)))
 
     def random_position(rng: random.Random):
@@ -363,11 +371,13 @@ def employed_phase(colony: Colony, rng: random.Random) -> None:
     Each sample is charged to the budget unbuilt; only the applied one is
     built and offered as the colony best. No other sample could have been
     it: the colony best is never above a source's fitness, so a sample
-    below it also strictly improves the source, and min keeps the first of
-    equal samples as offer keeps the first strict best. A sample scored
-    None is at least as bad as the source, so it is charged but is no
-    candidate: it could be neither the applied move nor a witness, and the
-    applied move and every rng draw are the same as if it were counted.
+    below it also strictly improves the source. The running best draw is
+    replaced only by a total strictly below both the source's and its own,
+    so the first of equal samples is kept, as offer keeps the first strict
+    best. A sample scored None is at least as bad as the source, so it is
+    charged but never becomes the best draw: it could be neither the applied
+    move nor a witness, and the applied move and every rng draw are the same
+    as if it were counted. A total of 0 ends the source's draws.
     """
     params = colony.params
     for src in colony.sources:
@@ -375,24 +385,23 @@ def employed_phase(colony: Colony, rng: random.Random) -> None:
             return
         if src.scout:
             continue
-        draws = 2 if src.followed else 1
-        candidates: list[tuple[FitnessReport, Any]] = []
-        for _ in range(draws):
+        best_total = src.fitness.total
+        best = None
+        for _ in range(2 if src.followed else 1):
             if colony.spent():
                 break
             drawn = colony.neighbor(src.position, src.fitness, rng)
             if drawn is None:
                 continue
-            move, rep = drawn
             colony.evaluations += 1
-            if rep is None:
-                continue
-            candidates.append((rep, move))
-            if rep.total == 0:
-                break
-        best = min(candidates, key=lambda c: c[0].total, default=None)
-        if best is not None and best[0].total < src.fitness.total:
-            rep, move = best
+            rep = drawn[1]
+            if rep is not None and rep.total < best_total:
+                best_total = rep.total
+                best = drawn
+                if not best_total:
+                    break
+        if best is not None:
+            move, rep = best
             src.position = colony.apply(src.position, move)
             src.fitness = rep
             src.staynum = 1

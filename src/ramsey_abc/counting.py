@@ -19,7 +19,7 @@ extension's (construct.assembled_adj). Part of a graph is a vertex mask over
 those rows, so counting never builds a Graph.
 
 A deep whole-graph count (count_cliques, count_independent_sets and the
-deletion scan's 10-set count, from k = 5 up) first relabels the rows inside
+deletion scan's 9-set count, from k = 5 up) first relabels the rows inside
 its mask into min-degree peel order (degeneracy order), so each vertex
 extends a set only through the few neighbours peeled after it; a count does
 not depend on labels, so it stays exact. Smaller k and every move scorer walk
@@ -233,18 +233,21 @@ def flip_fitness(
     non-neighbourhood. Removing the edge gains (destroys) the first and
     loses (creates) the second; adding it does the reverse. The gain is
     counted first, and the loss only if rep.total - gain < bound.
+    _apply_flip is the one statement of the sign rule.
 
     Trusts its caller: p, q in 1..g.n (checked by fitness) and u != v in
     range(g.n) (drawn by abc_search._random_pair).
     """
     adj, comp = g.adj, g.complement_rows
-    present = adj[u] >> v & 1
-    cliques = adj, adj[u] & adj[v], p - 2
-    indep = comp, comp[u] & comp[v], q - 2
-    gain = _count_complete(*(cliques if present else indep))
+    if adj[u] >> v & 1:
+        gain = _count_complete(adj, adj[u] & adj[v], p - 2)
+        if bound is not None and rep.total - gain >= bound:
+            return None
+        return _apply_flip(rep, 1, gain, _count_complete(comp, comp[u] & comp[v], q - 2))
+    gain = _count_complete(comp, comp[u] & comp[v], q - 2)
     if bound is not None and rep.total - gain >= bound:
         return None
-    return _apply_flip(rep, present, gain, _count_complete(*(indep if present else cliques)))
+    return _apply_flip(rep, 0, gain, _count_complete(adj, adj[u] & adj[v], p - 2))
 
 
 def _apply_flip(rep: FitnessReport, present: int, gain: int, loss: int) -> FitnessReport:

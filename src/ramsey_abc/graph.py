@@ -58,17 +58,23 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
-    def _derived(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+    def _derived(
+        cls, n: int, adj: tuple[int, ...], complement_rows: tuple[int, ...] | None = None
+    ) -> "Graph":
         """Build a Graph without __post_init__'s checks.
 
         Precondition: adj is a valid adjacency table for n vertices, as
         Graph(n, adj) would accept: a tuple of n int rows within 0..n-1, no
         self-loops, symmetric. Only rows derived from a valid Graph, or
         symmetric by construction, may come through here; every outside
-        input goes through Graph(n, adj) or a parser.
+        input goes through Graph(n, adj) or a parser. complement_rows, when
+        given, must equal the complement_rows that Graph(n, adj) would
+        compute; it is stored as already computed. None leaves them lazy.
         """
         g = object.__new__(cls)
         g.__dict__.update(n=n, adj=adj)
+        if complement_rows is not None:
+            g.__dict__["complement_rows"] = complement_rows
         return g
 
     @classmethod
@@ -120,7 +126,10 @@ class Graph:
 
     @cached_property
     def complement_rows(self) -> tuple[int, ...]:
-        """Adjacency rows of complement(self), computed at most once per graph."""
+        """Adjacency rows of complement(self). They are computed at most once
+        along a chain of toggle_edge calls, not once per graph: a child of a
+        graph whose rows were read is handed them with its two bits flipped,
+        and a child of one whose rows were never read stays lazy."""
         full = (1 << self.n) - 1
         return tuple(full ^ m ^ (1 << v) for v, m in enumerate(self.adj))
 
@@ -134,15 +143,26 @@ def _bits(mask: int):
 
 
 def toggle_edge(g: Graph, u: int, v: int) -> Graph:
-    """Return a copy of g with the edge {u, v} flipped (present <-> absent)."""
+    """Return a copy of g with the edge {u, v} flipped (present <-> absent).
+
+    The flip changes the same two bits of the complement, so when g's
+    complement_rows were already computed the copy gets them with those
+    bits flipped instead of rebuilding all n rows; otherwise it stays lazy."""
     if u == v:
         raise ValueError("cannot toggle a self-loop")
     if not (type(u) is type(v) is int and 0 <= u < g.n and 0 <= v < g.n):
         raise ValueError(f"vertices must be ints in 0..{g.n - 1}, got ({u!r}, {v!r})")
+    bu, bv = 1 << u, 1 << v
     adj = list(g.adj)
-    adj[u] ^= 1 << v
-    adj[v] ^= 1 << u
-    return Graph._derived(g.n, tuple(adj))
+    adj[u] ^= bv
+    adj[v] ^= bu
+    comp = g.__dict__.get("complement_rows")
+    if comp is not None:
+        comp = list(comp)
+        comp[u] ^= bv
+        comp[v] ^= bu
+        comp = tuple(comp)
+    return Graph._derived(g.n, tuple(adj), comp)
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:

@@ -84,8 +84,8 @@ def count_graph_builds(monkeypatch) -> tuple[list, list]:
         checked.append(self)
         check(self)
 
-    def counted_derive(cls, n, adj):
-        derived.append(derive(cls, n, adj))
+    def counted_derive(cls, n, adj, complement_rows=None):
+        derived.append(derive(cls, n, adj, complement_rows))
         return derived[-1]
 
     monkeypatch.setattr(Graph, "__post_init__", counted_check)

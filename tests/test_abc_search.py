@@ -433,6 +433,24 @@ def test_settled_draw_is_charged_but_never_a_candidate():
     assert (second.position, second.fitness.total, second.staynum) == (0, 10, 2)
 
 
+@pytest.mark.parametrize(
+    "second, applied_step", [(FitnessReport(7, 0), 1), (FitnessReport(6, 0), 2)],
+    ids=["tie-keeps-the-first", "strictly-better-second"],
+)
+def test_followed_source_applies_its_best_draw(second, applied_step):
+    # a followed source draws twice below its total of 10: on a tie the
+    # first draw is applied, and the second only when strictly better
+    colony, applied = _scripted_colony(lambda pos: FitnessReport(10 - pos, 0), maxlimit=5)
+    scores = iter([(1, FitnessReport(7, 0)), (2, second), (3, None)])
+    colony.neighbor = lambda pos, rep, rng: next(scores)
+    colony.sources[0].followed = True
+    employed_phase(colony, random.Random(0))
+    assert colony.evaluations == 3
+    assert applied == [applied_step]
+    first = colony.sources[0]
+    assert (first.position, first.fitness, first.staynum) == (applied_step, second, 1)
+
+
 def test_run_charges_moves_settled_by_their_bound(monkeypatch):
     # every scored move costs one evaluation, whether counted exactly or
     # settled as no better than its source (None) part way through

@@ -111,11 +111,11 @@ def test_oracle_equivalence_random(g, data):
 @given(graphs(max_n=10), st.data())
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_brute_force_inside_a_mask_with_holes(g, data):
-    # verify_deletions counts G - v as a mask with a hole; the kernel stops a
-    # branch once too few candidates remain, which must cut no set. The deep
-    # count walks the mask's rows relabelled into peel order, which must be
-    # the mask's induced subgraph again, and is checked at every k, not only
-    # from the order where _count_deep starts to peel
+    # verify_deletions counts inside v's non-neighbours, a mask with a hole;
+    # the kernel stops a branch once too few candidates remain, which must
+    # cut no set. The deep count walks the mask's rows relabelled into peel
+    # order, which must be the mask's induced subgraph again, and is checked
+    # at every k, not only from the order where _count_deep starts to peel
     hole = data.draw(st.integers(0, g.n - 1))
     mask = data.draw(st.integers(0, (1 << g.n) - 1)) & ~(1 << hole)
     for rows in (g.adj, g.complement_rows):

@@ -150,6 +150,24 @@ def test_complement_rows_are_the_complement_of_their_own_graph(g, data):
     assert child.complement_rows == complement(child).adj != g.complement_rows
 
 
+@given(graphs(min_n=2, max_n=12), st.booleans(), st.data())
+def test_toggle_chain_carries_complement_rows_only_once_read(g, read, data):
+    # a child of a graph whose rows were read is handed them with the flip's
+    # two bits changed, equal to a fresh graph's; a child of one whose rows
+    # were never read holds none until they are read
+    if read:
+        g.complement_rows
+    for _ in range(data.draw(st.integers(1, 6))):
+        u = data.draw(st.integers(0, g.n - 1))
+        v = data.draw(st.integers(0, g.n - 2))
+        g = toggle_edge(g, u, v + (v >= u))
+        assert ("complement_rows" in g.__dict__) is read
+    assert g.complement_rows == Graph(g.n, g.adj).complement_rows
+    child = toggle_edge(g, 0, 1)
+    assert "complement_rows" in child.__dict__
+    assert child.complement_rows == Graph(child.n, child.adj).complement_rows
+
+
 @given(graphs(min_n=2, max_n=12), st.data())
 def test_delete_vertex_edge_count(g, data):
     v = data.draw(st.integers(0, g.n - 1))

@@ -33,7 +33,7 @@ def test_search_experiments_counts_certified_witnesses(experiments, capsys):
 
 def test_search_experiments_refuses_an_uncertified_best(experiments, monkeypatch, capsys):
     # a search that reports K5 as a (3,3) witness: the exact recount has 10 triangles
-    def lying_run(params, base=None):
+    def lying_run(params, base=None, cache=None):
         return SearchResult(Graph.complete(5), FitnessReport(0, 0), 0, 1, (), WITNESS_FOUND)
 
     monkeypatch.setattr(experiments, "run", lying_run)
@@ -41,6 +41,25 @@ def test_search_experiments_refuses_an_uncertified_best(experiments, monkeypatch
     out, err = capsys.readouterr()
     assert "fails certification: exact count 10" in err
     assert "success" not in out
+
+
+def test_search_experiments_batch_builds_one_cache(experiments, monkeypatch, capsys):
+    # every seed of an extension batch searches the same base, q and n, so
+    # the base's independent-set cache is built once, not once per seed
+    from ramsey_abc import abc_search, dataset
+
+    built = []
+    build = abc_search.build_indep_cache
+
+    def counted_build(base, sizes):
+        built.append(tuple(sizes))
+        return build(base, sizes)
+
+    monkeypatch.setattr(abc_search, "build_indep_cache", counted_build)
+    params = abc_search.SearchParams(3, 10, 40, budget=200, mode=abc_search.EXTENSION_MODE)
+    assert experiments.batch(params, range(3), dataset.extract_base()) is not None
+    assert built == [tuple(range(5, 11))]
+    assert capsys.readouterr().out.count("  seed ") == 3
 
 
 @pytest.mark.parametrize("flags", [["--budget", "0"], ["--colony-size", "3"]])

@@ -119,3 +119,33 @@ def test_deletion_witnesses_certify_with_feasible_degrees():
         cert = certify(smaller, 3, 10)
         assert cert.is_witness
         assert cert.degree_feasible is True
+
+
+def test_deletion_scan_subtracts_the_sets_through_v():
+    # A and C, each with one edge removed, hold independent 10-sets, so each
+    # selected deletion's count is I10(G) minus the 9-sets among v's
+    # non-neighbours; the named rows and the scan read the direct masked count
+    from ramsey_abc import dataset
+    from ramsey_abc.counting import _count_deep, count_cliques, count_independent_sets
+    from ramsey_abc.graph import ParseReport, delete_vertex, toggle_edge
+
+    removed = {"A": (0, 1), "C": (0, 2)}
+    mutated = {name: toggle_edge(dataset.load_graph(name).graph, *e) for name, e in removed.items()}
+    assert all(count_independent_sets(g, 10) for g in mutated.values())
+    report = verify_deletions({name: ParseReport(g) for name, g in mutated.items()})
+
+    def direct(name, v):
+        g = mutated[name]
+        full = (1 << g.n) - 1
+        return _count_deep(g.complement_rows, full ^ (1 << v), 10)
+
+    witnesses = [
+        (name, v + 1)
+        for name, g in sorted(mutated.items())
+        for v in range(g.n)
+        if not count_cliques(delete_vertex(g, v)[0], 3) and not direct(name, v)
+    ]
+    assert report.scan_witnesses == tuple(witnesses)
+    tens = [row.ten_indep_count for row in report.named]
+    assert tens == [direct(row.name, row.vertex - 1) for row in report.named]
+    assert tens == [87, 71, 0, 15]
