@@ -13,11 +13,11 @@ keeps their number, not an object for each.
 A neighbour is a move: the one edge (or attachment) it flips, with either
 its exact fitness, which is the parent's counts changed by the cliques and
 independent sets through that edge (counting.flip_fitness,
-attachment_flip_fitness), or None, when counting stopped once the move was
-known to be no better than its source. Only fresh random positions, at
-start-up and for scouts, are counted from scratch. A move is applied,
-building the child position, only when an employed bee accepts it; most
-sampled moves are rejected and never built.
+attachment_flip_fitness) when it is strictly better than its source, or
+None when it is not, which the scorer may settle before counting it all.
+Only fresh random positions, at start-up and for scouts, are counted from
+scratch. A move is applied, building the child position, only when an
+employed bee accepts it; most sampled moves are rejected and never built.
 
 Every run is a pure function of its parameters: one seeded generator drives
 all sampling, so identical params reproduce identical histories.
@@ -100,6 +100,8 @@ class SearchParams:
             raise ValueError("budget must be positive")
         if self.mode not in (FULL_MODE, EXTENSION_MODE):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.n < 2:
+            raise ValueError(f"n must be at least 2, got {self.n}")
         if not (1 <= self.p <= self.n and 1 <= self.q <= self.n):
             raise ValueError("orders p, q must lie in 1..n")
         if self.n > MAX_VERTICES:
@@ -172,10 +174,9 @@ class Colony:
     neighbor(position, fitness, rng) draws one move together with the
     fitness of the position it leads to, derived from the parent's fitness
     and the one edge the move flips (or None when no move is legal), and
-    apply(position, move) builds that position. That fitness is exact, or
-    None when the position's total is at least fitness.total: neighbor
-    passes the parent's total to its scorer as the bound, so a move that
-    cannot strictly improve its source is not counted to the end. Only
+    apply(position, move) builds that position. That fitness is exact when
+    the position is strictly better than its source, and None otherwise, so
+    the scorer may stop counting a move once it cannot improve. Only
     evaluate checks its input; neighbor trusts it."""
 
     def __init__(
@@ -240,9 +241,8 @@ class Colony:
 
 def default_init_density(p: int, q: int, n: int) -> float:
     """Edge probability biasing random starts toward the feasible degree band:
-    midpoint of the admissible degree range over n-1, else 0.5."""
-    if n < 2:
-        return 0.5
+    midpoint of the admissible degree range over n-1, else 0.5. Needs
+    n >= 2, as SearchParams checks."""
     try:
         rng = bounds.degree_range(p, q, n)
     except ValueError:
@@ -298,7 +298,7 @@ def make_colony(
 
         def neighbor(pos: Graph, rep: FitnessReport, rng: random.Random):
             u, v = _random_pair(params.n, rng)
-            return (u, v), flip_fitness(pos, rep, u, v, params.p, params.q, rep.total)
+            return (u, v), flip_fitness(pos, rep, u, v, params.p, params.q)
 
         def apply(pos: Graph, move: tuple[int, int]) -> Graph:
             return toggle_edge(pos, *move)
@@ -327,9 +327,7 @@ def make_colony(
         move = mutate_extension(space, pos, rng)
         if move is None:
             return None
-        return move, attachment_flip_fitness(
-            cache, pos, rep, *move, params.p, params.q, rep.total
-        )
+        return move, attachment_flip_fitness(cache, pos, rep, *move, params.p, params.q)
 
     def apply(pos, move: tuple[int, int]):
         return toggle_attachment(pos, *move)

@@ -41,12 +41,13 @@ graph) and attachment_flip_fitness (an extension candidate) derive the
 neighbour's exact fitness from its parent's by counting just those, in
 N(u) & N(v) and in the common non-neighbourhood. The neighbour's total is
 the parent's minus the gain (the sets through the edge that the flip
-destroys) plus the loss (those it creates). Given a bound, a scorer counts
-the gain first and returns None, counting no more, once the total is known
-to be at least the bound: before the loss when the gain alone settles it,
-or, in extension mode, as soon as the loss counted so far does. Every
-report a scorer returns is exact. Their one caller is the colony, whose
-inputs fitness / extension_fitness check, so they check none.
+destroys) plus the loss (those it creates). A scorer returns the neighbour
+only when it is strictly better than its parent, the one move the colony
+can accept, and None otherwise (_settle). It counts the gain first and
+stops there when the gain is 0; in extension mode a removal's loss stops as
+soon as it reaches the gain. Every report a scorer returns is exact. Their
+one caller is the colony, whose inputs fitness / extension_fitness check,
+so they check none.
 attachment_flip_fitness walks the inner independent sets through its added
 vertex from a plan built once per inner graph (_subset_plan), and
 extension_fitness counts a fresh position's p-cliques as the base's count,
@@ -55,9 +56,8 @@ neither re-walks what a position shares with the base or its inner graph.
 
 An extension's base-side independent sets come from IndepSetCache. Its one
 query, compatible_count, reads a column index of the sets that hold the
-query's lowest through vertex, built on first use, so a move query reads
-only the sets through its base vertex (see IndepSetCache for why the count
-stays exact).
+query's vertex, built on first use, so a move query reads only the sets
+through its base vertex (see IndepSetCache for why the count stays exact).
 """
 
 from __future__ import annotations
@@ -222,18 +222,18 @@ def fitness(g: Graph, p: int, q: int) -> FitnessReport:
 
 
 def flip_fitness(
-    g: Graph, rep: FitnessReport, u: int, v: int, p: int, q: int, bound: int | None = None
+    g: Graph, rep: FitnessReport, u: int, v: int, p: int, q: int
 ) -> FitnessReport | None:
     """Exact fitness of toggle_edge(g, u, v), given rep == fitness(g, p, q),
-    or None when bound is given and that fitness's total is at least bound.
+    if it is strictly better than rep; else None.
 
     Flipping {u, v} creates or destroys exactly the p-cliques and
     q-independent sets that contain both u and v: the K_{p-2} inside
     N(u) & N(v), and the (q-2)-independent sets inside the common
     non-neighbourhood. Removing the edge gains (destroys) the first and
     loses (creates) the second; adding it does the reverse. The gain is
-    counted first, and the loss only if rep.total - gain < bound.
-    _apply_flip is the one statement of the sign rule.
+    counted first, and the loss only if the gain is positive; _settle
+    states the rule.
 
     Trusts its caller: p, q in 1..g.n (checked by fitness) and u != v in
     range(g.n) (drawn by abc_search._random_pair).
@@ -241,19 +241,24 @@ def flip_fitness(
     adj, comp = g.adj, g.complement_rows
     if adj[u] >> v & 1:
         gain = _count_complete(adj, adj[u] & adj[v], p - 2)
-        if bound is not None and rep.total - gain >= bound:
-            return None
-        return _apply_flip(rep, 1, gain, _count_complete(comp, comp[u] & comp[v], q - 2))
-    gain = _count_complete(comp, comp[u] & comp[v], q - 2)
-    if bound is not None and rep.total - gain >= bound:
-        return None
-    return _apply_flip(rep, 0, gain, _count_complete(adj, adj[u] & adj[v], p - 2))
+        if gain:
+            return _settle(rep, 1, gain, _count_complete(comp, comp[u] & comp[v], q - 2))
+    else:
+        gain = _count_complete(comp, comp[u] & comp[v], q - 2)
+        if gain:
+            return _settle(rep, 0, gain, _count_complete(adj, adj[u] & adj[v], p - 2))
+    return None
 
 
-def _apply_flip(rep: FitnessReport, present: int, gain: int, loss: int) -> FitnessReport:
+def _settle(rep: FitnessReport, present: int, gain: int, loss: int) -> FitnessReport | None:
     """rep changed by flipping an edge whose flip destroys `gain` sets and
-    creates `loss`: removing a present edge destroys p-cliques and creates
-    q-independent sets, adding an absent one does the reverse."""
+    creates `loss`, if that is strictly better than rep (loss < gain); else
+    None. Removing a present edge destroys p-cliques and creates
+    q-independent sets, adding an absent one does the reverse. No loss is
+    below a gain of 0, so a scorer whose gain is 0 counts no loss; a loss
+    counted only until it reaches the gain settles as None."""
+    if loss >= gain:
+        return None
     if present:
         return FitnessReport(rep.clique_count - gain, rep.indep_count + loss)
     return FitnessReport(rep.clique_count + loss, rep.indep_count - gain)
@@ -398,16 +403,15 @@ class IndepSetCache:
     added-vertex set T iff S & (union of T's attachment masks) == 0.
 
     compatible_count reads an index derived from masks_by_size on the first
-    query of each (k, anchor), where the anchor is the lowest vertex of the
-    query's through mask, or none when through is empty. The index holds
-    the k-sets that contain the anchor (every k-set when there is none), in
-    array order, as one int column per base vertex u: bit s is set iff the
-    s-th of those sets holds u. A query then reads only the sets through its
-    anchor, and its count is exact: it is the number of those sets that hold
-    every other through vertex (an AND of columns) and no avoid vertex (an
-    OR of columns, cleared). Only the anchor's non-neighbours are ORed,
-    because no independent set holding the anchor holds a neighbour of it,
-    so their columns are empty.
+    query of each (k, anchor), where the anchor is the query's base vertex v,
+    or none (-1) when the query names no vertex. The index holds the number
+    of k-sets that contain the anchor (every k-set when there is none) and
+    those sets, in array order, as one int column per base vertex u: bit s
+    is set iff the s-th of them holds u. A query then reads only the sets
+    through its anchor, and its count is exact: it is that number less the
+    sets that hold an avoid vertex (an OR of columns). Only the anchor's
+    non-neighbours are ORed, because no independent set holding the anchor
+    holds a neighbour of it, so their columns are empty.
     """
 
     base: Graph
@@ -415,28 +419,21 @@ class IndepSetCache:
     _index: dict = field(default_factory=dict, init=False, repr=False)
     _base_cliques: dict = field(default_factory=dict, init=False, repr=False)  # p -> base count
 
-    def compatible_count(self, k: int, avoid: int, through: int = 0) -> int:
-        """Number of cached k-sets that contain every vertex of the mask
-        through and none of the mask avoid; needs avoid & through == 0 and
-        through within the base. Exact for every held size, 0 for one with
-        no set."""
-        anchor = (through & -through).bit_length() - 1  # -1: no anchor
-        index = self._index.get((k, anchor))
+    def compatible_count(self, k: int, avoid: int, v: int = -1) -> int:
+        """Number of cached k-sets that contain the base vertex v (any set
+        for v = -1) and none of the mask avoid; needs v outside avoid. Exact
+        for every held size, 0 for one with no set."""
+        index = self._index.get((k, v))
         if index is None:
-            index = self._index[k, anchor] = _column_index(self, k, anchor)
-        held, columns, keep = index
-        rest = through & (through - 1)
-        while rest:
-            b = rest & -rest
-            held &= columns[b.bit_length() - 1]
-            rest ^= b
+            index = self._index[k, v] = _column_index(self, k, v)
+        total, columns, keep = index
         avoid &= keep
         out = 0
         while avoid:
             b = avoid & -avoid
             out |= columns[b.bit_length() - 1]
             avoid ^= b
-        return (held & ~out).bit_count()
+        return total - out.bit_count()
 
 
 # _LANES[u]: the offset of the byte that holds bit u of an 8-byte array('Q') item, in
@@ -446,11 +443,11 @@ _LANES = [((u >> 3) ^ _BIG, bytes(48 + (x >> u % 8 & 1) for x in range(256))) fo
 
 
 def _column_index(cache: IndepSetCache, k: int, anchor: int) -> tuple[int, list[int], int]:
-    """(held, columns, keep) over the cached k-sets that contain the base
-    vertex anchor, or over all of them for anchor -1: held has one bit per
-    set, bit s of columns[u] is set iff the s-th set holds u, and keep masks
-    the vertices such a set may hold besides the anchor. Column u is bit u
-    of every set as b"0"/b"1" digits (see _LANES), reversed and parsed."""
+    """(total, columns, keep) over the cached k-sets that contain the base
+    vertex anchor, or over all of them for anchor -1: total is their number,
+    bit s of columns[u] is set iff the s-th set holds u, and keep masks the
+    vertices such a set may hold besides the anchor. Column u is bit u of
+    every set as b"0"/b"1" digits (see _LANES), reversed and parsed."""
     m = cache.base.n
     sets = cache.masks_by_size[k]
     keep = (1 << m) - 1
@@ -461,7 +458,7 @@ def _column_index(cache: IndepSetCache, k: int, anchor: int) -> tuple[int, list[
         keep = cache.base.complement_rows[anchor]
     raw = sets.tobytes()
     columns = [int(b"0" + raw[j::8].translate(digits)[::-1], 2) for j, digits in _LANES[:m]]
-    return (1 << len(sets)) - 1, columns, keep
+    return len(sets), columns, keep
 
 
 def build_indep_cache(base: Graph, sizes) -> IndepSetCache:
@@ -542,12 +539,11 @@ def extension_fitness(cache: IndepSetCache, ext, p: int, q: int) -> FitnessRepor
 
 
 def attachment_flip_fitness(
-    cache: IndepSetCache, ext, rep: FitnessReport, i: int, v: int, p: int, q: int,
-    bound: int | None = None,
+    cache: IndepSetCache, ext, rep: FitnessReport, i: int, v: int, p: int, q: int
 ) -> FitnessReport | None:
     """Exact fitness of ext with the edge between added vertex i and base
-    vertex v flipped, given rep == extension_fitness(cache, ext, p, q), or
-    None when bound is given and that fitness's total is at least bound.
+    vertex v flipped, given rep == extension_fitness(cache, ext, p, q), if it
+    is strictly better than rep; else None.
 
     The flip_fitness identity on the assembled graph, with x = m + i: the
     p-cliques through {x, v} are the K_{p-2} inside N(x) & N(v), which is
@@ -559,30 +555,25 @@ def attachment_flip_fitness(
     T's attachments taken without the edge; _through_count walks those T
     from a plan built once per inner graph (see _subset_plan).
 
-    As in flip_fitness, the gain is counted first and the loss only if
-    rep.total - gain < bound. A removal's loss, the independent sets, is
-    summed query by query and abandoned (None) once it reaches
-    bound - rep.total + gain, where the child's total reaches bound.
+    As in flip_fitness, the gain is counted first and the loss only if the
+    gain is positive. A removal's loss, the independent sets, is summed
+    query by query and stops once it reaches the gain, which settles the
+    move as None.
 
     Trusts its caller: extension_fitness has checked (cache, ext, p, q) on
     a position with ext's base and inner size, and (i, v) is a move of
     construct.mutate_extension, so 0 <= i < a and 0 <= v < m.
     """
-    present = ext.attachments[i] >> v & 1
-    if present:
-        gain = _flip_cliques(ext, cache.base.n, i, v, p)
-        if bound is not None and rep.total - gain >= bound:
-            return None
-        limit = None if bound is None else bound - rep.total + gain
-        loss = _through_count(cache, ext, q, i, v, limit)
-        if loss is None:
-            return None
+    m = cache.base.n
+    if ext.attachments[i] >> v & 1:
+        gain = _flip_cliques(ext, m, i, v, p)
+        if gain:
+            return _settle(rep, 1, gain, _through_count(cache, ext, q, i, v, gain))
     else:
         gain = _through_count(cache, ext, q, i, v)
-        if bound is not None and rep.total - gain >= bound:
-            return None
-        loss = _flip_cliques(ext, cache.base.n, i, v, p)
-    return _apply_flip(rep, present, gain, loss)
+        if gain:
+            return _settle(rep, 0, gain, _flip_cliques(ext, m, i, v, p))
+    return None
 
 
 def _flip_cliques(ext, m: int, i: int, v: int, p: int) -> int:
@@ -623,15 +614,15 @@ def _cross_count(cache: IndepSetCache, inner: Graph, atts, q: int) -> int:
 
 def _through_count(
     cache: IndepSetCache, ext, q: int, i: int, v: int, limit: int | None = None
-) -> int | None:
+) -> int:
     """q-independent sets that hold added vertex i and base vertex v once
     their edge is absent: an independent set T of the inner graph holding i
     plus a cached (q - |T|)-set of the base that holds v and misses T's
     attachments, i's taken without v. A T with another member attached to v
     counts nothing, and a size outside 1..m, or one the cache holds no set
-    of, is skipped unqueried. Given a positive limit, the sum stops,
-    returning None, as soon as it reaches it. The cache sizes were checked
-    by the position's extension_fitness."""
+    of, is skipped unqueried. Given a limit, the sum stops as soon as it
+    reaches it, so a result of at least limit is a partial count. The cache
+    sizes were checked by the position's extension_fitness."""
     m = cache.base.n
     sizes = cache.masks_by_size
     atts = ext.attachments
@@ -645,9 +636,9 @@ def _through_count(
             for j in others:
                 avoid |= atts[j]
             if not avoid & bv:  # else T and v share an edge
-                count += cache.compatible_count(k, avoid, bv)
+                count += cache.compatible_count(k, avoid, v)
                 if limit is not None and count >= limit:
-                    return None
+                    break
     return count
 
 

@@ -200,23 +200,6 @@ def complement(g: Graph) -> Graph:
     return Graph._derived(g.n, g.complement_rows)
 
 
-def relabel(g: Graph, perm) -> Graph:
-    """Relabel vertices: perm[old] = new. perm must be a permutation of the ints 0..n-1."""
-    perm = tuple(perm)
-    if any(type(x) is not int for x in perm) or sorted(perm) != list(range(g.n)):
-        raise ValueError(f"not a permutation of the ints 0..{g.n - 1}")
-    adj = [0] * g.n
-    for v in range(g.n):
-        m = g.adj[v]
-        new = 0
-        while m:
-            b = m & -m
-            new |= 1 << perm[b.bit_length() - 1]
-            m ^= b
-        adj[perm[v]] = new
-    return Graph._derived(g.n, tuple(adj))
-
-
 @dataclass(frozen=True)
 class ParseReport:
     """Result of adjacency-list ingestion.

@@ -60,6 +60,11 @@ def recursive_independence_number(g: Graph) -> int:
     return rec((1 << g.n) - 1)
 
 
+def relabel(g: Graph, perm) -> Graph:
+    """g with each vertex v renamed perm[v]; perm is a permutation of 0..n-1."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False

@@ -59,6 +59,8 @@ def test_params_validation():
         small_params(p=6)
     with pytest.raises(ValueError, match="at most 64"):  # no Graph holds 65 vertices
         small_params(n=65)
+    with pytest.raises(ValueError, match="n must be at least 2"):  # a move needs two vertices
+        small_params(p=1, q=1, n=1)
     # field types, as a config file may give them
     for bad in ({"seed": True}, {"budget": 10.0}, {"alpha": "1"},
                 {"degree_range": (9, 4)}, {"degree_range": (1, 2, 3)}):
@@ -452,13 +454,13 @@ def test_followed_source_applies_its_best_draw(second, applied_step):
 
 
 def test_run_charges_moves_settled_by_their_bound(monkeypatch):
-    # every scored move costs one evaluation, whether counted exactly or
-    # settled as no better than its source (None) part way through
+    # every scored move costs one evaluation, whether it is strictly better
+    # than its source or settled as no better (None)
     scored, settled, fresh = [], [], []
 
-    def counted_flip(g, rep, u, v, p, q, bound=None):
-        out = flip_fitness(g, rep, u, v, p, q, bound)
-        assert bound == rep.total
+    def counted_flip(g, rep, u, v, p, q):
+        out = flip_fitness(g, rep, u, v, p, q)
+        assert out is None or out.total < rep.total
         scored.append(out)
         if out is None:
             settled.append((u, v))
@@ -474,6 +476,18 @@ def test_run_charges_moves_settled_by_their_bound(monkeypatch):
     result = run(params)
     assert settled
     assert result.evaluations == len(scored) + len(fresh) == params.budget
+
+def test_run_with_no_legal_move_charges_only_fresh_positions():
+    # at degree band (8, 8) no added vertex of a (3,10,36) extension has a
+    # legal move: every draw is None and uncharged, so only the random starts
+    # and the scouts spend the budget, and no move is ever accepted
+    params = SearchParams(3, 10, 36, mode=EXTENSION_MODE, seed=0, budget=200,
+                          degree_range=(8, 8))
+    result = run(params, base=dataset.extract_base())
+    assert result.reason == BUDGET_EXHAUSTED
+    assert result.evaluations == params.colony_size + result.scout_restarts
+    assert result.accepted_moves == 0
+
 
 def test_best_position_has_best_fitness():
     # the colony best is reported from a move's fitness and its position is

@@ -128,6 +128,7 @@ def test_search_config_file_with_flag_override(tmp_path):
         ({"p": 3, "q": 10, "mode": "extension", "base_file": 7}, EXIT_USAGE),
         ({"p": 3, "q": 10, "mode": "extension", "n": "39"}, EXIT_USAGE),
         ({"p": 3, "q": 4, "n": 8, "degree_range": [1, 2]}, EXIT_USAGE),  # full mode reads none
+        ({"p": 1, "q": 1, "n": 1, "seed": 0, "budget": 50}, EXIT_USAGE),  # no vertex pair to flip
     ],
 )
 def test_search_config_types_exit_cleanly(tmp_path, config, code):

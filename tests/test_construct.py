@@ -12,6 +12,7 @@ from helpers import (
     brute_mutate_extension,
     graph_from_mask,
     random_graph,
+    relabel,
 )
 from ramsey_abc.construct import (
     ExtensionSpace,
@@ -26,7 +27,7 @@ from ramsey_abc.construct import (
     toggle_attachment,
 )
 from ramsey_abc.counting import count_cliques
-from ramsey_abc.graph import Graph, decode_graph6, relabel
+from ramsey_abc.graph import Graph, decode_graph6
 
 
 class StubRng:

@@ -15,6 +15,7 @@ from helpers import (
     count_graph_builds,
     graphs,
     random_graph,
+    relabel,
 )
 from ramsey_abc import counting
 from ramsey_abc.construct import (
@@ -41,7 +42,7 @@ from ramsey_abc.counting import (
     independence_polynomial,
     max_independent_set,
 )
-from ramsey_abc.graph import Graph, complement, induced_subgraph, relabel, toggle_edge
+from ramsey_abc.graph import Graph, complement, induced_subgraph, toggle_edge
 
 
 def test_clique_count_examples(g1, c5):
@@ -270,11 +271,11 @@ def test_compatible_count_matches_filter():
         top = ((1 << n) - 1) >> low << low
         for _ in range(200):
             k = rng.choice(sizes)
-            avoid = rng.getrandbits(n) & rng.getrandbits(n) & top
-            through = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) & top & ~avoid
+            v = rng.randrange(low, n)
+            avoid = rng.getrandbits(n) & rng.getrandbits(n) & top & ~(1 << v)
             sets = list(map(int, cache.masks_by_size[k]))
-            want = sum(1 for s in sets if s & through == through and not s & avoid)
-            assert cache.compatible_count(k, avoid, through) == want
+            want = sum(1 for s in sets if s >> v & 1 and not s & avoid)
+            assert cache.compatible_count(k, avoid, v) == want
             assert cache.compatible_count(k, avoid) == sum(1 for s in sets if not s & avoid)
 
 
@@ -286,22 +287,19 @@ def test_compatible_count_matches_brute_filter(data):
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     g = random_graph(n, rng, density=data.draw(st.sampled_from([0.3, 0.5, 0.8])))
     cache = build_indep_cache(g, range(1, n + 1))
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)]
-    for _ in range(6):
-        picked = data.draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
-        if edges and data.draw(st.booleans()):
-            picked += data.draw(st.sampled_from(edges))  # an adjacent pair: no set holds both
-        through = sum(1 << v for v in set(picked))
-        avoid = data.draw(st.integers(0, (1 << n) - 1)) & ~through
-        if through and data.draw(st.booleans()):
-            anchor = (through & -through).bit_length() - 1
-            avoid |= g.adj[anchor] & ~through  # every neighbour of the anchor
-        for k in range(1, n + 1):
-            want = sum(
-                1 for s in map(int, cache.masks_by_size[k])
-                if s & through == through and not s & avoid
-            )
-            assert cache.compatible_count(k, avoid, through) == want
+    sets = {k: list(map(int, cache.masks_by_size[k])) for k in range(1, n + 1)}
+    for _ in range(3):
+        drawn = data.draw(st.integers(0, (1 << n) - 1))
+        with_neighbours = data.draw(st.booleans())
+        for v in range(-1, n):  # -1: no vertex
+            avoid = drawn
+            if v >= 0:
+                avoid &= ~(1 << v)
+                if with_neighbours:
+                    avoid |= g.adj[v]  # every neighbour of the query's vertex
+            for k, held in sets.items():
+                want = sum(1 for s in held if (v < 0 or s >> v & 1) and not s & avoid)
+                assert cache.compatible_count(k, avoid, v) == want
 
 
 def test_each_index_is_built_once_on_first_query(monkeypatch):
@@ -312,10 +310,10 @@ def test_each_index_is_built_once_on_first_query(monkeypatch):
     monkeypatch.setattr(
         counting, "_column_index", lambda c, k, a: built.append((k, a)) or build(c, k, a)
     )
-    queries = [(3, 0, 1), (3, 0b100, 1), (3, 0, 0b1001), (2, 0, 0), (3, 0b10, 0b1000), (2, 1, 0)]
+    queries = [(3, 0, 0), (3, 0b100, 0), (3, 0b1000, 0), (2, 0, -1), (3, 0b10, 3), (2, 1, -1)]
     counts = [cache.compatible_count(*query) for query in queries]
     assert [cache.compatible_count(*query) for query in queries] == counts
-    assert built == [(3, 0), (2, -1), (3, 3)]  # anchor: the lowest through vertex, -1 for none
+    assert built == [(3, 0), (2, -1), (3, 3)]  # anchor: the query's vertex, -1 for none
     assert sorted(cache._index) == sorted(built)
 
 
@@ -484,9 +482,9 @@ def test_walk_never_queries_an_empty_size(monkeypatch):
     queried = []
     query = counting.IndepSetCache.compatible_count
 
-    def counted(self, k, avoid, through=0):
+    def counted(self, k, avoid, v=-1):
         queried.append(k)
-        return query(self, k, avoid, through)
+        return query(self, k, avoid, v)
 
     monkeypatch.setattr(counting.IndepSetCache, "compatible_count", counted)
     rng = random.Random(3)
@@ -498,7 +496,8 @@ def test_walk_never_queries_an_empty_size(monkeypatch):
         for _ in range(3):
             i, v = mutate_extension(space, ext, rng)
             flipped = attachment_flip_fitness(cache, ext, rep, i, v, 3, 10)
-            assert flipped == fitness(extension_to_graph(toggle_attachment(ext, i, v)), 3, 10)
+            child = fitness(extension_to_graph(toggle_attachment(ext, i, v)), 3, 10)
+            _assert_settled(flipped, child, rep)
     assert queried and not {9, 10} & set(queried)
 
 
@@ -534,6 +533,12 @@ def test_deep_independent_set_counts_of_the_dataset_graphs():
 FLIP_ORDERS = [(1, 3), (2, 4), (3, 3), (3, 5), (4, 4)]
 
 
+def _assert_settled(got, child: counting.FitnessReport, rep: counting.FitnessReport) -> None:
+    """A move scorer returns the child's exact fitness when it is strictly
+    better than its source rep, and None otherwise."""
+    assert got == (child if child.total < rep.total else None), (got, child, rep)
+
+
 @given(graphs(min_n=5, max_n=9), st.sampled_from(FLIP_ORDERS), st.data())
 @settings(max_examples=60, deadline=None)
 def test_flip_fitness_walk_matches_recount(g, orders, data):
@@ -543,9 +548,10 @@ def test_flip_fitness_walk_matches_recount(g, orders, data):
         u = data.draw(st.integers(0, g.n - 1))
         v = data.draw(st.integers(0, g.n - 2))
         v += v >= u
-        rep = flip_fitness(g, rep, u, v, p, q)
-        g = toggle_edge(g, u, v)
-        assert rep == fitness(g, p, q)
+        child = toggle_edge(g, u, v)
+        exact = fitness(child, p, q)
+        _assert_settled(flip_fitness(g, rep, u, v, p, q), exact, rep)
+        g, rep = child, exact  # the walk goes on from the recount
         assert rep.total == brute_fitness(g, p, q)
 
 
@@ -588,8 +594,9 @@ def test_attachment_flip_fitness_walk_matches_recount(ext_seed, walk_seed):
         child = toggle_attachment(ext, i, v)
         g = extension_to_graph(child)
         for (p, q), rep in reps.items():
-            reps[p, q] = attachment_flip_fitness(cache, ext, rep, i, v, p, q)
-            assert reps[p, q] == fitness(g, p, q)
+            exact = fitness(g, p, q)
+            _assert_settled(attachment_flip_fitness(cache, ext, rep, i, v, p, q), exact, rep)
+            reps[p, q] = exact
         ext = child
 
 
@@ -607,38 +614,31 @@ def test_attachment_flip_fitness_with_shared_attachments():
             atts[i] ^= 1 << v
             child = ExtensionState(ext.base, ext.inner, tuple(atts))
             flipped = attachment_flip_fitness(cache, ext, rep, i, v, p, q)
-            assert flipped == fitness(extension_to_graph(child), p, q)
-
-
-def _assert_bounded(score, exact: counting.FitnessReport, total: int) -> None:
-    """score(bound) for every bound around total must be exact, or None only
-    where the exact total reaches the bound."""
-    for bound in range(total - 2, total + 3):
-        got = score(bound)
-        if got is None:
-            assert exact.total >= bound, (bound, exact)
-        else:
-            assert got == exact, (bound, got, exact)
+            _assert_settled(flipped, fitness(extension_to_graph(child), p, q), rep)
 
 
 @given(graphs(min_n=5, max_n=9), st.sampled_from(FLIP_ORDERS), st.data())
 @settings(max_examples=60, deadline=None)
 def test_bounded_flip_fitness_is_exact_or_settled(g, orders, data):
+    # every flip of each graph on a walk, scored from both ends of the pair:
+    # the neighbour is returned exactly when it is strictly better, else None
     p, q = orders
     rep = fitness(g, p, q)
     for _ in range(data.draw(st.integers(1, 8))):
-        u = data.draw(st.integers(0, g.n - 1))
-        v = data.draw(st.integers(0, g.n - 2))
-        v += v >= u
-        child = toggle_edge(g, u, v)
-        exact = fitness(child, p, q)
-        _assert_bounded(lambda b: flip_fitness(g, rep, u, v, p, q, b), exact, rep.total)
-        g, rep = child, exact
+        for u, v in combinations(range(g.n), 2):
+            exact = fitness(toggle_edge(g, u, v), p, q)
+            _assert_settled(flip_fitness(g, rep, u, v, p, q), exact, rep)
+            _assert_settled(flip_fitness(g, rep, v, u, p, q), exact, rep)
+        u, v = data.draw(st.sampled_from(list(combinations(range(g.n), 2))))
+        g = toggle_edge(g, u, v)
+        rep = fitness(g, p, q)
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_bounded_attachment_flip_fitness_is_exact_or_settled(ext_seed, walk_seed):
+    # each move on a walk and the move that undoes it: at most one of the
+    # two is strictly better, and neither is when their totals are equal
     base, ext = _random_ext(ext_seed)
     lo = max(ext.inner.degrees())
     space = ExtensionSpace(base, (ext.inner,), (lo, lo + 4))  # as _random_ext draws it
@@ -649,13 +649,14 @@ def test_bounded_attachment_flip_fitness_is_exact_or_settled(ext_seed, walk_seed
         if move is None:
             break
         child = toggle_attachment(ext, *move)
-        g = extension_to_graph(child)
         for p, q in [(3, 3), (3, 5), (2, 5), (4, 6)]:
             rep = extension_fitness(cache, ext, p, q)
-            _assert_bounded(
-                lambda b: attachment_flip_fitness(cache, ext, rep, *move, p, q, b),
-                fitness(g, p, q), rep.total,
-            )
+            exact = extension_fitness(cache, child, p, q)
+            assert exact == fitness(extension_to_graph(child), p, q)
+            forward = attachment_flip_fitness(cache, ext, rep, *move, p, q)
+            back = attachment_flip_fitness(cache, child, exact, *move, p, q)
+            _assert_settled(forward, exact, rep)
+            _assert_settled(back, rep, exact)
         ext = child
 
 
@@ -673,20 +674,20 @@ def test_bounded_attachment_flip_fitness_with_shared_attachments():
                     atts = list(ext.attachments)
                     atts[i] ^= 1 << v
                     child = ExtensionState(ext.base, ext.inner, tuple(atts))
-                    _assert_bounded(
-                        lambda b: attachment_flip_fitness(cache, ext, rep, i, v, p, q, b),
-                        fitness(extension_to_graph(child), p, q), rep.total,
+                    _assert_settled(
+                        attachment_flip_fitness(cache, ext, rep, i, v, p, q),
+                        fitness(extension_to_graph(child), p, q), rep,
                     )
 
 
 def test_removing_an_edge_in_no_triangle_queries_nothing(monkeypatch):
-    # its gain is 0, so at the source's own total as bound it cannot improve
+    # its gain is 0, so it cannot improve its source: no loss is counted
     queried = []
     query = counting.IndepSetCache.compatible_count
 
-    def counted(self, k, avoid, through=0):
+    def counted(self, k, avoid, v=-1):
         queried.append(k)
-        return query(self, k, avoid, through)
+        return query(self, k, avoid, v)
 
     monkeypatch.setattr(counting.IndepSetCache, "compatible_count", counted)
     found = 0
@@ -702,8 +703,8 @@ def test_removing_an_edge_in_no_triangle_queries_nothing(monkeypatch):
                     continue  # absent, or in a triangle
                 found += 1
                 queried.clear()
-                assert attachment_flip_fitness(cache, ext, rep, i, v, 3, 5, rep.total) is None
+                assert attachment_flip_fitness(cache, ext, rep, i, v, 3, 5) is None
                 assert queried == []
-                unbounded = attachment_flip_fitness(cache, ext, rep, i, v, 3, 5)
-                assert unbounded.total >= rep.total and queried  # the bound saved queries
+                child = fitness(extension_to_graph(toggle_attachment(ext, i, v)), 3, 5)
+                assert child.total >= rep.total
     assert found

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import graphs
+from helpers import graphs, relabel
 from ramsey_abc.abc_search import _random_graph
 from ramsey_abc.construct import decompose_extension, extension_to_graph
 from ramsey_abc.graph import (
@@ -18,7 +18,6 @@ from ramsey_abc.graph import (
     encode_graph6,
     induced_subgraph,
     parse_adjacency_list,
-    relabel,
     toggle_edge,
 )
 
@@ -76,15 +75,8 @@ def test_derived_graph_entries_reject_non_int_vertices():
         toggle_edge(g, np.int64(0), np.int64(2))
     with pytest.raises(ValueError):
         toggle_edge(g, 0, True)
-    with pytest.raises(ValueError):
-        relabel(g, [np.int64(v) for v in (1, 2, 3, 4, 0)])
-    with pytest.raises(ValueError):
-        relabel(g, (1.0, 2, 3, 4, 0))
-    # int labels build the same graphs as before
+    # int labels build the same graph as before
     assert toggle_edge(g, 0, 2) == Graph(5, (0b10110, 0b00101, 0b01011, 0b10100, 0b01001))
-    assert relabel(g, (1, 2, 3, 4, 0)) == g
-    pentagram = Graph.from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
-    assert relabel(g, (0, 2, 4, 1, 3)) == pentagram
 
 
 def test_toggle_complete_graph():
@@ -265,7 +257,6 @@ def test_derived_graphs_pass_the_checked_constructor(g, data):
     # that Graph(n, adj) accepts unchanged
     u, v = data.draw(st.permutations(range(g.n)))[:2]
     keep = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
-    perm = data.draw(st.permutations(range(g.n)))
     split = data.draw(st.integers(1, g.n - 1))
     density = data.draw(st.floats(0, 1))
     seed = data.draw(st.integers(0, 2**32))
@@ -275,7 +266,6 @@ def test_derived_graphs_pass_the_checked_constructor(g, data):
         "induced_subgraph": induced_subgraph(g, keep),
         "delete_vertex": delete_vertex(g, u)[0],
         "complement": complement(g),
-        "relabel": relabel(g, perm),
         "extension_to_graph": extension_to_graph(ext),
         "_random_graph": _random_graph(g.n, density, random.Random(seed)),
     }
