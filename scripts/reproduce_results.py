@@ -64,7 +64,7 @@ def main() -> int:
     ok &= report.ok
 
     print("== deletion witnesses ==")
-    deletions = verify.verify_deletions()
+    deletions = verify.verify_deletions(appendix=report)
     for line in deletions.lines():
         print(f"  {line}")
     ok &= deletions.ok

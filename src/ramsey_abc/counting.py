@@ -54,10 +54,11 @@ extension_fitness counts a fresh position's p-cliques as the base's count,
 taken once per cache and p, plus those through each added vertex, so
 neither re-walks what a position shares with the base or its inner graph.
 
-An extension's base-side independent sets come from IndepSetCache. Its one
-query, compatible_count, reads a column index of the sets that hold the
-query's vertex, built on first use, so a move query reads only the sets
-through its base vertex (see IndepSetCache for why the count stays exact).
+An extension's base-side independent sets come from IndepSetCache, indexed
+once per size as one bitmap column per base vertex. A position keeps, per
+cache, size and added vertex, masks of the base sets free of that vertex's
+attachment (ExtensionState.free_sets), so a count is the popcount of an AND
+of them, and an accepted move hands its child all but the moved vertex's.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations
 from math import comb
 from operator import itemgetter
 
@@ -394,46 +395,36 @@ def _indep_poly(adj: tuple[int, ...], memo: dict, mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class IndepSetCache:
-    """All independent sets of the base graph, grouped by size, indexed by
-    vertex on demand.
-
-    masks_by_size[k] is an array('Q') with one vertex bitmask per
-    k-independent set. Combining a cached set S with vertices attached to
-    the base reduces to one mask test: S stays independent of an
-    added-vertex set T iff S & (union of T's attachment masks) == 0.
-
-    compatible_count reads an index derived from masks_by_size on the first
-    query of each (k, anchor), where the anchor is the query's base vertex v,
-    or none (-1) when the query names no vertex. The index holds the number
-    of k-sets that contain the anchor (every k-set when there is none) and
-    those sets, in array order, as one int column per base vertex u: bit s
-    is set iff the s-th of them holds u. A query then reads only the sets
-    through its anchor, and its count is exact: it is that number less the
-    sets that hold an avoid vertex (an OR of columns). Only the anchor's
-    non-neighbours are ORed, because no independent set holding the anchor
-    holds a neighbour of it, so their columns are empty.
-    """
+    """All independent sets of the base graph: masks_by_size[k] is an
+    array('Q') with one vertex bitmask per k-independent set. A cached set S
+    stays independent of an added-vertex set T iff S & (union of T's
+    attachment masks) == 0. columns(k), built on the first read of k, makes
+    that test bitmap algebra over all the k-sets at once: full has one bit
+    per set, in array order, and bit s of columns[u] is set iff the s-th set
+    holds base vertex u."""
 
     base: Graph
     masks_by_size: dict[int, array]
     _index: dict = field(default_factory=dict, init=False, repr=False)
     _base_cliques: dict = field(default_factory=dict, init=False, repr=False)  # p -> base count
 
+    def columns(self, k: int) -> tuple[int, list[int]]:
+        """(full, columns) over the cached k-sets, built on first read."""
+        index = self._index.get(k)
+        if index is None:
+            index = self._index[k] = _column_index(self, k)
+        return index
+
     def compatible_count(self, k: int, avoid: int, v: int = -1) -> int:
         """Number of cached k-sets that contain the base vertex v (any set
-        for v = -1) and none of the mask avoid; needs v outside avoid. Exact
-        for every held size, 0 for one with no set."""
-        index = self._index.get((k, v))
-        if index is None:
-            index = self._index[k, v] = _column_index(self, k, v)
-        total, columns, keep = index
-        avoid &= keep
+        for v = -1) and none of the mask avoid; 0 for a size with no set."""
+        full, columns = self.columns(k)
         out = 0
         while avoid:
             b = avoid & -avoid
             out |= columns[b.bit_length() - 1]
             avoid ^= b
-        return total - out.bit_count()
+        return ((full if v < 0 else columns[v]) & ~out).bit_count()
 
 
 # _LANES[u]: the offset of the byte that holds bit u of an 8-byte array('Q') item, in
@@ -442,23 +433,14 @@ _BIG = 7 if sys.byteorder == "big" else 0
 _LANES = [((u >> 3) ^ _BIG, bytes(48 + (x >> u % 8 & 1) for x in range(256))) for u in range(64)]
 
 
-def _column_index(cache: IndepSetCache, k: int, anchor: int) -> tuple[int, list[int], int]:
-    """(total, columns, keep) over the cached k-sets that contain the base
-    vertex anchor, or over all of them for anchor -1: total is their number,
-    bit s of columns[u] is set iff the s-th set holds u, and keep masks the
-    vertices such a set may hold besides the anchor. Column u is bit u of
-    every set as b"0"/b"1" digits (see _LANES), reversed and parsed."""
-    m = cache.base.n
+def _column_index(cache: IndepSetCache, k: int) -> tuple[int, list[int]]:
+    """(full, columns) over the cached k-sets: full has one bit per set, and
+    bit s of columns[u] is set iff the s-th set holds u. Column u is bit u
+    of every set as b"0"/b"1" digits (see _LANES), reversed and parsed."""
     sets = cache.masks_by_size[k]
-    keep = (1 << m) - 1
-    if anchor >= 0:
-        j, digits = _LANES[anchor]
-        flags = sets.tobytes()[j::8].translate(digits).replace(b"0", b"\0")
-        sets = array("Q", compress(sets, flags))
-        keep = cache.base.complement_rows[anchor]
     raw = sets.tobytes()
-    columns = [int(b"0" + raw[j::8].translate(digits)[::-1], 2) for j, digits in _LANES[:m]]
-    return len(sets), columns, keep
+    lanes = _LANES[: cache.base.n]
+    return (1 << len(sets)) - 1, [int(b"0" + raw[j::8].translate(d)[::-1], 2) for j, d in lanes]
 
 
 def build_indep_cache(base: Graph, sizes) -> IndepSetCache:
@@ -535,7 +517,7 @@ def extension_fitness(cache: IndepSetCache, ext, p: int, q: int) -> FitnessRepor
     for i, att in enumerate(ext.attachments):
         lower = att | (ext.inner.adj[i] & ((1 << i) - 1)) << m
         cliques += _count_complete(adj, lower, p - 1)
-    return FitnessReport(cliques, _cross_count(cache, ext.inner, ext.attachments, q))
+    return FitnessReport(cliques, _cross_count(cache, ext, q))
 
 
 def attachment_flip_fitness(
@@ -546,99 +528,95 @@ def attachment_flip_fitness(
     is strictly better than rep; else None.
 
     The flip_fitness identity on the assembled graph, with x = m + i: the
-    p-cliques through {x, v} are the K_{p-2} inside N(x) & N(v), which is
-    (attachment of i & base row of v) | (inner row of i & the added vertices
-    attached to v) << m; the assembled rows are built only when p - 2 >= 2,
-    as smaller orders read no row. A q-independent set through x and v is an
-    independent set T of the inner graph containing i plus a cached
-    (q - |T|)-set S of the base containing v, where S avoids the union of
-    T's attachments taken without the edge; _through_count walks those T
-    from a plan built once per inner graph (see _subset_plan).
-
-    As in flip_fitness, the gain is counted first and the loss only if the
-    gain is positive. A removal's loss, the independent sets, is summed
-    query by query and stops once it reaches the gain, which settles the
-    move as None.
+    p-cliques through {x, v} are counted by _flip_cliques, the
+    q-independent sets by _through_count. The gain is counted first and the
+    loss only if the gain is positive; a removal's loss, the independent
+    sets, stops once it reaches the gain, which settles the move as None.
 
     Trusts its caller: extension_fitness has checked (cache, ext, p, q) on
     a position with ext's base and inner size, and (i, v) is a move of
     construct.mutate_extension, so 0 <= i < a and 0 <= v < m.
     """
-    m = cache.base.n
-    if ext.attachments[i] >> v & 1:
-        gain = _flip_cliques(ext, m, i, v, p)
+    owners = 0  # the added vertices attached to v
+    for j, att in enumerate(ext.attachments):
+        owners |= (att >> v & 1) << j
+    if owners >> i & 1:
+        gain = _flip_cliques(ext, i, v, p, owners)
         if gain:
-            return _settle(rep, 1, gain, _through_count(cache, ext, q, i, v, gain))
+            return _settle(rep, 1, gain, _through_count(cache, ext, q, i, v, owners, gain))
     else:
-        gain = _through_count(cache, ext, q, i, v)
+        gain = _through_count(cache, ext, q, i, v, owners)
         if gain:
-            return _settle(rep, 0, gain, _flip_cliques(ext, m, i, v, p))
+            return _settle(rep, 0, gain, _flip_cliques(ext, i, v, p, owners))
     return None
 
 
-def _flip_cliques(ext, m: int, i: int, v: int, p: int) -> int:
+def _flip_cliques(ext, i: int, v: int, p: int, owners: int) -> int:
     """K_{p-2} count inside the common neighbourhood of added vertex i and
-    base vertex v in ext's assembled graph: the p-cliques through both when
-    they are joined."""
-    owners_v = 0  # added vertices attached to v
-    for j, att in enumerate(ext.attachments):
-        owners_v |= (att >> v & 1) << j
-    common = (ext.attachments[i] & ext.base.adj[v]) | ((ext.inner.adj[i] & owners_v) << m)
+    base vertex v: (attachment of i & base row of v) | (inner row of i &
+    owners, the added vertices attached to v) shifted past the base. These
+    are the p-cliques through both when they are joined. The assembled rows
+    are built only when p - 2 >= 2, as smaller orders read no row."""
+    common = (ext.attachments[i] & ext.base.adj[v]) | ((ext.inner.adj[i] & owners) << ext.base.n)
     adj = assembled_adj(ext) if p - 2 >= 2 else ()
     return _count_complete(adj, common, p - 2)
 
 
-def _cross_count(cache: IndepSetCache, inner: Graph, atts, q: int) -> int:
+def _cross_count(cache: IndepSetCache, ext, q: int) -> int:
     """q-independent sets of the assembled graph: an independent set T of
     the inner graph plus a cached (q - |T|)-set of the base that misses T's
-    attachments atts. A size outside 1..m, or one the cache holds no set of,
-    is skipped unqueried. Raises ValueError if the cache lacks a size in
-    1..m that the walk reads."""
-    m = cache.base.n
+    attachments, the AND of their F1 (see ExtensionState.free_sets). A size
+    outside 1..m, or one the cache holds no set of, is skipped unread.
+    Raises ValueError if the cache lacks a size in 1..m that the walk reads."""
     sizes = cache.masks_by_size
     count = 0
-    try:
-        for combo in _independent_subsets(inner):
-            k = q - len(combo)
-            if k == 0:
-                count += 1
-            elif 0 < k <= m and len(sizes[k]):
-                avoid = 0
-                for j in combo:
-                    avoid |= atts[j]
-                count += cache.compatible_count(k, avoid)
-    except KeyError:
-        raise ValueError(f"cache holds independent-set sizes {sorted(sizes)}, not {k}") from None
+    for combo in _independent_subsets(ext.inner):
+        k = q - len(combo)
+        if not 0 < k <= cache.base.n:
+            count += k == 0
+        elif k not in sizes:
+            raise ValueError(f"cache holds independent-set sizes {sorted(sizes)}, not {k}")
+        elif len(sizes[k]):
+            sets = cache.columns(k)[0]
+            for j in combo:
+                sets &= ext.free_set(cache, k, j, 0)
+            count += sets.bit_count()
     return count
 
 
 def _through_count(
-    cache: IndepSetCache, ext, q: int, i: int, v: int, limit: int | None = None
+    cache: IndepSetCache, ext, q: int, i: int, v: int, owners: int, limit: int | None = None
 ) -> int:
     """q-independent sets that hold added vertex i and base vertex v once
-    their edge is absent: an independent set T of the inner graph holding i
-    plus a cached (q - |T|)-set of the base that holds v and misses T's
-    attachments, i's taken without v. A T with another member attached to v
-    counts nothing, and a size outside 1..m, or one the cache holds no set
-    of, is skipped unqueried. Given a limit, the sum stops as soon as it
-    reaches it, so a result of at least limit is a partial count. The cache
-    sizes were checked by the position's extension_fitness."""
+    their edge is absent: an inner independent set T holding i plus a
+    cached (q - |T|)-set S that holds v and misses T's attachments, i's
+    taken without v. For S holding v that is columns[v] & (F2_i if v is in
+    att_i, else F1_i) & the F1 of T's other members (see
+    ExtensionState.free_sets). owners masks the added vertices attached to v; a T holding another of
+    them counts nothing. A size outside 1..m or holding no set is skipped
+    unread. Given a limit, the sum stops once it reaches it, so a result of
+    at least limit is partial. extension_fitness checked the cache sizes."""
     m = cache.base.n
     sizes = cache.masks_by_size
-    atts = ext.attachments
-    bv = 1 << v
-    own = atts[i] & ~bv
+    side = owners >> i & 1  # 1: the edge is present, so F2_i
+    blocked = owners & ~(1 << i)
+    memo = ext.free_masks
     count = 0
     for size, others in _subset_plan(ext.inner)[i]:
         k = q - size
         if 0 < k <= m and len(sizes[k]):
-            avoid = own
+            if blocked and any(blocked >> j & 1 for j in others):
+                continue  # T and v share an edge
+            free = memo.get((cache, k)) or ext.free_sets(cache, k)
+            own, f1 = free[side][i], free[0]
+            if own is None:
+                own = ext.free_set(cache, k, i, side)
+            sets = cache._index[k][1][v] & own
             for j in others:
-                avoid |= atts[j]
-            if not avoid & bv:  # else T and v share an edge
-                count += cache.compatible_count(k, avoid, v)
-                if limit is not None and count >= limit:
-                    break
+                sets &= f1[j] if f1[j] is not None else ext.free_set(cache, k, j, 0)
+            count += sets.bit_count()
+            if limit is not None and count >= limit:
+                break
     return count
 
 

@@ -163,7 +163,7 @@ class DeletionReport:
         return out
 
 
-def verify_deletions(reports=None) -> DeletionReport:
+def verify_deletions(reports=None, appendix: AppendixReport | None = None) -> DeletionReport:
     """Scan every single-vertex deletion of all four graphs for witnesses,
     and certify the four claimed deletions exactly.
 
@@ -175,10 +175,13 @@ def verify_deletions(reports=None) -> DeletionReport:
     minus the independent 9-sets among v's non-neighbours (complement row
     v). Only triangle-free and claimed deletions are counted, and a graph
     with one pays for one deep 10-set count of G; the 9-set walk is skipped
-    when that is 0, since the sets through v are among G's.
+    when that is 0, since the sets through v are among G's. Given
+    appendix, verify_appendix's report on the same reports, each graph's
+    10-set count is read from its row instead of counted again.
     """
     if reports is None:
         reports = dataset.load_all()
+    known = {row.name: row.ten_indep_count for row in appendix.rows} if appendix else {}
     counts: dict[tuple[str, int], tuple[int, int]] = {}
     for name in sorted(reports):
         g = reports[name].graph
@@ -189,7 +192,7 @@ def verify_deletions(reports=None) -> DeletionReport:
             triangles = total - _count_complete(g.adj, g.adj[v], 2)
             if not triangles or (name, v + 1) in DELETION_CLAIMS:
                 if ten_total is None:
-                    ten_total = count_independent_sets(g, 10)
+                    ten_total = known[name] if name in known else count_independent_sets(g, 10)
                 ten = ten_total - _count_deep(comp, comp[v], 9) if ten_total else 0
                 counts[(name, v + 1)] = (triangles, ten)
     named = tuple(DeletionRow(name, v, *counts[(name, v)]) for name, v in DELETION_CLAIMS)

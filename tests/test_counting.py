@@ -1,5 +1,6 @@
 import gc
 import random
+from array import array
 from itertools import combinations
 from math import comb
 
@@ -291,10 +292,11 @@ def test_compatible_count_matches_brute_filter(data):
     for _ in range(3):
         drawn = data.draw(st.integers(0, (1 << n) - 1))
         with_neighbours = data.draw(st.booleans())
+        inside = data.draw(st.booleans())
         for v in range(-1, n):  # -1: no vertex
             avoid = drawn
             if v >= 0:
-                avoid &= ~(1 << v)
+                avoid = avoid | 1 << v if inside else avoid & ~(1 << v)  # inside: counts 0
                 if with_neighbours:
                     avoid |= g.adj[v]  # every neighbour of the query's vertex
             for k, held in sets.items():
@@ -303,18 +305,18 @@ def test_compatible_count_matches_brute_filter(data):
 
 
 def test_each_index_is_built_once_on_first_query(monkeypatch):
+    # one index per size, built on the first query of that size whatever its
+    # vertex (or none), and none for a size never queried
     cache = build_indep_cache(Graph.cycle(7), range(1, 4))
     assert not cache._index  # building the cache builds no index
     built = []
     build = counting._column_index
-    monkeypatch.setattr(
-        counting, "_column_index", lambda c, k, a: built.append((k, a)) or build(c, k, a)
-    )
-    queries = [(3, 0, 0), (3, 0b100, 0), (3, 0b1000, 0), (2, 0, -1), (3, 0b10, 3), (2, 1, -1)]
+    monkeypatch.setattr(counting, "_column_index", lambda c, k: built.append(k) or build(c, k))
+    queries = [(3, 0, 0), (3, 0b100, 5), (3, 0b1000, -1), (2, 0, -1), (3, 0b10, 3), (2, 1, 6)]
     counts = [cache.compatible_count(*query) for query in queries]
     assert [cache.compatible_count(*query) for query in queries] == counts
-    assert built == [(3, 0), (2, -1), (3, 3)]  # anchor: the query's vertex, -1 for none
-    assert sorted(cache._index) == sorted(built)
+    assert built == [3, 2]
+    assert sorted(cache._index) == [2, 3]  # size 1 was never queried
 
 
 def test_full_mode_and_certification_build_no_index(monkeypatch):
@@ -472,21 +474,22 @@ def test_sizes_above_the_base_order_count_nothing():
 
 def test_walk_never_queries_an_empty_size(monkeypatch):
     # the bundled base has independence number 8, so sizes 9 and 10 hold no
-    # set: the walk skips them before querying the cache
+    # set: the walk skips them before it reads an index or a mask of them
     from ramsey_abc import dataset
     from ramsey_abc.construct import enumerate_triangle_free
 
     base = dataset.extract_base()
     cache = build_indep_cache(base, range(6, 11))
     assert [k for k, sets in cache.masks_by_size.items() if len(sets) == 0] == [9, 10]
-    queried = []
-    query = counting.IndepSetCache.compatible_count
-
-    def counted(self, k, avoid, v=-1):
-        queried.append(k)
-        return query(self, k, avoid, v)
-
-    monkeypatch.setattr(counting.IndepSetCache, "compatible_count", counted)
+    indexed, listed, read = [], [], []
+    index, lists, mask = counting._column_index, ExtensionState.free_sets, ExtensionState.free_set
+    monkeypatch.setattr(counting, "_column_index", lambda c, k: indexed.append(k) or index(c, k))
+    monkeypatch.setattr(
+        ExtensionState, "free_sets", lambda e, c, k: listed.append(k) or lists(e, c, k)
+    )
+    monkeypatch.setattr(
+        ExtensionState, "free_set", lambda e, c, k, *a: read.append(k) or mask(e, c, k, *a)
+    )
     rng = random.Random(3)
     space = ExtensionSpace(base, enumerate_triangle_free(4), (3, 9))
     for k in range(len(space.inners)):
@@ -498,7 +501,7 @@ def test_walk_never_queries_an_empty_size(monkeypatch):
             flipped = attachment_flip_fitness(cache, ext, rep, i, v, 3, 10)
             child = fitness(extension_to_graph(toggle_attachment(ext, i, v)), 3, 10)
             _assert_settled(flipped, child, rep)
-    assert queried and not {9, 10} & set(queried)
+    assert sorted(indexed) == [6, 7, 8] and set(listed) == set(read) == {6, 7, 8}
 
 
 def test_decomposed_appendix_graph_fitness():
@@ -683,13 +686,10 @@ def test_bounded_attachment_flip_fitness_with_shared_attachments():
 def test_removing_an_edge_in_no_triangle_queries_nothing(monkeypatch):
     # its gain is 0, so it cannot improve its source: no loss is counted
     queried = []
-    query = counting.IndepSetCache.compatible_count
-
-    def counted(self, k, avoid, v=-1):
-        queried.append(k)
-        return query(self, k, avoid, v)
-
-    monkeypatch.setattr(counting.IndepSetCache, "compatible_count", counted)
+    through = counting._through_count
+    monkeypatch.setattr(
+        counting, "_through_count", lambda *args: queried.append(args[2:]) or through(*args)
+    )
     found = 0
     for seed in range(10):
         base, ext = _random_ext(seed)
@@ -708,3 +708,73 @@ def test_removing_an_edge_in_no_triangle_queries_nothing(monkeypatch):
                 child = fitness(extension_to_graph(toggle_attachment(ext, i, v)), 3, 5)
                 assert child.total >= rep.total
     assert found
+
+
+def _brute_free_masks(cache, attachments, k):
+    """(F1, F2) per attachment, straight from the cached k-sets: bit s is
+    set iff the s-th set misses the attachment, or meets it at most once."""
+    sets = list(map(int, cache.masks_by_size[k]))
+    f1 = [sum(1 << s for s, held in enumerate(sets) if not held & att) for att in attachments]
+    f2 = [
+        sum(1 << s for s, held in enumerate(sets) if (held & att).bit_count() <= 1)
+        for att in attachments
+    ]
+    return f1, f2
+
+
+def _chain_case(seed: int, shared: bool):
+    """(base, ext, draw): a random_extension and its mutate_extension moves,
+    or a decomposed random graph, whose added vertices may share base
+    neighbours, and uniform moves over every (added, base) pair."""
+    rng = random.Random(seed)
+    if shared:
+        ext = decompose_extension(random_graph(12, rng, density=0.45), 8)
+        return ext.base, ext, lambda e: (rng.randrange(4), rng.randrange(8))
+    base, ext = _random_ext(seed)
+    lo = max(ext.inner.degrees())
+    space = ExtensionSpace(base, (ext.inner,), (lo, lo + 4))  # as _random_ext draws it
+    return base, ext, lambda e: mutate_extension(space, e, rng)
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_free_masks_carried_through_toggle_attachment(seed, shared):
+    # every mask a child is handed equals the one built on an equal fresh
+    # state and the one read off the cached sets, and every move scored from
+    # a carried state is the recount's; the second cache holds the same sets
+    # in reverse order, so masks built for one cache are wrong for the other
+    base, ext, draw = _chain_case(seed, shared)
+    cache = build_indep_cache(base, range(1, base.n + 1))
+    flipped = counting.IndepSetCache(
+        base, {k: array("Q", reversed(sets)) for k, sets in cache.masks_by_size.items()}
+    )
+    orders = [(3, 3), (3, 5), (2, 5), (4, 6)]
+    reps = {pq: fitness(extension_to_graph(ext), *pq) for pq in orders}
+    lazy = toggle_attachment(ext, 0, 0)
+    assert "free_masks" not in lazy.__dict__  # a never-read parent gives a lazy child
+    for _ in range(8):
+        move = draw(ext)
+        if move is None:
+            break
+        i, v = move
+        atts = list(ext.attachments)
+        atts[i] ^= 1 << v
+        fresh = ExtensionState(ext.base, ext.inner, tuple(atts))
+        exact = {pq: fitness(extension_to_graph(fresh), *pq) for pq in orders}
+        for c in (cache, flipped):
+            for pq, rep in reps.items():
+                _assert_settled(attachment_flip_fitness(c, ext, rep, i, v, *pq), exact[pq], rep)
+        child = toggle_attachment(ext, i, v)
+        assert child == fresh and "free_masks" in child.__dict__
+        for c in (cache, flipped):
+            for k in range(1, base.n + 1):
+                carried = child.free_sets(c, k)
+                built = fresh.free_sets(c, k)
+                for j in range(len(fresh.attachments)):
+                    for twice in (0, 1):
+                        fresh.free_set(c, k, j, twice)
+                assert built == _brute_free_masks(c, fresh.attachments, k)
+                assert carried[0][i] is None and carried[1][i] is None
+                for got, want in zip(carried, built):
+                    assert all(g is None or g == w for g, w in zip(got, want))
+        ext, reps = child, exact

@@ -149,3 +149,28 @@ def test_deletion_scan_subtracts_the_sets_through_v():
     tens = [row.ten_indep_count for row in report.named]
     assert tens == [direct(row.name, row.vertex - 1) for row in report.named]
     assert tens == [87, 71, 0, 15]
+
+
+def test_verify_deletions_reads_the_appendix_counts(monkeypatch):
+    # given verify_appendix's report on the same reports, the scan takes each
+    # graph's 10-set count from its row and counts none again; A and C with
+    # one edge removed hold 10-sets, so the subtraction reads a non-zero count
+    from ramsey_abc import dataset, verify
+    from ramsey_abc.graph import ParseReport, toggle_edge
+
+    removed = {"A": (0, 1), "C": (0, 2)}
+    mutated = {
+        name: ParseReport(toggle_edge(dataset.load_graph(name).graph, *edge))
+        for name, edge in removed.items()
+    }
+    for reports in (dataset.load_all(), mutated):
+        appendix = verify_appendix(reports)
+        expected = verify_deletions(reports)
+        counted = []
+        count = verify.count_independent_sets
+        monkeypatch.setattr(
+            verify, "count_independent_sets", lambda g, q: counted.append(q) or count(g, q)
+        )
+        assert verify_deletions(reports, appendix) == expected
+        assert counted == []
+        monkeypatch.undo()
