@@ -290,9 +290,12 @@ def cmd_verify_deletions(args) -> int:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    lo, hi = int(lo), int(hi if sep else lo)
+    try:
+        lo, hi = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}: expected K or LO..HI") from None
     if lo > hi:
-        raise ValueError(f"empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: expected LO..HI with LO <= HI")
     return lo, hi
 
 
@@ -459,6 +462,6 @@ def main(argv=None) -> int:
     except CacheBudgetError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -52,47 +52,10 @@ class ExtensionState:
 
     @cached_property
     def free_masks(self) -> dict[tuple, tuple]:
-        """free_sets' lists by (cache, k), kept while the position lives;
-        the move scorers read it directly, as they run once per draw."""
+        """counting's memo on this position (counting._free_rows): each value
+        holds lists of one entry per added vertex, entry j depending on
+        attachment j alone, so toggle_attachment carries all but entry i."""
         return {}
-
-    def free_sets(self, cache, k: int) -> tuple[list, list]:
-        """(F1, F2) over the bits of cache.columns(k), the cached base
-        k-sets (counting.IndepSetCache): F1[j] masks the sets that miss
-        attachment j and F2[j] those that meet it at most once, each None
-        until free_set builds it. The sets free of a union of attachments
-        are the AND of their F1 (the gluing identity of Goedgebeur and
-        Radziszowski, 2013), so one pair per attachment serves every inner
-        set. Kept per (cache, k), as the bits follow that cache's set
-        order; toggle_attachment hands a child all but the toggled entry."""
-        free = self.free_masks.get((cache, k))
-        if free is None:
-            cache.columns(k)  # the index the masks are read from
-            a = len(self.attachments)
-            free = self.free_masks[cache, k] = ([None] * a, [None] * a)
-        return free
-
-    def free_set(self, cache, k: int, j: int, twice: int) -> int:
-        """F2[j] of free_sets(cache, k) if twice is 1, else F1[j], built on
-        first read; building F2[j] builds F1[j] too (a set is hit twice
-        once a column meets a set already hit)."""
-        free = self.free_sets(cache, k)
-        if free[twice][j] is not None:
-            return free[twice][j]
-        full, columns = cache.columns(k)
-        att = self.attachments[j]
-        once = hit = 0
-        while att:
-            b = att & -att
-            col = columns[b.bit_length() - 1]
-            att ^= b
-            if twice:
-                hit |= once & col
-            once |= col
-        free[0][j] = full ^ once
-        if twice:
-            free[1][j] = full ^ hit
-        return free[twice][j]
 
 
 def _is_independent(g: Graph, mask: int) -> bool:
@@ -349,7 +312,7 @@ def _nth_bit(mask: int, r: int) -> int:
 def toggle_attachment(ext: ExtensionState, i: int, v: int) -> ExtensionState:
     """Return a copy of ext with the edge between added vertex i and base
     vertex v flipped (present <-> absent). Only attachment i changes: the
-    copy gets ext's free-set masks, if they were read, with entry i cleared."""
+    copy gets ext's free_masks, if they were read, with entry i cleared."""
     attachments = list(ext.attachments)
     attachments[i] ^= 1 << v
     child = ExtensionState(ext.base, ext.inner, tuple(attachments))

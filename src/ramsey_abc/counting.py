@@ -55,10 +55,10 @@ taken once per cache and p, plus those through each added vertex, so
 neither re-walks what a position shares with the base or its inner graph.
 
 An extension's base-side independent sets come from IndepSetCache, indexed
-once per size as one bitmap column per base vertex. A position keeps, per
-cache, size and added vertex, masks of the base sets free of that vertex's
-attachment (ExtensionState.free_sets), so a count is the popcount of an AND
-of them, and an accepted move hands its child all but the moved vertex's.
+once per size as one bitmap column per base vertex. Only this module knows
+the masks of the base sets free of each added vertex's attachment
+(_free_rows), whose AND gives a count; a position keeps them, and an
+accepted move hands its child all but the moved vertex's.
 """
 
 from __future__ import annotations
@@ -419,12 +419,21 @@ class IndepSetCache:
         """Number of cached k-sets that contain the base vertex v (any set
         for v = -1) and none of the mask avoid; 0 for a size with no set."""
         full, columns = self.columns(k)
-        out = 0
-        while avoid:
-            b = avoid & -avoid
-            out |= columns[b.bit_length() - 1]
-            avoid ^= b
-        return ((full if v < 0 else columns[v]) & ~out).bit_count()
+        return ((full if v < 0 else columns[v]) & _free_of(full, columns, avoid, 0)[0]).bit_count()
+
+
+def _free_of(full: int, columns: list[int], mask: int, twice: int) -> tuple:
+    """(the sets of full that miss the vertex mask, with twice set those that
+    meet it at most once, else None), from the OR of the mask's columns."""
+    met = met_twice = 0
+    while mask:
+        b = mask & -mask
+        col = columns[b.bit_length() - 1]
+        mask ^= b
+        if twice:
+            met_twice |= met & col
+        met |= col
+    return full ^ met, (full ^ met_twice if twice else None)
 
 
 # _LANES[u]: the offset of the byte that holds bit u of an 8-byte array('Q') item, in
@@ -562,12 +571,33 @@ def _flip_cliques(ext, i: int, v: int, p: int, owners: int) -> int:
     return _count_complete(adj, common, p - 2)
 
 
+def _free_rows(cache: IndepSetCache, ext, k: int) -> tuple[list, list]:
+    """(F1, F2) of ext in cache.columns(k)'s set order: F1[j] masks the
+    cached k-sets that miss attachment j and F2[j] those that meet it at
+    most once, None until _free_mask builds it; kept in ext.free_masks per
+    (cache, k). The sets free of a union of attachments are the AND of their
+    F1 (the gluing identity of Goedgebeur and Radziszowski, 2013)."""
+    rows = ext.free_masks.get((cache, k))
+    if rows is None:
+        a = len(ext.attachments)
+        rows = ext.free_masks[cache, k] = ([None] * a, [None] * a)
+    return rows
+
+
+def _free_mask(cache: IndepSetCache, ext, k: int, j: int, twice: int) -> int:
+    """Build F1[j] of _free_rows(cache, ext, k) and, if twice is 1, F2[j]; return
+    F2[j] if twice is 1, else F1[j]. F2[j] is set only with F1[j], else None."""
+    rows = _free_rows(cache, ext, k)
+    rows[0][j], rows[1][j] = _free_of(*cache.columns(k), ext.attachments[j], twice)
+    return rows[twice][j]
+
+
 def _cross_count(cache: IndepSetCache, ext, q: int) -> int:
     """q-independent sets of the assembled graph: an independent set T of
     the inner graph plus a cached (q - |T|)-set of the base that misses T's
-    attachments, the AND of their F1 (see ExtensionState.free_sets). A size
-    outside 1..m, or one the cache holds no set of, is skipped unread.
-    Raises ValueError if the cache lacks a size in 1..m that the walk reads."""
+    attachments, the AND of their F1 (see _free_rows). A size outside 1..m,
+    or one the cache holds no set of, is skipped unread. Raises ValueError
+    if the cache lacks a size in 1..m that the walk reads."""
     sizes = cache.masks_by_size
     count = 0
     for combo in _independent_subsets(ext.inner):
@@ -577,9 +607,9 @@ def _cross_count(cache: IndepSetCache, ext, q: int) -> int:
         elif k not in sizes:
             raise ValueError(f"cache holds independent-set sizes {sorted(sizes)}, not {k}")
         elif len(sizes[k]):
-            sets = cache.columns(k)[0]
+            sets, f1 = cache.columns(k)[0], _free_rows(cache, ext, k)[0]
             for j in combo:
-                sets &= ext.free_set(cache, k, j, 0)
+                sets &= f1[j] if f1[j] is not None else _free_mask(cache, ext, k, j, 0)
             count += sets.bit_count()
     return count
 
@@ -591,8 +621,8 @@ def _through_count(
     their edge is absent: an inner independent set T holding i plus a
     cached (q - |T|)-set S that holds v and misses T's attachments, i's
     taken without v. For S holding v that is columns[v] & (F2_i if v is in
-    att_i, else F1_i) & the F1 of T's other members (see
-    ExtensionState.free_sets). owners masks the added vertices attached to v; a T holding another of
+    att_i, else F1_i) & the F1 of T's other members (see _free_rows).
+    owners masks the added vertices attached to v; a T holding another of
     them counts nothing. A size outside 1..m or holding no set is skipped
     unread. Given a limit, the sum stops once it reaches it, so a result of
     at least limit is partial. extension_fitness checked the cache sizes."""
@@ -601,19 +631,22 @@ def _through_count(
     side = owners >> i & 1  # 1: the edge is present, so F2_i
     blocked = owners & ~(1 << i)
     memo = ext.free_masks
-    count = 0
+    count = at = 0  # at: the k whose rows were read below; the plan lists T by size
     for size, others in _subset_plan(ext.inner)[i]:
         k = q - size
         if 0 < k <= m and len(sizes[k]):
             if blocked and any(blocked >> j & 1 for j in others):
                 continue  # T and v share an edge
-            free = memo.get((cache, k)) or ext.free_sets(cache, k)
-            own, f1 = free[side][i], free[0]
-            if own is None:
-                own = ext.free_set(cache, k, i, side)
-            sets = cache._index[k][1][v] & own
+            if k != at:
+                at = k
+                free = memo.get((cache, k)) or _free_rows(cache, ext, k)
+                own, f1 = free[side][i], free[0]
+                if own is None:
+                    own = _free_mask(cache, ext, k, i, side)
+                held = cache.columns(k)[1][v] & own
+            sets = held
             for j in others:
-                sets &= f1[j] if f1[j] is not None else ext.free_set(cache, k, j, 0)
+                sets &= f1[j] if f1[j] is not None else _free_mask(cache, ext, k, j, 0)
             count += sets.bit_count()
             if limit is not None and count >= limit:
                 break

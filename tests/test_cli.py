@@ -472,6 +472,24 @@ def test_count_rejects_empty_range(tmp_path, capsys, c5, flag):
     assert "empty range '3..2'" in captured.err and not captured.out
 
 
+def test_count_range_without_upper_bound_names_the_form(tmp_path, capsys, c5):
+    path = tmp_path / "c5.adj"
+    path.write_text(emit_adjacency_list(c5))
+    assert main(["count", "--file", str(path), "--indep", "2.."]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "bad range '2..': expected K or LO..HI" in captured.err and not captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_search_empty_degree_range_names_the_form(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--mode", "extension", "--degree-range", "9..4"])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "empty range '9..4': expected LO..HI with LO <= HI" in err
+    assert "invalid _parse_range value" not in err and "Traceback" not in err
+
+
 def test_bounds_cli(capsys):
     assert main(["bounds", "3", "10", "40"]) == EXIT_OK
     out = capsys.readouterr().out
