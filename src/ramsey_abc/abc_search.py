@@ -253,18 +253,37 @@ def default_init_density(p: int, q: int, n: int) -> float:
 
 
 def _random_graph(n: int, density: float, rng: random.Random) -> Graph:
+    """G(n, density): pair {u, v}, u < v, is an edge iff its rng.random()
+    draw, taken in (u, v) order, is below density. Each row is built
+    locally, and the complement rows, which fitness reads, come with it."""
+    draw = rng.random
     adj = [0] * n
     for u in range(n):
+        row, bu = adj[u], 1 << u
         for v in range(u + 1, n):
-            if rng.random() < density:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return Graph._derived(n, tuple(adj))  # symmetric by construction
+            if draw() < density:
+                row |= 1 << v
+                adj[v] |= bu
+        adj[u] = row
+    full = (1 << n) - 1
+    comp = tuple(full ^ row ^ (1 << v) for v, row in enumerate(adj))
+    return Graph._derived(n, tuple(adj), comp)  # symmetric by construction
 
 
 def _random_pair(n: int, rng: random.Random) -> tuple[int, int]:
-    u = rng.randrange(n)
-    v = rng.randrange(n - 1)
+    """Distinct u, v drawn as rng.randrange(n) and rng.randrange(n - 1),
+    with v moved past u, by the draws randrange makes: getrandbits of the
+    range's bit length, redrawn until it falls inside the range. n >= 2."""
+    bits = rng.getrandbits
+    k = n.bit_length()
+    u = bits(k)
+    while u >= n:
+        u = bits(k)
+    m = n - 1
+    k = m.bit_length()
+    v = bits(k)
+    while v >= m:
+        v = bits(k)
     if v >= u:
         v += 1
     return u, v
@@ -296,9 +315,11 @@ def make_colony(
         def random_position(rng: random.Random) -> Graph:
             return _random_graph(params.n, density, rng)
 
+        n, p, q = params.n, params.p, params.q
+
         def neighbor(pos: Graph, rep: FitnessReport, rng: random.Random):
-            u, v = _random_pair(params.n, rng)
-            return (u, v), flip_fitness(pos, rep, u, v, params.p, params.q)
+            u, v = _random_pair(n, rng)
+            return (u, v), flip_fitness(pos, rep, u, v, p, q)
 
         def apply(pos: Graph, move: tuple[int, int]) -> Graph:
             return toggle_edge(pos, *move)
@@ -378,6 +399,7 @@ def employed_phase(colony: Colony, rng: random.Random) -> None:
     as if it were counted. A total of 0 ends the source's draws.
     """
     params = colony.params
+    budget = params.budget
     for src in colony.sources:
         if colony.finished:
             return
@@ -386,7 +408,7 @@ def employed_phase(colony: Colony, rng: random.Random) -> None:
         best_total = src.fitness.total
         best = None
         for _ in range(2 if src.followed else 1):
-            if colony.spent():
+            if colony.evaluations >= budget and colony.spent():
                 break
             drawn = colony.neighbor(src.position, src.fitness, rng)
             if drawn is None:

@@ -25,15 +25,47 @@ extends a set only through the few neighbours peeled after it; a count does
 not depend on labels, so it stays exact. Smaller k and every move scorer walk
 the rows as they are, where the peel would cost more than it saves.
 
-One count is not the walk: independence_polynomial counts the independent
-sets of every size at once, and with them the independence number, by the
-vertex recursion I(G) = I(G - v) + x I(G - N[v]) (Gutman and Harary, 1983).
-The walk's cost grows with the number of sets it counts, the recursion's
-with its branching, so each is used where it is cheaper: the base census in
-dataset.validate_base asks for four sizes and alpha, about 60,000 sets,
-which one recursion settles about three times faster than four walks and a
-branch and bound; a single size, such as the 10-sets of a 40-vertex graph,
-is about three times faster walked.
+The other method is not the walk: independence_polynomial counts the
+independent sets of every size at once, and with them the independence
+number, by the vertex recursion I(G) = I(G - v) + x I(G - N[v]) (Gutman and
+Harary, 1983). The walk's cost grows with the number of sets it counts, the
+recursion's with its branching, so each is used where it is cheaper. The
+base census in dataset.validate_base asks for four sizes and alpha, about
+60,000 sets, which one recursion settles about three times faster than four
+walks and a branch and bound.
+
+fitness, which counts the fresh random positions of a full-mode search,
+picks the method per side from the count expected of a random graph with
+g's edge density d: E = C(n, k) d^C(k, 2) k-cliques, with 1 - d for the
+independent k-sets. When C(n, k) is at most _RECURSION_FROM = 50,000, the
+density is not read and the walk runs; so (4,4,12) starts (C(12, 4) = 495)
+pay nothing for the rule. Above it in E, fitness reads coefficient k of
+the independence polynomial of the right rows (the complement's for
+cliques); otherwise it walks. verify, count_cliques, count_independent_sets
+and the scorers always walk. Measured per side on 2 cores, Python 3.11,
+five seeded default-density starts per rung (ranges), and on the dataset:
+
+    graph            n   side  d          E            count          walk ms     recursion ms
+    (4,4,12) start   12  I4    0.39-0.54  4-25         2-22           0.01        0.05-0.06
+    (3,5,13) start   13  I5    0.26-0.40  8-67         2-55           0.05-0.07   0.04-0.08
+    (4,4,17) start   17  I4    0.41-0.60  10-99        9-92           0.01-0.03   0.11-0.14
+    (3,6,17) start   17  I6    0.19-0.35  21-513       15-667         0.08-0.26   0.09-0.15
+    (3,7,22) start   22  I7    0.19-0.29  146-2.3k     19-3.2k        0.14-1.01   0.24-0.43
+    (3,8,27) start   27  I8    0.19-0.23  1.6k-5.9k    533-8.8k       0.61-2.81   0.62-0.82
+    (3,9,35) start   35  I9    0.20-0.24  3.6k-23k     1.5k-24k       2.3-13.1    2.3-3.5
+    (3,10,38) start  38  I10   0.14-0.16  192k-511k    120k-872k      66-427      2.5-8.1    recursion
+    (3,10,39) start  39  I10   0.15-0.17  135k-371k    47k-799k       48-318      3.9-8.4    recursion
+    (3,10,40) start  40  I10   0.16-0.18  115k-305k    56k-275k       71-151      5.6-12.7   recursion
+    graphs A-D       40  I10   0.23       6.8k-8.5k    0              2.4-3.6     11.1-12.1
+    base             35  I9    0.24       4.5k         0              1.2         5.3
+    (3,10,39) ext    39  I10   0.22-0.23  5.1k-7.0k    170-475        2.5-3.9     12.1-14.6
+
+Every clique side (K3, K4) of these starts has E below 110 and walks. The
+constant sits between the dataset graphs, where the walk is 3-5 times
+faster, and the (3,10,38..40) starts, where the recursion is 6-170 times
+faster. Below it, (3,9,35) starts would also be faster by the recursion,
+but their E overlaps that of graphs A-D, which hold no set, so E cannot
+tell them apart.
 
 A search move flips one edge {u, v}, which creates or destroys only the
 cliques and independent sets containing both u and v. flip_fitness (a whole
@@ -106,15 +138,16 @@ def _count_complete(adj: tuple[int, ...], cand: int, k: int) -> int:
     """Number of k-subsets of the vertex mask cand that are pairwise adjacent;
     1 for k = 0 (the empty set) and 0 for k < 0.
 
-    k <= 2 is answered without a walk: k = 1 is |cand|, and k = 2 counts the
-    edges inside cand as the sum over its vertices v of |N(v) & the cand
-    bits above v|. k >= 3 runs the recursive walk, where a branch stops
-    drawing once fewer than `need` candidates remain, which cuts only empty
-    branches. The walk extends a set only through higher labels, so its work
-    depends on the labelling; _count_deep gives it rows in peel order.
-    This is the only subset-counting walk."""
-    if k <= 1:
-        return cand.bit_count() if k == 1 else int(k == 0)
+    k = 2 counts the edges inside cand as the sum over its vertices v of
+    |N(v) & the cand bits above v|, and k = 1 is |cand|. k >= 3 walks: each
+    vertex v of cand, lowest first, adds the (k - 1)-count of the cand bits
+    above v that are adjacent to v, so the walk ends at k = 2 with that
+    edge count and the last vertex of a set costs no call. A branch stops
+    drawing once fewer than k candidates remain, and skips a v with fewer
+    than k - 1, which cuts only empty branches. The walk extends a set only
+    through higher labels, so its work depends on the labelling;
+    _count_deep gives it rows in peel order. This is the only
+    subset-counting walk."""
     count = 0
     if k == 2:
         while cand:
@@ -122,21 +155,15 @@ def _count_complete(adj: tuple[int, ...], cand: int, k: int) -> int:
             cand ^= b
             count += (cand & adj[b.bit_length() - 1]).bit_count()
         return count
-
-    def rec(cand: int, need: int) -> None:
-        nonlocal count
-        if need == 1:
-            count += cand.bit_count()
-            return
-        while cand.bit_count() >= need:
-            b = cand & -cand
-            v = b.bit_length() - 1
-            cand ^= b
-            nxt = cand & adj[v]
-            if nxt.bit_count() >= need - 1:
-                rec(nxt, need - 1)
-
-    rec(cand, k)
+    if k <= 1:
+        return cand.bit_count() if k == 1 else int(k == 0)
+    k -= 1  # the order each branch counts
+    while cand.bit_count() > k:
+        b = cand & -cand
+        cand ^= b
+        nxt = cand & adj[b.bit_length() - 1]
+        if nxt.bit_count() >= k:
+            count += _count_complete(adj, nxt, k)
     return count
 
 
@@ -183,20 +210,30 @@ def _count_deep(adj: tuple[int, ...], cand: int, k: int) -> int:
 def _find_complete(adj: tuple[int, ...], n: int, p: int) -> tuple[int, ...] | None:
     """Lexicographically first p-subset of range(n) that is pairwise adjacent,
     or None; () for p = 0. Under _count_complete's bound, which cuts only
-    empty branches, the first set found is still the first."""
+    empty branches, the first set found is still the first. A branch that
+    needs 2 more vertices takes v and then the lowest candidate adjacent to
+    v, so the last vertex costs no call."""
+    if p <= 0:
+        return () if p == 0 else None
+    if p == 1:
+        return (0,) if n else None
     out: list[int] = []
 
     def rec(cand: int, need: int) -> bool:
-        if need <= 0:
-            return not need
         while cand.bit_count() >= need:
             b = cand & -cand
             v = b.bit_length() - 1
             cand ^= b
-            out.append(v)
-            if rec(cand & adj[v], need - 1):
-                return True
-            out.pop()
+            nxt = cand & adj[v]
+            if need == 2:
+                if nxt:
+                    out.extend((v, (nxt & -nxt).bit_length() - 1))
+                    return True
+            elif nxt.bit_count() >= need - 1:
+                out.append(v)
+                if rec(nxt, need - 1):
+                    return True
+                out.pop()
         return False
 
     return tuple(out) if rec((1 << n) - 1, p) else None
@@ -217,9 +254,37 @@ def count_independent_sets(g: Graph, q: int) -> int:
     return _count_deep(g.complement_rows, (1 << g.n) - 1, q)
 
 
+_RECURSION_FROM = 50_000  # expected k-sets above which fitness counts by the recursion
+
+
 def fitness(g: Graph, p: int, q: int) -> FitnessReport:
-    """Clique count plus independent-set count; zero total means witness."""
-    return FitnessReport(count_cliques(g, p), count_independent_sets(g, q))
+    """Clique count plus independent-set count; zero total means witness.
+
+    Each side is counted by the cheaper method for g (see _count_fresh and
+    the module docstring): the peel-order walk, as count_cliques and
+    count_independent_sets, or the independence polynomial's coefficient."""
+    _check_order(g, p, "clique order")
+    _check_order(g, q, "independent-set order")
+    adj, comp = g.adj, g.complement_rows
+    return FitnessReport(_count_fresh(adj, comp, p), _count_fresh(comp, adj, q))
+
+
+def _count_fresh(rows: tuple[int, ...], other: tuple[int, ...], k: int) -> int:
+    """k-cliques of the whole graph of rows, whose complement rows are other.
+
+    A random graph of rows' edge density d holds E = C(n, k) d^C(k, 2)
+    k-cliques on average. Above _RECURSION_FROM, coefficient k of other's
+    independence polynomial counts them (0 above its independence number);
+    otherwise _count_deep walks them. d is read only when C(n, k) itself
+    is above the limit."""
+    n = len(rows)
+    sets = comb(n, k)
+    if sets > _RECURSION_FROM:
+        d = sum(map(int.bit_count, rows)) / (n * (n - 1))
+        if sets * d ** comb(k, 2) > _RECURSION_FROM:
+            poly = _indep_poly(other, {}, (1 << n) - 1)
+            return poly[k] if k < len(poly) else 0
+    return _count_deep(rows, (1 << n) - 1, k)
 
 
 def flip_fitness(
@@ -439,7 +504,8 @@ def _free_of(full: int, columns: list[int], mask: int, twice: int) -> tuple:
 # _LANES[u]: the offset of the byte that holds bit u of an 8-byte array('Q') item, in
 # the host's byte order, and a table that maps that byte to bit u as b"0" or b"1"
 _BIG = 7 if sys.byteorder == "big" else 0
-_LANES = [((u >> 3) ^ _BIG, bytes(48 + (x >> u % 8 & 1) for x in range(256))) for u in range(64)]
+_DIGITS = [bytes(48 + (x >> i & 1) for x in range(256)) for i in range(8)]
+_LANES = [((u >> 3) ^ _BIG, _DIGITS[u & 7]) for u in range(64)]
 
 
 def _column_index(cache: IndepSetCache, k: int) -> tuple[int, list[int]]:

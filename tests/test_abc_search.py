@@ -505,12 +505,25 @@ def test_best_position_has_best_fitness():
 
 
 def test_random_pair_is_a_vertex_pair():
-    # flip_fitness trusts its pairs; this draw is the only place they come from
-    rng = random.Random(0)
+    # flip_fitness trusts its pairs; this draw is the only place they come
+    # from. It replays randrange(n), randrange(n - 1) on the same stream, so
+    # it covers randrange over every range size 1..64
+    rng, twin = random.Random(0), random.Random(0)
     for n in range(2, 65):
         for _ in range(200):
             u, v = _random_pair(n, rng)
             assert u != v and 0 <= u < n and 0 <= v < n
+            a = twin.randrange(n)
+            b = twin.randrange(n - 1)
+            assert (u, v) == (a, b + (b >= a))
+        assert rng.getstate() == twin.getstate()
+
+
+def test_random_graph_hands_over_its_complement_rows():
+    # the rows fitness reads come with the graph, equal to those Graph builds
+    for n in (2, 12, 39):
+        g = abc_search._random_graph(n, 0.3, random.Random(n))
+        assert g.__dict__["complement_rows"] == Graph(n, g.adj).complement_rows
 
 
 def test_extension_run_rejects_cache_of_another_base():

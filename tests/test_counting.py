@@ -3,6 +3,7 @@ import random
 from array import array
 from itertools import combinations
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,76 @@ def test_fitness_invariant_under_relabeling(g, rnd, data):
     perm = list(range(g.n))
     rnd.shuffle(perm)
     assert fitness(g, p, q).total == fitness(relabel(g, perm), p, q).total
+
+
+@pytest.mark.parametrize("limit", [0, counting._RECURSION_FROM])
+@given(g=graphs(min_n=2, max_n=10), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_fitness_equals_the_walk_on_both_methods(limit, g, data):
+    # limit 0 sends every side with an expected set to the recursion
+    p = data.draw(st.integers(1, g.n))
+    q = data.draw(st.integers(1, g.n))
+    with patch.object(counting, "_RECURSION_FROM", limit):
+        assert fitness(g, p, q) == counting.FitnessReport(
+            count_cliques(g, p), count_independent_sets(g, q))
+
+
+def _start(p: int, q: int, n: int, seed: int) -> Graph:
+    """A full-mode search's random start for (p, q, n)."""
+    from ramsey_abc.abc_search import _random_graph, default_init_density
+
+    return _random_graph(n, default_init_density(p, q, n), random.Random(seed))
+
+
+def _methods(monkeypatch) -> dict:
+    """Calls of the walk (_count_deep) and of the recursion (_indep_poly),
+    counted through the module names both are reached by."""
+    calls = {"walk": 0, "recursion": 0}
+    for name, method in (("_count_deep", "walk"), ("_indep_poly", "recursion")):
+        def spy(*args, real=getattr(counting, name), method=method):
+            calls[method] += 1
+            return real(*args)
+        monkeypatch.setattr(counting, name, spy)
+    return calls
+
+
+def test_fitness_on_seeded_large_starts_takes_the_rule(monkeypatch):
+    # (3,9,35) starts expect fewer than _RECURSION_FROM 9-sets and walk;
+    # (3,10,39) starts expect far more 10-sets and take the recursion on
+    # that side; both agree with the walk
+    calls = _methods(monkeypatch)
+    for (p, q, n), recursion in (((3, 9, 35), 0), ((3, 10, 39), 1)):
+        for seed in range(2):
+            g = _start(p, q, n, seed)
+            expected = counting.FitnessReport(count_cliques(g, p), count_independent_sets(g, q))
+            calls.update(walk=0, recursion=0)
+            assert fitness(g, p, q) == expected
+            assert (calls["walk"], bool(calls["recursion"])) == (2 - recursion, bool(recursion))
+
+
+def test_fitness_walks_the_dataset_and_small_starts(monkeypatch):
+    from ramsey_abc import dataset
+
+    calls = _methods(monkeypatch)
+    cases = [(dataset.load_graph(name).graph, 3, 10) for name in "ABCD"]
+    cases += [(dataset.extract_base(), 3, 9)]
+    cases += [(_start(4, 4, 12, seed), 4, 4) for seed in range(5)]
+    for g, p, q in cases:
+        calls.update(walk=0, recursion=0)
+        fitness(g, p, q)
+        assert calls == {"walk": 2, "recursion": 0}
+
+
+def test_certification_never_takes_the_recursion(monkeypatch):
+    from ramsey_abc import dataset, verify
+
+    def refuse(*args):
+        raise AssertionError("verify reached the independence polynomial")
+
+    monkeypatch.setattr(counting, "_indep_poly", refuse)
+    assert verify.certify(dataset.load_graph("A").graph, 3, 10).indep_count == 0
+    cert = verify.certify(_start(3, 10, 39, 0), 3, 10)
+    assert cert.indep_count > counting._RECURSION_FROM and cert.indep_violation
 
 
 def test_max_independent_set_examples(c5):

@@ -51,12 +51,21 @@ GOLDEN = [
         "f645867c356653a342870ace607a4cca10ae5e19c725de2d35146e36c6fc0c45",
         "LUCFAjCW@JbPIK",
     ),
+    (
+        # fresh positions here count their 10-sets by the recursion (counting.fitness)
+        ["--p", "3", "--q", "10", "--n", "39", "--colony-size", "4", "--budget", "60",
+         "--seed", "0"],
+        "bb349b89a5051c61f915785477df200fcc7c357b23ea3463196bf4e1dc05789a",
+        "f_?H?I?QgA??I?DW@?@AApASO?IGGo?C??Ia_g?Z??@_COCGA?@WBGO@?u_?h?hCJc?LOi?CE_?O??D?OsOE?o?"
+        "uO@P?H_?EHK_BA?_[?PPG??ODOS@?D?AA?h?@?",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "flags, digest, best_graph6", GOLDEN,
-    ids=["full-3-4-8", "full-3-5-13", "ext-3-10-39", "full-4-4-12", "full-3-5-13-idle"],
+    ids=["full-3-4-8", "full-3-5-13", "ext-3-10-39", "full-4-4-12", "full-3-5-13-idle",
+         "full-3-10-39"],
 )
 def test_history_csv_is_pinned(tmp_path, flags, digest, best_graph6):
     main(["search", *flags, "--out", str(tmp_path)])
