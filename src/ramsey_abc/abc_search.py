@@ -36,7 +36,6 @@ from .construct import (
     enumerate_triangle_free,
     mutate_extension,
     random_extension,
-    toggle_attachment,
 )
 from .counting import (
     FitnessReport,
@@ -45,6 +44,7 @@ from .counting import (
     extension_fitness,
     fitness,
     flip_fitness,
+    toggle_with_masks,
 )
 from .graph import MAX_VERTICES, Graph, toggle_edge
 
@@ -351,7 +351,7 @@ def make_colony(
         return move, attachment_flip_fitness(cache, pos, rep, *move, params.p, params.q)
 
     def apply(pos, move: tuple[int, int]):
-        return toggle_attachment(pos, *move)
+        return toggle_with_masks(pos, *move)
 
     def evaluate(pos) -> FitnessReport:
         return extension_fitness(cache, pos, params.p, params.q)

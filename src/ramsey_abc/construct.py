@@ -52,9 +52,8 @@ class ExtensionState:
 
     @cached_property
     def free_masks(self) -> dict[tuple, tuple]:
-        """counting's memo on this position (counting._free_rows): each value
-        holds lists of one entry per added vertex, entry j depending on
-        attachment j alone, so toggle_attachment carries all but entry i."""
+        """counting's memo on this position (counting._free_rows), opaque
+        here: counting.toggle_with_masks hands it on to a moved child."""
         return {}
 
 
@@ -269,6 +268,10 @@ def mutate_extension(
     uniform move of it. The order fixes which move each rng draw picks, so a
     seed replays the same search. Moves are counted, not listed, and counted
     once per position and band: later draws read ext's memoised table.
+
+    The two draws are rng.randrange(len(legal)) and rng.randrange(removals +
+    additions), made as randrange makes them: getrandbits of the range's bit
+    length, redrawn until it falls inside the range.
     """
     band = space.degree_range
     table = ext._move_tables.get(band)
@@ -277,9 +280,19 @@ def mutate_extension(
     unattached, counts, legal = table
     if not legal:
         return None
-    i = legal[rng.randrange(len(legal))]
+    bits = rng.getrandbits
+    n = len(legal)
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    i = legal[r]
     rem, add = counts[i]
-    r = rng.randrange(rem + add)
+    n = rem + add
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
     if r < rem:
         return i, _nth_bit(ext.attachments[i], r)
     return i, _nth_bit(unattached, r - rem)
@@ -311,19 +324,12 @@ def _nth_bit(mask: int, r: int) -> int:
 
 def toggle_attachment(ext: ExtensionState, i: int, v: int) -> ExtensionState:
     """Return a copy of ext with the edge between added vertex i and base
-    vertex v flipped (present <-> absent). Only attachment i changes: the
-    copy gets ext's free_masks, if they were read, with entry i cleared."""
+    vertex v flipped (present <-> absent). Only attachment i changes. The
+    copy starts with no free-set masks; counting.toggle_with_masks hands it
+    ext's, updated for the flip."""
     attachments = list(ext.attachments)
     attachments[i] ^= 1 << v
-    child = ExtensionState(ext.base, ext.inner, tuple(attachments))
-    masks = ext.__dict__.get("free_masks")
-    if masks is not None:
-        carried = child.__dict__["free_masks"] = {}
-        for key, lists in masks.items():
-            carried[key] = lists = tuple(entries.copy() for entries in lists)
-            for entries in lists:
-                entries[i] = None
-    return child
+    return ExtensionState(ext.base, ext.inner, tuple(attachments))
 
 
 def serialize_extension(ext: ExtensionState) -> dict:

@@ -90,7 +90,8 @@ An extension's base-side independent sets come from IndepSetCache, indexed
 once per size as one bitmap column per base vertex. Only this module knows
 the masks of the base sets free of each added vertex's attachment
 (_free_rows), whose AND gives a count; a position keeps them, and an
-accepted move hands its child all but the moved vertex's.
+accepted move hands its child all of them (toggle_with_masks), the moved
+vertex's updated from the flipped base vertex's column.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ from itertools import combinations
 from math import comb
 from operator import itemgetter
 
-from .construct import assembled_adj
+from .construct import assembled_adj, toggle_attachment
 from .graph import Graph, _bits
 
 MAX_CACHE_SETS = 2_000_000  # independent sets build_indep_cache holds per size
@@ -640,14 +641,45 @@ def _flip_cliques(ext, i: int, v: int, p: int, owners: int) -> int:
 def _free_rows(cache: IndepSetCache, ext, k: int) -> tuple[list, list]:
     """(F1, F2) of ext in cache.columns(k)'s set order: F1[j] masks the
     cached k-sets that miss attachment j and F2[j] those that meet it at
-    most once, None until _free_mask builds it; kept in ext.free_masks per
-    (cache, k). The sets free of a union of attachments are the AND of their
-    F1 (the gluing identity of Goedgebeur and Radziszowski, 2013)."""
+    most once, None until _free_mask builds it or toggle_with_masks derives
+    it; kept in ext.free_masks per (cache, k). The sets free of a union of
+    attachments are the AND of their F1 (the gluing identity of Goedgebeur
+    and Radziszowski, 2013)."""
     rows = ext.free_masks.get((cache, k))
     if rows is None:
         a = len(ext.attachments)
         rows = ext.free_masks[cache, k] = ([None] * a, [None] * a)
     return rows
+
+
+def toggle_with_masks(ext, i: int, v: int):
+    """construct.toggle_attachment(ext, i, v), handed every free-set mask
+    ext has read (see _free_rows). Only entry i changes. With col the
+    (cache, k) column of v, adding v gives F1 minus col and F1 | (F2 minus
+    col), each X minus col taken as X ^ (X & col), which negates no big int;
+    removing v gives F1 | (col & F2), and F2 None, as the sets that met the
+    attachment twice are not in ext's masks. An entry whose inputs were never
+    built stays None, built on its first read. A child of a parent whose
+    masks were never read gets none."""
+    child = toggle_attachment(ext, i, v)
+    masks = ext.__dict__.get("free_masks")
+    if masks is None:
+        return child
+    carried = child.__dict__["free_masks"] = {}
+    removing = ext.attachments[i] >> v & 1
+    for (cache, k), (f1, f2) in masks.items():
+        f1, f2 = f1.copy(), f2.copy()
+        one, two = f1[i], f2[i]
+        col = cache.columns(k)[1][v]
+        if removing:
+            f1[i] = None if two is None else one | (col & two)
+            f2[i] = None
+        elif one is not None:
+            f1[i] = one ^ (one & col)
+            if two is not None:
+                f2[i] = one | (two ^ (two & col))
+        carried[cache, k] = f1, f2
+    return child
 
 
 def _free_mask(cache: IndepSetCache, ext, k: int, j: int, twice: int) -> int:

@@ -268,6 +268,22 @@ def test_mutate_extension_matches_listed_oracle(
         ext = toggle_attachment(ext, *move)
 
 
+def test_mutate_extension_draws_as_randrange():
+    # it draws through getrandbits; a twin stream replays the two randrange
+    # calls it stands for. size unattached added vertices over a base of
+    # size vertices give size legal vertices and size moves each, so both
+    # draws cover range sizes 1..64
+    rng, twin = random.Random(0), random.Random(0)
+    for size in range(1, 65):
+        base = Graph.empty(size)
+        ext = ExtensionState(base, Graph.empty(size), (0,) * size)
+        space = ExtensionSpace(base, (), (0, 1))
+        for _ in range(200):
+            move = mutate_extension(space, ext, rng)
+            assert move == (twin.randrange(size), twin.randrange(size))
+        assert rng.getstate() == twin.getstate()
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_move_table_is_kept_per_band(seed):
     # added degrees 2, 3, 4 give vertex 1 removals under (2, 4) but none under

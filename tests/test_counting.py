@@ -663,7 +663,7 @@ def test_attachment_flip_fitness_walk_matches_recount(ext_seed, walk_seed):
         if move is None:
             break
         i, v = move
-        child = toggle_attachment(ext, i, v)
+        child = counting.toggle_with_masks(ext, i, v)
         g = extension_to_graph(child)
         for (p, q), rep in reps.items():
             exact = fitness(g, p, q)
@@ -808,10 +808,14 @@ def _chain_case(seed: int, shared: bool):
 @given(st.integers(0, 10**6), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_free_masks_carried_through_toggle_attachment(seed, shared):
-    # every mask a child is handed equals the one built on an equal fresh
-    # state and the one read off the cached sets, and every move scored from
-    # a carried state is the recount's; the second cache holds the same sets
-    # in reverse order, so masks built for one cache are wrong for the other
+    # toggle_with_masks hands the child every mask its parent read: entry i
+    # updated, equal to the one built on an equal fresh state and the one
+    # read off the cached sets, and None only where the parent's masks do
+    # not give it; every move scored from a carried state is the recount's.
+    # Before each move the moved vertex's F2 is built at about half the
+    # sizes, as a scored and rejected removal of it builds it, so additions
+    # carry an F2 too. The second cache holds the same sets in reverse
+    # order, so masks built for one cache are wrong for the other
     base, ext, draw = _chain_case(seed, shared)
     cache = build_indep_cache(base, range(1, base.n + 1))
     flipped = counting.IndepSetCache(
@@ -819,7 +823,8 @@ def test_free_masks_carried_through_toggle_attachment(seed, shared):
     )
     orders = [(3, 3), (3, 5), (2, 5), (4, 6)]
     reps = {pq: fitness(extension_to_graph(ext), *pq) for pq in orders}
-    lazy = toggle_attachment(ext, 0, 0)
+    reads = random.Random(seed)
+    lazy = counting.toggle_with_masks(ext, 0, 0)
     assert "free_masks" not in lazy.__dict__  # a never-read parent gives a lazy child
     for _ in range(8):
         move = draw(ext)
@@ -833,33 +838,53 @@ def test_free_masks_carried_through_toggle_attachment(seed, shared):
         for c in (cache, flipped):
             for pq, rep in reps.items():
                 _assert_settled(attachment_flip_fitness(c, ext, rep, i, v, *pq), exact[pq], rep)
-        child = toggle_attachment(ext, i, v)
+            for k in range(1, base.n + 1):
+                if reads.random() < 0.5:  # as a scored, rejected removal of i would
+                    counting._free_mask(c, ext, k, i, 1)
+        parent = {key: (f1.copy(), f2.copy()) for key, (f1, f2) in ext.free_masks.items()}
+        removing = ext.attachments[i] >> v & 1
+        child = counting.toggle_with_masks(ext, i, v)
         assert child == fresh and "free_masks" in child.__dict__
         for c in (cache, flipped):
             for k in range(1, base.n + 1):
+                was = parent.get((c, k)) or ([None] * len(atts),) * 2
                 carried = counting._free_rows(c, child, k)
                 built = counting._free_rows(c, fresh, k)
                 for j in range(len(fresh.attachments)):
                     for twice in (0, 1):
                         counting._free_mask(c, fresh, k, j, twice)
                 assert built == _brute_free_masks(c, fresh.attachments, k)
-                assert carried[0][i] is None and carried[1][i] is None
                 for got, want in zip(carried, built):
                     assert all(g is None or g == w for g, w in zip(got, want))
+                for got, had in zip(carried, was):
+                    assert got[:i] == had[:i] and got[i + 1 :] == had[i + 1 :]
+                f1_was, f2_was = was[0][i], was[1][i]
+                if removing:
+                    assert (carried[0][i] is None) == (f2_was is None) and carried[1][i] is None
+                else:
+                    assert (carried[0][i] is None) == (f1_was is None)
+                    assert (carried[1][i] is None) == (f2_was is None)
         ext, reps = child, exact
 
 
 def test_accepted_moves_reuse_their_parents_masks(monkeypatch):
     # a child built without its parent's masks scores the same moves, so
-    # only the number of masks built shows the carry: at most 414 F1 and 150
-    # F2 builds for this run, against 1,339 with every child built lazily
-    from ramsey_abc import dataset
-    from ramsey_abc.abc_search import SearchParams, extension_cache, run
+    # only the number of masks built shows the carry: at most 272 masks, 96
+    # of them F2, for this run, against 1,339 with every child built lazily;
+    # every F1 built is a fresh position's, as a moved one derives its own
+    from ramsey_abc import abc_search, dataset
 
-    built = []
-    mask = counting._free_mask
-    monkeypatch.setattr(counting, "_free_mask", lambda *a: built.append(a[-1]) or mask(*a))
-    params = SearchParams(3, 10, 39, seed=1, budget=1000, mode="extension")
+    built, fresh = [], []
+    mask, draw = counting._free_mask, abc_search.random_extension
+    monkeypatch.setattr(
+        counting, "_free_mask", lambda c, e, *a: built.append((e, a[-1])) or mask(c, e, *a)
+    )
+    monkeypatch.setattr(
+        abc_search, "random_extension", lambda *a: fresh.append(draw(*a)) or fresh[-1]
+    )
+    params = abc_search.SearchParams(3, 10, 39, seed=1, budget=1000, mode="extension")
     base = dataset.extract_base()
-    run(params, base, cache=extension_cache(params, base))
-    assert len(built) <= 564 and built.count(1) <= 150
+    abc_search.run(params, base, cache=abc_search.extension_cache(params, base))
+    assert len(built) <= 272 and sum(twice for _, twice in built) <= 96
+    starts = {id(e) for e in fresh}  # fresh holds every start, so no id is reused
+    assert all(id(e) in starts for e, twice in built if not twice)
