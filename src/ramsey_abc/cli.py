@@ -34,6 +34,7 @@ from .abc_search import (
 )
 from .construct import enumerate_triangle_free, extension_to_graph, serialize_extension
 from .counting import CacheBudgetError, fitness, count_cliques, count_independent_sets
+from .counting import find_clique, find_independent_set
 from .graph import (
     Graph,
     ParseError,
@@ -251,10 +252,13 @@ def cmd_verify(args) -> int:
         print(f"{path}: n={cert.n} p={cert.p} q={cert.q}")
         print(f"  clique count: {cert.clique_count}")
         print(f"  independent-set count: {cert.indep_count}")
-        if cert.clique_violation:
-            print(f"  clique violation: {[v + 1 for v in cert.clique_violation]}")
-        if cert.indep_violation:
-            print(f"  independent-set violation: {[v + 1 for v in cert.indep_violation]}")
+        # the certificate holds counts only; the first violation is found here
+        if cert.clique_count:
+            clique = find_clique(g, args.p)
+            print(f"  clique violation: {[v + 1 for v in clique]}")
+        if cert.indep_count:
+            indep = find_independent_set(g, args.q)
+            print(f"  independent-set violation: {[v + 1 for v in indep]}")
         if cert.degree_feasible is not None:
             print(f"  degrees within witness range: {cert.degree_feasible}")
         print(f"  witness: {'yes' if cert.is_witness else 'no'}")

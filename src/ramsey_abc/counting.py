@@ -178,20 +178,42 @@ def _peel_rows(adj: tuple[int, ...], cand: int) -> tuple[int, ...]:
     The walk extends a set only through higher positions, so each vertex
     branches over at most the graph's degeneracy of neighbours.
 
+    The order comes from a bucket queue: bucket d is the mask of unplaced
+    vertices with d unplaced neighbours. Each step places the lowest bit of
+    the lowest non-empty bucket, which is the same tie rule, and moves the
+    placed vertex's unplaced neighbours down one bucket with one AND per
+    bucket. Those neighbours sit in bucket d or above, so the next minimum
+    is at d - 1 or above.
+
     A row is relabelled as its binary digits: digit i of the new row, read
     from the right, is the old row's digit of the vertex at position i."""
     if not cand:
         return ()
-    degree = {v: (adj[v] & cand).bit_count() for v in _bits(cand)}  # ascending keys
+    buckets = [0] * cand.bit_count()
+    for v in _bits(cand):
+        buckets[(adj[v] & cand).bit_count()] |= 1 << v
     order = []
     left = cand
-    while degree:
-        v = min(degree, key=degree.__getitem__)  # the first minimum: lowest index
-        del degree[v]
+    d = 0
+    while left:
+        while not buckets[d]:
+            d += 1
+        b = buckets[d] & -buckets[d]
+        buckets[d] ^= b
+        left ^= b
+        v = b.bit_length() - 1
         order.append(v)
-        left ^= 1 << v
-        for u in _bits(adj[v] & left):
-            degree[u] -= 1
+        nbrs = adj[v] & left
+        e = d
+        while nbrs:
+            moved = buckets[e] & nbrs
+            if moved:
+                buckets[e] ^= moved
+                buckets[e - 1] |= moved
+                nbrs ^= moved
+            e += 1
+        if d:
+            d -= 1
     width = cand.bit_length()
     pick = itemgetter(*[width - 1 - v for v in reversed(order)])
     return tuple(int("".join(pick(format(adj[v] & cand, f"0{width}b"))), 2) for v in order)

@@ -1,5 +1,10 @@
 """Exact certification of witness claims and adjudication of dataset claims.
 
+A certificate is the exact p-clique and q-independent-set counts of one
+graph plus its degree verdict; it names no violation. The counts are what
+every caller reads, and the one reader that prints a violation, the CLI's
+verify command, finds it with counting.find_clique or find_independent_set.
+
 Claims recorded alongside the bundled dataset (expected triangle counts, the
 absence of 10-independent sets, and four single-vertex deletions said to give
 39-vertex witnesses) are checked against freshly computed exact values. A
@@ -12,21 +17,19 @@ from dataclasses import dataclass
 
 from . import bounds, dataset
 from .counting import _count_complete, _count_deep, count_cliques, count_independent_sets
-from .counting import find_clique, find_independent_set
 from .graph import Graph
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of exact (p, q) certification of one graph."""
+    """Outcome of exact (p, q) certification of one graph: the counts and
+    the degree verdict."""
 
     p: int
     q: int
     n: int
     clique_count: int
     indep_count: int
-    clique_violation: tuple[int, ...] | None
-    indep_violation: tuple[int, ...] | None
     degree_feasible: bool | None
 
     @property
@@ -39,7 +42,9 @@ class Certificate:
 
 
 def certify(g: Graph, p: int, q: int) -> Certificate:
-    """Exact counts with one explicit violation of each kind when present.
+    """Exact p-clique and q-independent-set counts of g, and its degree
+    verdict. No violation is searched for: a caller that wants one calls
+    counting.find_clique or find_independent_set when a count is positive.
 
     degree_feasible reports whether every vertex degree lies in the
     admissible witness range; None when the range needs Ramsey values that
@@ -47,16 +52,12 @@ def certify(g: Graph, p: int, q: int) -> Certificate:
     """
     cliques = count_cliques(g, p)
     indep = count_independent_sets(g, q)
-    clique_violation = find_clique(g, p) if cliques else None
-    indep_violation = find_independent_set(g, q) if indep else None
     try:
         rng = bounds.degree_range(p, q, g.n)
         degree_feasible = all(d in rng for d in g.degrees())
     except ValueError:
         degree_feasible = None
-    return Certificate(
-        p, q, g.n, cliques, indep, clique_violation, indep_violation, degree_feasible
-    )
+    return Certificate(p, q, g.n, cliques, indep, degree_feasible)
 
 
 # Claims shipped with the dataset: triangle counts per graph, zero

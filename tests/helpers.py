@@ -7,6 +7,7 @@ counting internals, so they stay independent of the code paths they check.
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
@@ -28,6 +29,24 @@ def brute_count_indep(g: Graph, q: int) -> int:
         if not any(g.has_edge(u, v) for u, v in combinations(combo, 2)):
             total += 1
     return total
+
+
+def brute_first_clique(g: Graph, p: int) -> tuple[int, ...] | None:
+    """The first p-subset in itertools.combinations order that is a clique,
+    or None."""
+    for combo in combinations(range(g.n), p):
+        if all(g.has_edge(u, v) for u, v in combinations(combo, 2)):
+            return combo
+    return None
+
+
+def brute_first_indep(g: Graph, q: int) -> tuple[int, ...] | None:
+    """The first q-subset in itertools.combinations order that is an
+    independent set, or None."""
+    for combo in combinations(range(g.n), q):
+        if not any(g.has_edge(u, v) for u, v in combinations(combo, 2)):
+            return combo
+    return None
 
 
 def brute_fitness(g: Graph, p: int, q: int) -> int:
@@ -65,6 +84,23 @@ def relabel(g: Graph, perm) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def reference_peel_order(adj, cand: int) -> list[int]:
+    """Min-degree peel order of the subgraph of rows adj that the vertex mask
+    cand induces, by a minimum over a degree dict: each step takes the
+    unplaced vertex with the fewest unplaced neighbours, ties to the lowest
+    index. A reference for counting._peel_rows, which reads its order from
+    a bucket queue."""
+    degree = {v: (adj[v] & cand).bit_count() for v in range(len(adj)) if cand >> v & 1}
+    order = []
+    while degree:
+        v = min(degree, key=degree.__getitem__)  # the first minimum: lowest index
+        del degree[v]
+        order.append(v)
+        for u in degree:
+            degree[u] -= adj[v] >> u & 1
+    return order
+
+
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
@@ -96,6 +132,28 @@ def count_graph_builds(monkeypatch) -> tuple[list, list]:
     monkeypatch.setattr(Graph, "__post_init__", counted_check)
     monkeypatch.setattr(Graph, "_derived", classmethod(counted_derive))
     return checked, derived
+
+
+def spy_finds(monkeypatch, *modules) -> dict[str, list]:
+    """Record every call of counting.find_clique and find_independent_set
+    from now on, under each name that a loaded module, or one of modules,
+    binds them to. Returns the calls, an (n, k) pair each, keyed by the
+    function's name."""
+    from ramsey_abc import counting
+
+    calls: dict[str, list] = {}
+    for name in ("find_clique", "find_independent_set"):
+        real = getattr(counting, name)
+        log = calls[name] = []
+
+        def spy(g, k, real=real, log=log):
+            log.append((g.n, k))
+            return real(g, k)
+
+        for module in [*sys.modules.values(), *modules]:
+            if getattr(module, "__dict__", {}).get(name) is real:
+                monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:

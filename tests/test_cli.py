@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from helpers import spy_finds
 from ramsey_abc import abc_search, cli, counting
 from ramsey_abc.abc_search import BUDGET_EXHAUSTED, WITNESS_FOUND, SearchParams, SearchResult
 from ramsey_abc.cli import (
@@ -362,6 +363,36 @@ def test_verify_non_witness(tmp_path, g1, capsys):
     out = capsys.readouterr().out
     assert "clique violation: [2, 3, 4]" in out
     assert "independent-set violation: [1, 3, 5]" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "extension", "--p", "3", "--q", "10", "--seed", "2", "--budget", "200"],
+        ["--p", "3", "--q", "4", "--n", "8", "--seed", "0", "--budget", "50"],
+    ],
+    ids=["extension", "full"],
+)
+def test_search_certifies_its_best_without_a_find(tmp_path, monkeypatch, capsys, argv):
+    # search reads only the certificate's counts, so it pays for no violation
+    calls = spy_finds(monkeypatch)
+    assert main(["search", *argv, "--out", str(tmp_path)]) == EXIT_BUDGET
+    assert calls == {"find_clique": [], "find_independent_set": []}
+
+
+def test_verify_finds_one_violation_per_positive_count(tmp_path, g1, c5, monkeypatch, capsys):
+    # g1 has a triangle and an independent triple, K6 only triangles, C5 neither
+    paths = []
+    for name, g in (("g1", g1), ("k6", Graph.complete(6)), ("c5", c5)):
+        paths.append(tmp_path / f"{name}.adj")
+        paths[-1].write_text(emit_adjacency_list(g))
+    calls = spy_finds(monkeypatch)
+    assert main(["verify", *map(str, paths), "--p", "3", "--q", "3"]) == EXIT_NONWITNESS
+    assert calls == {"find_clique": [(5, 3), (6, 3)], "find_independent_set": [(5, 3)]}
+    out = capsys.readouterr().out
+    assert out.count("clique violation: ") == 2
+    assert "clique violation: [1, 2, 3]" in out  # K6's first triangle
+    assert out.count("independent-set violation: ") == 1
 
 
 def test_verify_missing_file():

@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 from helpers import (
     brute_count_cliques,
     brute_count_indep,
+    brute_first_clique,
+    brute_first_indep,
     brute_fitness,
     brute_independence_number,
     count_graph_builds,
     graphs,
     random_graph,
+    reference_peel_order,
     relabel,
 )
 from ramsey_abc import counting
@@ -92,6 +95,50 @@ def test_find_witnesses(g1, c5):
     assert find_independent_set(Graph.complete(3), 2) is None
     found = find_clique(Graph.complete(4), 3)
     assert induced_subgraph(Graph.complete(4), found) == Graph.complete(3)
+
+
+@given(graphs(max_n=9), st.data())
+@settings(max_examples=300)
+def test_finds_return_the_first_set_in_combinations_order(g, data):
+    # the violation that `ramsey-abc verify` prints is pinned, not only its kind
+    k = data.draw(st.integers(1, g.n))
+    assert find_clique(g, k) == brute_first_clique(g, k)
+    assert find_independent_set(g, k) == brute_first_indep(g, k)
+
+
+def _circulant(n: int, distances) -> Graph:
+    return Graph.from_edges(n, [(i, (i + s) % n) for i in range(n) for s in distances])
+
+
+@st.composite
+def _peel_cases(draw):
+    """Rows and a vertex mask: a random graph, or a cycle or a circulant,
+    whose equal degrees make every step of the peel a tie; the mask is the
+    whole graph, empty, one vertex or random."""
+    kind = draw(st.sampled_from(["random", "cycle", "circulant"]))
+    if kind == "random":
+        g = draw(graphs(max_n=14))
+    elif kind == "cycle":
+        g = Graph.cycle(draw(st.integers(3, 16)))
+    else:
+        n = draw(st.integers(4, 16))
+        g = _circulant(n, draw(st.sets(st.integers(1, n // 2), min_size=1)))
+    rows = draw(st.sampled_from([g.adj, g.complement_rows]))
+    full = (1 << g.n) - 1
+    one_vertex = st.integers(0, g.n - 1).map(lambda v: 1 << v)
+    mask = draw(st.one_of(st.just(full), st.just(0), one_vertex, st.integers(0, full)))
+    return rows, mask
+
+
+@given(_peel_cases())
+@settings(max_examples=300)
+def test_peel_rows_equal_the_reference_peel_row_for_row(case):
+    rows, mask = case
+    order = reference_peel_order(rows, mask)
+    relabelled = tuple(
+        sum(1 << j for j, u in enumerate(order) if rows[v] >> u & 1) for v in order
+    )
+    assert counting._peel_rows(rows, mask) == relabelled
 
 
 def test_exhaustive_oracle_n5():
@@ -224,8 +271,9 @@ def test_certification_never_takes_the_recursion(monkeypatch):
 
     monkeypatch.setattr(counting, "_indep_poly", refuse)
     assert verify.certify(dataset.load_graph("A").graph, 3, 10).indep_count == 0
-    cert = verify.certify(_start(3, 10, 39, 0), 3, 10)
-    assert cert.indep_count > counting._RECURSION_FROM and cert.indep_violation
+    start = _start(3, 10, 39, 0)
+    assert verify.certify(start, 3, 10).indep_count > counting._RECURSION_FROM
+    assert find_independent_set(start, 10)  # what `ramsey-abc verify` prints
 
 
 def test_max_independent_set_examples(c5):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import spy_finds
 from ramsey_abc.abc_search import WITNESS_FOUND, SearchResult
 from ramsey_abc.cli import EXIT_CLAIM, EXIT_OK, EXIT_USAGE
 from ramsey_abc.counting import FitnessReport
@@ -60,6 +61,20 @@ def test_search_experiments_batch_builds_one_cache(experiments, monkeypatch, cap
     assert experiments.batch(params, range(3), dataset.extract_base()) is not None
     assert built == [tuple(range(5, 11))]
     assert capsys.readouterr().out.count("  seed ") == 3
+
+
+@pytest.mark.parametrize("mode", ["extension", "full"])
+def test_search_experiments_batch_makes_no_find_call(experiments, monkeypatch, capsys, mode):
+    # every seed's best is certified by its counts alone; no violation is searched for
+    from ramsey_abc import abc_search, dataset
+
+    calls = spy_finds(monkeypatch, experiments)
+    if mode == "extension":
+        params = abc_search.SearchParams(3, 10, 40, budget=200, mode=abc_search.EXTENSION_MODE)
+        assert experiments.batch(params, range(2), dataset.extract_base()) == 0
+    else:
+        assert experiments.batch(abc_search.SearchParams(3, 4, 8, budget=50), range(2)) == 0
+    assert calls == {"find_clique": [], "find_independent_set": []}
 
 
 @pytest.mark.parametrize("flags", [["--budget", "0"], ["--colony-size", "3"]])

@@ -1,4 +1,6 @@
-from helpers import brute_fitness, count_graph_builds, graphs
+from helpers import brute_fitness, count_graph_builds, graphs, spy_finds
+from ramsey_abc import dataset
+from ramsey_abc.counting import find_clique, find_independent_set
 from ramsey_abc.graph import Graph, induced_subgraph
 from ramsey_abc.verify import (
     DELETION_CLAIMS,
@@ -15,15 +17,15 @@ from hypothesis import strategies as st
 def test_certify_c5(c5):
     cert = certify(c5, 3, 3)
     assert cert.is_witness
-    assert cert.clique_violation is None and cert.indep_violation is None
+    assert find_clique(c5, 3) is None and find_independent_set(c5, 3) is None
     assert cert.degree_feasible is True  # [2,2] and C5 is 2-regular
 
 
 def test_certify_worked_example(g1):
     cert = certify(g1, 3, 3)
     assert not cert.is_witness
-    assert cert.clique_violation == (1, 2, 3)
-    assert cert.indep_violation == (0, 2, 4)
+    assert find_clique(g1, 3) == (1, 2, 3)
+    assert find_independent_set(g1, 3) == (0, 2, 4)
     assert cert.total == 2
 
 
@@ -46,12 +48,24 @@ def test_certify_matches_brute_force(g, data):
     q = data.draw(st.integers(1, g.n))
     cert = certify(g, p, q)
     assert cert.total == brute_fitness(g, p, q)
-    if cert.clique_violation:
-        sub = induced_subgraph(g, cert.clique_violation)
-        assert sub.edge_count() == p * (p - 1) // 2
-    if cert.indep_violation:
-        sub = induced_subgraph(g, cert.indep_violation)
-        assert sub.edge_count() == 0
+    # a positive count has a violation to find, and a zero count has none
+    clique, indep = find_clique(g, p), find_independent_set(g, q)
+    assert (clique is not None) == (cert.clique_count > 0)
+    assert (indep is not None) == (cert.indep_count > 0)
+    if clique:
+        assert induced_subgraph(g, clique).edge_count() == p * (p - 1) // 2
+    if indep:
+        assert induced_subgraph(g, indep).edge_count() == 0
+
+
+def test_certify_makes_no_find_call(monkeypatch, g1):
+    # a certificate is counts plus the degree verdict; reading it finds no
+    # violation, even where both counts are positive
+    calls = spy_finds(monkeypatch)
+    cases = [(g1, 3, 3), (Graph.complete(6), 3, 3), (dataset.load_graph("A").graph, 3, 9)]
+    read = [(c.total, c.is_witness, c.degree_feasible) for c in (certify(*a) for a in cases)]
+    assert read == [(2, False, False), (20, False, False), (5992, False, False)]
+    assert calls == {"find_clique": [], "find_independent_set": []}
 
 
 def test_appendix_report_structure():
