@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import cycle
-from typing import Any, Callable
+from typing import Any
 
 from . import bounds
 from .construct import (
@@ -169,31 +169,20 @@ class SearchResult:
 
 class Colony:
     """Mutable search state: the food sources, the number of onlookers,
-    counters, best-so-far, and the four mode-specific callables: evaluate
-    scores a position from scratch, random_position draws a fresh one,
-    neighbor(position, fitness, rng) draws one move together with the
-    fitness of the position it leads to, derived from the parent's fitness
-    and the one edge the move flips (or None when no move is legal), and
-    apply(position, move) builds that position. That fitness is exact when
-    the position is strictly better than its source, and None otherwise, so
-    the scorer may stop counting a move once it cannot improve. Only
-    evaluate checks its input; neighbor trusts it."""
+    counters, best-so-far, and the space searched, FullSpace or
+    ExtensionSearch. A space has three members: fresh(rng) draws a random
+    position and scores it from scratch; neighbor(position, fitness, rng)
+    draws one move together with the fitness of the position it leads to,
+    derived from the parent's fitness and the one edge the move flips (or
+    None when no move is legal); and apply(position, move) builds that
+    position. That fitness is exact when the position is strictly better
+    than its source, and None otherwise, so the scorer may stop counting a
+    move once it cannot improve. Only fresh checks its input; neighbor
+    trusts it."""
 
-    def __init__(
-        self,
-        params: SearchParams,
-        evaluate: Callable[[Any], FitnessReport],
-        random_position: Callable[[random.Random], Any],
-        neighbor: Callable[
-            [Any, FitnessReport, random.Random], tuple[Any, FitnessReport | None] | None
-        ],
-        apply: Callable[[Any, Any], Any],
-    ):
+    def __init__(self, params: SearchParams, space: FullSpace | ExtensionSearch):
         self.params = params
-        self.evaluate = evaluate
-        self.random_position = random_position
-        self.neighbor = neighbor
-        self.apply = apply
+        self.space = space
         self.sources: list[Source] = []
         self.onlookers = 0
         self.round_no = 0
@@ -214,12 +203,12 @@ class Colony:
         self.finished = self.finished or BUDGET_EXHAUSTED
         return True
 
-    def assess(self, position: Any) -> FitnessReport:
-        """Evaluate a fresh position, charge the budget and offer it as best."""
-        rep = self.evaluate(position)
+    def fresh(self, rng: random.Random) -> tuple[Any, FitnessReport]:
+        """Draw and score a fresh position, charge the budget and offer it as best."""
+        pos, rep = self.space.fresh(rng)
         self.evaluations += 1
-        self.offer(position, rep)
-        return rep
+        self.offer(pos, rep)
+        return pos, rep
 
     def offer(self, position: Any, rep: FitnessReport) -> None:
         """Take position as best-so-far if rep is strictly better; a witness ends the run."""
@@ -289,6 +278,49 @@ def _random_pair(n: int, rng: random.Random) -> tuple[int, int]:
     return u, v
 
 
+class FullSpace:
+    """Full mode: a position is a Graph on n vertices, drawn as
+    G(n, density); a move flips one vertex pair."""
+
+    def __init__(self, p: int, q: int, n: int, density: float):
+        self.p, self.q, self.n, self.density = p, q, n, density
+
+    def fresh(self, rng: random.Random) -> tuple[Graph, FitnessReport]:
+        pos = _random_graph(self.n, self.density, rng)
+        return pos, fitness(pos, self.p, self.q)
+
+    def neighbor(self, pos: Graph, rep: FitnessReport, rng: random.Random):
+        u, v = _random_pair(self.n, rng)
+        return (u, v), flip_fitness(pos, rep, u, v, self.p, self.q)
+
+    def apply(self, pos: Graph, move: tuple[int, int]) -> Graph:
+        return toggle_edge(pos, *move)
+
+
+class ExtensionSearch:
+    """Extension mode over a checked construct.ExtensionSpace, scored
+    through the base's independent-set cache: fresh positions cycle
+    through the inner-graph catalog, and a move flips one attachment. It
+    lives here, not on ExtensionSpace, because counting imports construct."""
+
+    def __init__(self, space: ExtensionSpace, cache, p: int, q: int):
+        self.space, self.cache, self.p, self.q = space, cache, p, q
+        self.cycle = cycle(range(len(space.inners)))
+
+    def fresh(self, rng: random.Random):
+        pos = random_extension(self.space, next(self.cycle), rng)
+        return pos, extension_fitness(self.cache, pos, self.p, self.q)
+
+    def neighbor(self, pos, rep: FitnessReport, rng: random.Random):
+        move = mutate_extension(self.space, pos, rng)
+        if move is None:
+            return None
+        return move, attachment_flip_fitness(self.cache, pos, rep, *move, self.p, self.q)
+
+    def apply(self, pos, move: tuple[int, int]):
+        return toggle_with_masks(pos, *move)
+
+
 def extension_cache(params: SearchParams, base: Graph):
     """The base's independent-set cache for an extension search of params:
     one size for every q - |T| in 1..base.n that an added-vertex set T can
@@ -303,60 +335,25 @@ def make_colony(
     base: Graph | None = None,
     cache=None,
 ) -> Colony:
-    """Wire up the mode-specific callables of params (no positions generated
-    yet); full mode draws its random graphs at default_init_density.
-    Extension mode builds one construct.ExtensionSpace over the inner-graph
-    catalog, and random positions cycle through the catalog. Given no cache, it
-    builds extension_cache(params, base); the count names any size a given
-    cache lacks."""
+    """A colony of params over its mode's space, no positions drawn yet.
+    Full mode draws its random graphs at default_init_density. Extension
+    mode checks one construct.ExtensionSpace over the inner-graph catalog,
+    and, given no cache, builds extension_cache(params, base); the count
+    names any size a given cache lacks."""
+    p, q, n = params.p, params.q, params.n
     if params.mode == FULL_MODE:
-        density = default_init_density(params.p, params.q, params.n)
-
-        def random_position(rng: random.Random) -> Graph:
-            return _random_graph(params.n, density, rng)
-
-        n, p, q = params.n, params.p, params.q
-
-        def neighbor(pos: Graph, rep: FitnessReport, rng: random.Random):
-            u, v = _random_pair(n, rng)
-            return (u, v), flip_fitness(pos, rep, u, v, p, q)
-
-        def apply(pos: Graph, move: tuple[int, int]) -> Graph:
-            return toggle_edge(pos, *move)
-
-        def evaluate(pos: Graph) -> FitnessReport:
-            return fitness(pos, params.p, params.q)
-
-        return Colony(params, evaluate, random_position, neighbor, apply)
-
+        return Colony(params, FullSpace(p, q, n, default_init_density(p, q, n)))
     if base is None:
         raise ValueError("extension mode needs a base graph")
-    added = params.n - base.n
+    added = n - base.n
     if not 1 <= added <= 7:
         raise ValueError(
-            f"extension mode supports 1..7 added vertices, got n={params.n} over base {base.n}"
+            f"extension mode supports 1..7 added vertices, got n={n} over base {base.n}"
         )
     space = ExtensionSpace(base, enumerate_triangle_free(added), params.band)
     if cache is None:
         cache = extension_cache(params, base)
-    inner_indices = cycle(range(len(space.inners)))
-
-    def random_position(rng: random.Random):
-        return random_extension(space, next(inner_indices), rng)
-
-    def neighbor(pos, rep: FitnessReport, rng: random.Random):
-        move = mutate_extension(space, pos, rng)
-        if move is None:
-            return None
-        return move, attachment_flip_fitness(cache, pos, rep, *move, params.p, params.q)
-
-    def apply(pos, move: tuple[int, int]):
-        return toggle_with_masks(pos, *move)
-
-    def evaluate(pos) -> FitnessReport:
-        return extension_fitness(cache, pos, params.p, params.q)
-
-    return Colony(params, evaluate, random_position, neighbor, apply)
+    return Colony(params, ExtensionSearch(space, cache, p, q))
 
 
 def init_colony(
@@ -371,8 +368,7 @@ def init_colony(
     colony = make_colony(params, base=base, cache=cache)
     scored: list[tuple[Any, FitnessReport]] = []
     for _ in range(params.colony_size):
-        pos = colony.random_position(rng)
-        scored.append((pos, colony.assess(pos)))
+        scored.append(colony.fresh(rng))
         if colony.finished or colony.spent():
             break
     scored.sort(key=lambda item: item[1].total)
@@ -400,6 +396,7 @@ def employed_phase(colony: Colony, rng: random.Random) -> None:
     """
     params = colony.params
     budget = params.budget
+    neighbor = colony.space.neighbor
     for src in colony.sources:
         if colony.finished:
             return
@@ -410,7 +407,7 @@ def employed_phase(colony: Colony, rng: random.Random) -> None:
         for _ in range(2 if src.followed else 1):
             if colony.evaluations >= budget and colony.spent():
                 break
-            drawn = colony.neighbor(src.position, src.fitness, rng)
+            drawn = neighbor(src.position, src.fitness, rng)
             if drawn is None:
                 continue
             colony.evaluations += 1
@@ -422,7 +419,7 @@ def employed_phase(colony: Colony, rng: random.Random) -> None:
                     break
         if best is not None:
             move, rep = best
-            src.position = colony.apply(src.position, move)
+            src.position = colony.space.apply(src.position, move)
             src.fitness = rep
             src.staynum = 1
             colony.accepted_moves += 1
@@ -475,11 +472,8 @@ def scout_phase(colony: Colony, rng: random.Random) -> None:
             continue
         if colony.spent():
             return
-        pos = colony.random_position(rng)
-        rep = colony.assess(pos)
+        src.position, src.fitness = colony.fresh(rng)
         src.scout = False
-        src.position = pos
-        src.fitness = rep
         src.staynum = 1
         colony.scout_restarts += 1
 

@@ -12,18 +12,26 @@ from ramsey_abc.abc_search import (
     FULL_MODE,
     WITNESS_FOUND,
     Colony,
+    ExtensionSearch,
+    FullSpace,
     SearchParams,
     Source,
     _random_pair,
     default_init_density,
     employed_phase,
+    extension_cache,
     init_colony,
     make_colony,
     onlooker_phase,
     run,
     scout_phase,
 )
-from ramsey_abc.construct import DEFAULT_DEGREE_RANGE, ExtensionSpace
+from ramsey_abc.construct import (
+    DEFAULT_DEGREE_RANGE,
+    ExtensionSpace,
+    enumerate_triangle_free,
+    extension_to_graph,
+)
 from ramsey_abc.counting import (
     FitnessReport,
     build_indep_cache,
@@ -176,31 +184,40 @@ def test_budget_equal_to_colony_size_returns_initial_best():
     )
 
 
+class _ScriptedSpace:
+    """A controllable landscape over integer positions: a fresh position is
+    100 + rng.randrange(10), the move is a step of +1, and apply records
+    every step it applies."""
+
+    def __init__(self, evaluate):
+        self.evaluate = evaluate
+        self.applied = []
+
+    def fresh(self, rng):
+        pos = 100 + rng.randrange(10)
+        return pos, self.evaluate(pos)
+
+    def neighbor(self, pos, rep, rng):
+        return 1, self.evaluate(pos + 1)
+
+    def apply(self, pos, step):
+        self.applied.append(step)
+        return pos + step
+
+
 def _scripted_colony(evaluate, maxlimit=3, alpha=1.0):
-    """Two sources at integer positions with a controllable landscape;
-    the move is a step of +1. Returns the colony and the list of moves
-    applied to it."""
+    """Two sources at position 0 of a _ScriptedSpace over evaluate. Returns
+    the colony and the list of moves applied to it."""
     params = SearchParams(
         p=3, q=3, n=5, colony_size=4, maxlimit=maxlimit, alpha=alpha, seed=0, budget=1000
     )
-    applied = []
-
-    def apply(pos, step):
-        applied.append(step)
-        return pos + step
-
-    colony = Colony(
-        params,
-        evaluate=evaluate,
-        random_position=lambda rng: 100 + rng.randrange(10),
-        neighbor=lambda pos, rep, rng: (1, evaluate(pos + 1)),
-        apply=apply,
-    )
+    space = _ScriptedSpace(evaluate)
+    colony = Colony(params, space)
     colony.sources = [Source(0, evaluate(0)), Source(0, evaluate(0))]
     colony.onlookers = 2
     colony.best_fitness = evaluate(0)
     colony.best_position = 0
-    return colony, applied
+    return colony, space.applied
 
 
 def _bee_counts(colony) -> tuple[int, int, int]:
@@ -263,7 +280,7 @@ def _two_bee_colony(alpha: float, onlookers: int) -> "Colony":
     params = SearchParams(
         p=3, q=3, n=5, colony_size=4, maxlimit=5, alpha=alpha, seed=0, budget=100
     )
-    colony = Colony(params, evaluate=None, random_position=None, neighbor=None, apply=None)
+    colony = Colony(params, space=object())  # onlookers never touch the space
     colony.sources = [Source("a", FitnessReport(3, 0)), Source("b", FitnessReport(7, 0))]
     colony.onlookers = onlookers
     colony.best_fitness = FitnessReport(3, 0)
@@ -425,7 +442,7 @@ def test_settled_draw_is_charged_but_never_a_candidate():
     # (None), the second improves; only the second is applied, both are charged
     colony, applied = _scripted_colony(lambda pos: FitnessReport(10 - pos, 0), maxlimit=5)
     scores = iter([None, FitnessReport(8, 0), None])
-    colony.neighbor = lambda pos, rep, rng: (2, next(scores))
+    colony.space.neighbor = lambda pos, rep, rng: (2, next(scores))
     colony.sources[0].followed = True
     employed_phase(colony, random.Random(0))
     assert colony.evaluations == 3
@@ -444,7 +461,7 @@ def test_followed_source_applies_its_best_draw(second, applied_step):
     # first draw is applied, and the second only when strictly better
     colony, applied = _scripted_colony(lambda pos: FitnessReport(10 - pos, 0), maxlimit=5)
     scores = iter([(1, FitnessReport(7, 0)), (2, second), (3, None)])
-    colony.neighbor = lambda pos, rep, rng: next(scores)
+    colony.space.neighbor = lambda pos, rep, rng: next(scores)
     colony.sources[0].followed = True
     employed_phase(colony, random.Random(0))
     assert colony.evaluations == 3
@@ -502,6 +519,49 @@ def test_best_position_has_best_fitness():
                               degree_range=(3, 9))
         result = run(params, base=base, cache=cache)
         assert extension_fitness(cache, result.best_position, 3, 10) == result.best_fitness
+
+
+def _contract_spaces():
+    full = FullSpace(3, 4, 8, default_init_density(3, 4, 8))
+    yield pytest.param(full, lambda pos: fitness(pos, 3, 4), id="full")
+    base = Graph.cycle(10)
+    params = small_params(q=4, n=13, mode=EXTENSION_MODE, degree_range=(1, 3))
+    space = ExtensionSpace(base, enumerate_triangle_free(3), params.band)
+    ext = ExtensionSearch(space, extension_cache(params, base), 3, 4)
+    yield pytest.param(ext, lambda pos: fitness(extension_to_graph(pos), 3, 4), id="extension")
+
+
+@pytest.mark.parametrize("space, scratch", _contract_spaces())
+def test_space_contract(space, scratch):
+    # fresh scores its position from scratch; a move's report is the exact
+    # count of the position apply builds when strictly better than its
+    # source, and None only when that position is no better
+    rng = random.Random(11)
+    drawn_inners = []
+    improved = settled = 0
+    for _ in range(7):
+        pos, rep = space.fresh(rng)
+        assert rep == scratch(pos)
+        if isinstance(space, ExtensionSearch):
+            drawn_inners.append(space.space.inners.index(pos.inner))
+        for _ in range(30):
+            drawn = space.neighbor(pos, rep, rng)
+            if drawn is None:
+                continue
+            move, child_rep = drawn
+            child = space.apply(pos, move)
+            exact = scratch(child)
+            if child_rep is None:
+                settled += 1
+                assert exact.total >= rep.total
+            else:
+                improved += 1
+                assert child_rep == exact and child_rep.total < rep.total
+                pos, rep = child, child_rep
+    assert improved and settled
+    if isinstance(space, ExtensionSearch):
+        # consecutive fresh draws walk the catalog in order, then wrap around
+        assert drawn_inners == [0, 1, 2, 0, 1, 2, 0]
 
 
 def test_random_pair_is_a_vertex_pair():
