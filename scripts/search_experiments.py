@@ -12,9 +12,10 @@ bundled 35-vertex base toward the open (3,10,40) target and reports the best
 fitness reached per seed (0 has never been achieved; small totals are the
 interesting output).
 
-Every reported best is recounted exactly (verify.certify), and only certified
-witnesses count as successes. Exit codes follow ``ramsey-abc search``: 2 for
-bad parameters, 5 when a reported best fitness fails certification.
+Every reported best is recounted exactly by verify.certify_search, which
+compares both counts, and only certified witnesses count as successes. Exit
+codes follow ``ramsey-abc search``: 2 for bad parameters, 5 when a reported
+best fitness fails certification.
 """
 
 import argparse
@@ -30,30 +31,25 @@ if importlib.util.find_spec("ramsey_abc") is None:  # a source checkout, not ins
 from ramsey_abc import dataset, verify
 from ramsey_abc.abc_search import EXTENSION_MODE, SearchParams, extension_cache, run
 from ramsey_abc.cli import EXIT_CLAIM, EXIT_OK, EXIT_USAGE
-from ramsey_abc.construct import extension_to_graph
 
 
 def batch(params: SearchParams, seeds, base=None) -> int | None:
     """Search params once per seed; the number of certified witnesses, or
     None once a reported best fitness fails certification. In extension mode
     every seed shares one base cache."""
-    extension = params.mode == EXTENSION_MODE
-    cache = extension_cache(params, base) if extension else None
+    cache = extension_cache(params, base) if params.mode == EXTENSION_MODE else None
     wins = 0
     for seed in seeds:
         t0 = time.perf_counter()
         result = run(dataclasses.replace(params, seed=seed), base=base, cache=cache)
-        best = result.best_position
-        graph = extension_to_graph(best) if extension else best
-        cert = verify.certify(graph, params.p, params.q)
-        total = result.best_fitness.total
-        if cert.total != total:
-            print(f"error: seed {seed}: reported best fitness {total} fails certification: "
-                  f"exact count {cert.total}", file=sys.stderr)
+        try:
+            _, cert = verify.certify_search(result, params.p, params.q)
+        except verify.CertificationError as exc:
+            print(f"error: seed {seed}: {exc}", file=sys.stderr)
             return None
         wins += cert.is_witness
         print(
-            f"  seed {seed:>3}: best {total:>4}  {result.reason:<16} "
+            f"  seed {seed:>3}: best {cert.total:>4}  {result.reason:<16} "
             f"evals {result.evaluations:>7}  {time.perf_counter() - t0:.1f}s"
         )
     return wins

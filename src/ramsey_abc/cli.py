@@ -32,7 +32,7 @@ from .abc_search import (
     SearchResult,
     run,
 )
-from .construct import enumerate_triangle_free, extension_to_graph, serialize_extension
+from .construct import enumerate_triangle_free, serialize_extension
 from .counting import CacheBudgetError, fitness, count_cliques, count_independent_sets
 from .counting import find_clique, find_independent_set
 from .graph import (
@@ -213,19 +213,7 @@ def cmd_search(args) -> int:
     result = run(params, base=base)
     wall = time.perf_counter() - t0
 
-    # fitness is carried from move to move, so every reported best (witness
-    # or not) is recounted exactly before anything is written
-    best = result.best_position
-    best_graph = best if isinstance(best, Graph) else extension_to_graph(best)
-    cert = verify.certify(best_graph, params.p, params.q)
-    if cert.total != result.best_fitness.total:
-        print(
-            f"error: reported best fitness {result.best_fitness.total} fails certification: "
-            f"exact counts cliques {cert.clique_count}, independent sets {cert.indep_count}; "
-            f"nothing written",
-            file=sys.stderr,
-        )
-        return EXIT_CLAIM
+    best_graph, _ = verify.certify_search(result, params.p, params.q)
     witness = best_graph if result.reason == WITNESS_FOUND else None
 
     run_dir = _unique_run_dir(Path(config.out_dir), params.seed)
@@ -304,8 +292,12 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_count(args) -> int:
+    if (args.p is None) != (args.q is None):
+        given, missing = ("p", "q") if args.q is None else ("q", "p")
+        print(f"error: --{given} needs --{missing}", file=sys.stderr)
+        return EXIT_USAGE
     g = load_graph_file(args.file)
-    if args.p is not None and args.q is not None:
+    if args.p is not None:
         rep = fitness(g, args.p, args.q)
         print(
             f"cliques(p={args.p}): {rep.clique_count}  "
@@ -466,6 +458,9 @@ def main(argv=None) -> int:
     except CacheBudgetError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except verify.CertificationError as exc:
+        print(f"error: {exc}; nothing written", file=sys.stderr)
+        return EXIT_CLAIM
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

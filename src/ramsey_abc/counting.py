@@ -233,30 +233,20 @@ def _count_deep(adj: tuple[int, ...], cand: int, k: int) -> int:
 def _find_complete(adj: tuple[int, ...], n: int, p: int) -> tuple[int, ...] | None:
     """Lexicographically first p-subset of range(n) that is pairwise adjacent,
     or None; () for p = 0. Under _count_complete's bound, which cuts only
-    empty branches, the first set found is still the first. A branch that
-    needs 2 more vertices takes v and then the lowest candidate adjacent to
-    v, so the last vertex costs no call."""
-    if p <= 0:
-        return () if p == 0 else None
-    if p == 1:
-        return (0,) if n else None
+    empty branches, the first set found is still the first."""
     out: list[int] = []
 
     def rec(cand: int, need: int) -> bool:
+        if need <= 0:
+            return not need
         while cand.bit_count() >= need:
             b = cand & -cand
             v = b.bit_length() - 1
             cand ^= b
-            nxt = cand & adj[v]
-            if need == 2:
-                if nxt:
-                    out.extend((v, (nxt & -nxt).bit_length() - 1))
-                    return True
-            elif nxt.bit_count() >= need - 1:
-                out.append(v)
-                if rec(nxt, need - 1):
-                    return True
-                out.pop()
+            out.append(v)
+            if rec(cand & adj[v], need - 1):
+                return True
+            out.pop()
         return False
 
     return tuple(out) if rec((1 << n) - 1, p) else None

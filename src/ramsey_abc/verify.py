@@ -1,9 +1,11 @@
 """Exact certification of witness claims and adjudication of dataset claims.
 
-A certificate is the exact p-clique and q-independent-set counts of one
-graph plus its degree verdict; it names no violation. The counts are what
-every caller reads, and the one reader that prints a violation, the CLI's
+A certificate is a counting.FitnessReport (the exact p-clique and
+q-independent-set counts of one graph) plus p, q, n and the degree verdict;
+it names no violation. The one reader that prints a violation, the CLI's
 verify command, finds it with counting.find_clique or find_independent_set.
+certify_search is the one recount of a search's best, for `ramsey-abc
+search` and scripts/search_experiments.py alike.
 
 Claims recorded alongside the bundled dataset (expected triangle counts, the
 absence of 10-independent sets, and four single-vertex deletions said to give
@@ -16,29 +18,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bounds, dataset
-from .counting import _count_complete, _count_deep, count_cliques, count_independent_sets
+from .abc_search import SearchResult
+from .construct import ExtensionState, extension_to_graph
+from .counting import FitnessReport, _count_complete, _count_deep
+from .counting import count_cliques, count_independent_sets
 from .graph import Graph
 
 
+class CertificationError(Exception):
+    """A search's reported best fitness disagrees with the exact counts of
+    its best position. Not a ValueError: the CLI maps those to a usage error."""
+
+
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(FitnessReport):
     """Outcome of exact (p, q) certification of one graph: the counts and
     the degree verdict."""
 
     p: int
     q: int
     n: int
-    clique_count: int
-    indep_count: int
     degree_feasible: bool | None
-
-    @property
-    def is_witness(self) -> bool:
-        return self.clique_count == 0 and self.indep_count == 0
-
-    @property
-    def total(self) -> int:
-        return self.clique_count + self.indep_count
 
 
 def certify(g: Graph, p: int, q: int) -> Certificate:
@@ -57,7 +57,25 @@ def certify(g: Graph, p: int, q: int) -> Certificate:
         degree_feasible = all(d in rng for d in g.degrees())
     except ValueError:
         degree_feasible = None
-    return Certificate(p, q, g.n, cliques, indep, degree_feasible)
+    return Certificate(cliques, indep, p, q, g.n, degree_feasible)
+
+
+def certify_search(result: SearchResult, p: int, q: int) -> tuple[Graph, Certificate]:
+    """A search's best position as a Graph and its (p, q) certificate.
+
+    The search carries fitness from move to move, so its reported best is
+    recounted exactly; CertificationError unless both exact counts equal
+    the reported ones."""
+    best = result.best_position
+    graph = extension_to_graph(best) if isinstance(best, ExtensionState) else best
+    cert = certify(graph, p, q)
+    reported = result.best_fitness
+    if (cert.clique_count, cert.indep_count) != (reported.clique_count, reported.indep_count):
+        raise CertificationError(
+            f"reported best fitness {reported.total} fails certification: exact count "
+            f"{cert.total} (cliques {cert.clique_count}, independent sets {cert.indep_count})"
+        )
+    return graph, cert
 
 
 # Claims shipped with the dataset: triangle counts per graph, zero
@@ -112,20 +130,17 @@ def verify_appendix(reports=None) -> AppendixReport:
     if reports is None:
         reports = dataset.load_all()
     rows = []
-    for name in sorted(reports):
-        rep = reports[name]
-        g = rep.graph
-        triangles = count_cliques(g, 3)
-        ten = count_independent_sets(g, 10)
+    for name, rep in sorted(reports.items()):
+        cert = certify(rep.graph, 3, 10)
         rows.append(
             GraphClaimRow(
                 name=name,
                 parse_warnings=len(rep.warnings),
-                triangle_count=triangles,
+                triangle_count=cert.clique_count,
                 expected_triangles=TRIANGLE_CLAIMS.get(name, 0),
-                ten_indep_count=ten,
+                ten_indep_count=cert.indep_count,
                 expected_ten_indep=INDEP_CLAIMS.get(name, 0),
-                fitness_total=triangles + ten,
+                fitness_total=cert.total,
             )
         )
     return AppendixReport(tuple(rows))

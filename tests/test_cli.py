@@ -343,6 +343,20 @@ def test_search_rejects_best_fitness_that_fails_certification(tmp_path, monkeypa
     assert not list(tmp_path.iterdir())
 
 
+def test_search_rejects_swapped_counts_with_the_right_total(tmp_path, monkeypatch, capsys):
+    # K5 reported as (cliques 0, independent sets 10): the exact total, 10,
+    # agrees, but the counts are swapped, so nothing is written
+    def fake_run(params, base=None):
+        return SearchResult(Graph.complete(5), FitnessReport(0, 10), 0, 1, (), BUDGET_EXHAUSTED)
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    runs = tmp_path / "runs"
+    code = main(["search", "--p", "3", "--q", "3", "--n", "5", "--out", str(runs)])
+    assert code == EXIT_CLAIM
+    assert "exact count 10 (cliques 10, independent sets 0)" in capsys.readouterr().err
+    assert not runs.exists()
+
+
 def test_search_cache_over_budget_exits_cleanly(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(counting, "MAX_CACHE_SETS", 10)
     code = main(
@@ -481,6 +495,25 @@ def test_count_fitness(tmp_path, capsys, c5):
     assert main(["count", "--file", str(path), "--p", "3", "--q", "3"]) == EXIT_OK
     assert "total: 0" in capsys.readouterr().out
     assert main(["count", "--file", str(path)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--p", "3"], "--p needs --q"),
+        (["--q", "3"], "--q needs --p"),
+        (["--p", "3", "--cliques", "1..2"], "--p needs --q"),
+        (["--q", "3", "--indep", "1..2"], "--q needs --p"),
+    ],
+    ids=["p-alone", "q-alone", "p-with-cliques", "q-with-indep"],
+)
+def test_count_needs_p_and_q_together(tmp_path, capsys, flags, message):
+    # a lone --p or --q is refused by name, never silently ignored
+    path = tmp_path / "k2.adj"
+    path.write_text(emit_adjacency_list(Graph.complete(2)))
+    assert main(["count", "--file", str(path), *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
 
 
 def test_count_parse_error(tmp_path):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from helpers import spy_finds
-from ramsey_abc.abc_search import WITNESS_FOUND, SearchResult
+from ramsey_abc.abc_search import BUDGET_EXHAUSTED, WITNESS_FOUND, SearchResult
 from ramsey_abc.cli import EXIT_CLAIM, EXIT_OK, EXIT_USAGE
 from ramsey_abc.counting import FitnessReport
 from ramsey_abc.graph import Graph
@@ -41,6 +41,19 @@ def test_search_experiments_refuses_an_uncertified_best(experiments, monkeypatch
     assert experiments.main(["--seeds", "1"]) == EXIT_CLAIM
     out, err = capsys.readouterr()
     assert "fails certification: exact count 10" in err
+    assert "success" not in out
+
+
+def test_search_experiments_refuses_swapped_counts(experiments, monkeypatch, capsys):
+    # K5 reported as (cliques 0, independent sets 10): the right total, 10,
+    # but the exact counts are (10, 0)
+    def swapped_run(params, base=None, cache=None):
+        return SearchResult(Graph.complete(5), FitnessReport(0, 10), 0, 1, (), BUDGET_EXHAUSTED)
+
+    monkeypatch.setattr(experiments, "run", swapped_run)
+    assert experiments.main(["--seeds", "1"]) == EXIT_CLAIM
+    out, err = capsys.readouterr()
+    assert "seed 0: reported best fitness 10 fails certification" in err
     assert "success" not in out
 
 

@@ -1,3 +1,5 @@
+import pytest
+
 from helpers import brute_fitness, count_graph_builds, graphs, spy_finds
 from ramsey_abc import dataset
 from ramsey_abc.counting import find_clique, find_independent_set
@@ -5,7 +7,9 @@ from ramsey_abc.graph import Graph, induced_subgraph
 from ramsey_abc.verify import (
     DELETION_CLAIMS,
     TRIANGLE_CLAIMS,
+    CertificationError,
     certify,
+    certify_search,
     verify_appendix,
     verify_deletions,
 )
@@ -66,6 +70,25 @@ def test_certify_makes_no_find_call(monkeypatch, g1):
     read = [(c.total, c.is_witness, c.degree_feasible) for c in (certify(*a) for a in cases)]
     assert read == [(2, False, False), (20, False, False), (5992, False, False)]
     assert calls == {"find_clique": [], "find_independent_set": []}
+
+
+def test_certify_search_compares_both_counts(c5):
+    # an extension's best is assembled into its graph before the recount; a
+    # report with the right total but swapped counts fails, and the failure
+    # is not a ValueError, which the CLI reads as a usage error
+    from ramsey_abc.abc_search import BUDGET_EXHAUSTED, SearchResult
+    from ramsey_abc.construct import ExtensionState, extension_to_graph
+    from ramsey_abc.counting import FitnessReport, fitness
+
+    ext = ExtensionState(c5, Graph.empty(1), (0b00101,))
+    exact = fitness(extension_to_graph(ext), 3, 3)
+    graph, cert = certify_search(SearchResult(ext, exact, 0, 1, (), BUDGET_EXHAUSTED), 3, 3)
+    assert graph == extension_to_graph(ext)
+    assert isinstance(cert, FitnessReport) and (cert.n, cert.total) == (6, exact.total)
+    swapped = SearchResult(Graph.complete(5), FitnessReport(0, 10), 0, 1, (), BUDGET_EXHAUSTED)
+    with pytest.raises(CertificationError, match=r"exact count 10 \(cliques 10, independent"):
+        certify_search(swapped, 3, 3)
+    assert not issubclass(CertificationError, ValueError)
 
 
 def test_appendix_report_structure():
