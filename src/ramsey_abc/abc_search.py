@@ -145,7 +145,7 @@ class Source:
     scout: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundStats:
     round: int
     best_total: int
@@ -438,26 +438,37 @@ def onlooker_phase(colony: Colony, rng: random.Random) -> None:
     among equals), and the sum runs over the sources still unfollowed. With
     alpha < 1 an onlooker may pick nobody. Idle onlookers are
     interchangeable, so each makes the same draw; none is made once every
-    source is followed."""
+    source is followed.
+
+    The sources are ranked only when an onlooker is idle, which most rounds
+    none is. The idle onlookers then draw from one open list of unfollowed
+    sources and its integer weight total, built once: a pick deletes its
+    source and subtracts its weight, leaving the list and total a rebuild
+    would give, so every generator call and float is the same."""
     if colony.finished:
         return
-    params = colony.params
-    ranked = sorted((src for src in colony.sources if not src.scout),
+    sources = colony.sources
+    idle = colony.onlookers - sum(src.followed for src in sources)
+    if idle <= 0:
+        return
+    ranked = sorted((src for src in sources if not src.scout),
                     key=lambda src: src.fitness.total)
     count = len(ranked)
-    weighted = [(src, count - rank) for rank, src in enumerate(ranked)]
-    idle = colony.onlookers - sum(src.followed for src in colony.sources)
+    open_sources = [(src, count - rank) for rank, src in enumerate(ranked)
+                    if not src.followed]
+    total_w = sum(w for _, w in open_sources)
+    alpha = colony.params.alpha
     for _ in range(idle):
-        open_sources = [(src, w) for src, w in weighted if not src.followed]
         if not open_sources:
             return
-        total_w = sum(w for _, w in open_sources)
         r = rng.random()
         acc = 0.0
-        for src, w in open_sources:
-            acc += params.alpha * w / total_w
+        for i, (src, w) in enumerate(open_sources):
+            acc += alpha * w / total_w
             if r < acc:
                 src.followed = True
+                del open_sources[i]
+                total_w -= w
                 break
 
 

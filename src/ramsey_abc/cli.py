@@ -296,6 +296,11 @@ def cmd_count(args) -> int:
         given, missing = ("p", "q") if args.q is None else ("q", "p")
         print(f"error: --{given} needs --{missing}", file=sys.stderr)
         return EXIT_USAGE
+    ranges = " and ".join(f"--{name}" for name in ("cliques", "indep")
+                          if getattr(args, name) is not None)
+    if args.p is not None and ranges:
+        print(f"error: --p/--q cannot be combined with {ranges}", file=sys.stderr)
+        return EXIT_USAGE
     g = load_graph_file(args.file)
     if args.p is not None:
         rep = fitness(g, args.p, args.q)

@@ -101,6 +101,33 @@ def reference_peel_order(adj, cand: int) -> list[int]:
     return order
 
 
+def reference_onlooker_phase(colony, rng: random.Random) -> None:
+    """abc_search.onlooker_phase as a rebuild per onlooker: rank every
+    source that is not a scout, then, for each idle onlooker, list the
+    unfollowed sources and sum their weights afresh before its draw. A
+    reference for the phase, which builds the open list and its total once."""
+    if colony.finished:
+        return
+    params = colony.params
+    ranked = sorted((src for src in colony.sources if not src.scout),
+                    key=lambda src: src.fitness.total)
+    count = len(ranked)
+    weighted = [(src, count - rank) for rank, src in enumerate(ranked)]
+    idle = colony.onlookers - sum(src.followed for src in colony.sources)
+    for _ in range(idle):
+        open_sources = [(src, w) for src, w in weighted if not src.followed]
+        if not open_sources:
+            return
+        total_w = sum(w for _, w in open_sources)
+        r = rng.random()
+        acc = 0.0
+        for src, w in open_sources:
+            acc += params.alpha * w / total_w
+            if r < acc:
+                src.followed = True
+                break
+
+
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False

@@ -1,9 +1,10 @@
+import copy
 import dataclasses
 import random
 
 import pytest
 
-from helpers import count_graph_builds
+from helpers import count_graph_builds, reference_onlooker_phase
 
 from ramsey_abc import abc_search, dataset
 from ramsey_abc.abc_search import (
@@ -14,6 +15,7 @@ from ramsey_abc.abc_search import (
     Colony,
     ExtensionSearch,
     FullSpace,
+    RoundStats,
     SearchParams,
     Source,
     _random_pair,
@@ -330,6 +332,70 @@ def test_all_employed_followed_is_noop():
     assert all(src.followed for src in colony.sources)
     # no onlooker is idle, so no draw is made
     assert rng.getstate() == rng_state
+
+
+class _UnreadFitness:
+    """A fitness whose total must not be read."""
+
+    @property
+    def total(self):
+        raise AssertionError("a source was ranked")
+
+
+def test_no_idle_onlooker_ranks_nothing():
+    # every onlooker follows a source: the phase returns before it ranks
+    colony = _two_bee_colony(alpha=1.0, onlookers=2)
+    for src in colony.sources:
+        src.followed = True
+        src.fitness = _UnreadFitness()
+    rng = random.Random(5)
+    rng_state = rng.getstate()
+    onlooker_phase(colony, rng)
+    assert all(src.followed for src in colony.sources)
+    assert rng.getstate() == rng_state
+
+
+def _random_onlooker_colony(rng: random.Random) -> Colony:
+    alpha = rng.choice([1.0, rng.uniform(0.05, 1.0)])
+    params = SearchParams(p=3, q=3, n=5, colony_size=4, alpha=alpha, budget=100)
+    colony = Colony(params, space=object())  # onlookers never touch the space
+    for k in range(rng.randint(1, 12)):
+        src = Source(k, FitnessReport(rng.randint(0, 6), rng.randint(0, 6)))
+        src.scout = rng.random() < 0.2
+        src.followed = not src.scout and rng.random() < 0.4
+        colony.sources.append(src)
+    colony.onlookers = rng.randint(sum(src.followed for src in colony.sources), 14)
+    return colony
+
+
+def test_onlooker_phase_matches_the_rebuild_per_onlooker():
+    # the open list built once and shrunk per pick follows the rebuild per
+    # onlooker draw for draw: the same sources followed, the same rng state
+    for seed in range(400):
+        colony = _random_onlooker_colony(random.Random(seed))
+        reference = copy.deepcopy(colony)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        onlooker_phase(colony, rng)
+        reference_onlooker_phase(reference, ref_rng)
+        assert [src.followed for src in colony.sources] == \
+            [src.followed for src in reference.sources]
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_round_stats_rows_are_slotted_tuples():
+    row = RoundStats(3, 7, 120, 8, 2, 1)
+    assert not hasattr(row, "__dict__")
+    assert dataclasses.astuple(row) == (3, 7, 120, 8, 2, 1)
+    assert [f.name for f in dataclasses.fields(row)] == [
+        "round", "best_total", "evaluations", "employed", "onlookers", "scouts",
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.round = 4
+    first = run(small_params(seed=2)).history[0]
+    assert dataclasses.astuple(first) == (
+        first.round, first.best_total, first.evaluations,
+        first.employed, first.onlookers, first.scouts,
+    )
 
 
 def test_role_conservation_through_rounds():

@@ -504,11 +504,16 @@ def test_count_fitness(tmp_path, capsys, c5):
         (["--q", "3"], "--q needs --p"),
         (["--p", "3", "--cliques", "1..2"], "--p needs --q"),
         (["--q", "3", "--indep", "1..2"], "--q needs --p"),
+        (["--p", "2", "--q", "2", "--cliques", "1..2"],
+         "--p/--q cannot be combined with --cliques"),
+        (["--p", "2", "--q", "2", "--indep", "1"], "--p/--q cannot be combined with --indep"),
     ],
-    ids=["p-alone", "q-alone", "p-with-cliques", "q-with-indep"],
+    ids=["p-alone", "q-alone", "p-with-cliques", "q-with-indep", "pq-with-cliques",
+         "pq-with-indep"],
 )
 def test_count_needs_p_and_q_together(tmp_path, capsys, flags, message):
-    # a lone --p or --q is refused by name, never silently ignored
+    # a lone --p or --q, or --p/--q with a range, is refused by name, never
+    # silently ignored
     path = tmp_path / "k2.adj"
     path.write_text(emit_adjacency_list(Graph.complete(2)))
     assert main(["count", "--file", str(path), *flags]) == EXIT_USAGE
