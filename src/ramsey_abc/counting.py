@@ -28,11 +28,12 @@ the rows as they are, where the peel would cost more than it saves.
 The other method is not the walk: independence_polynomial counts the
 independent sets of every size at once, and with them the independence
 number, by the vertex recursion I(G) = I(G - v) + x I(G - N[v]) (Gutman and
-Harary, 1983). The walk's cost grows with the number of sets it counts, the
-recursion's with its branching, so each is used where it is cheaper. The
-base census in dataset.validate_base asks for four sizes and alpha, about
-60,000 sets, which one recursion settles about three times faster than four
-walks and a branch and bound.
+Harary, 1983), on the polynomial packed in one int with a 64-bit field per
+coefficient (_indep_poly). The walk's cost grows with the number of sets it
+counts, the recursion's with its branching, so each is used where it is
+cheaper. The base census in dataset.validate_base asks for four sizes and
+alpha, about 60,000 sets, which one recursion settles about eight times
+faster than four walks and a branch and bound.
 
 fitness, which counts the fresh random positions of a full-mode search,
 picks the method per side from the count expected of a random graph with
@@ -43,29 +44,30 @@ pay nothing for the rule. Above it in E, fitness reads coefficient k of
 the independence polynomial of the right rows (the complement's for
 cliques); otherwise it walks. verify, count_cliques, count_independent_sets
 and the scorers always walk. Measured per side on 2 cores, Python 3.11,
-five seeded default-density starts per rung (ranges), and on the dataset:
+five seeded default-density starts per rung (ranges), and on the dataset;
+recursion ms is the best of 27 calls per graph on the packed recursion:
 
     graph            n   side  d          E            count          walk ms     recursion ms
-    (4,4,12) start   12  I4    0.39-0.54  4-25         2-22           0.01        0.05-0.06
-    (3,5,13) start   13  I5    0.26-0.40  8-67         2-55           0.05-0.07   0.04-0.08
-    (4,4,17) start   17  I4    0.41-0.60  10-99        9-92           0.01-0.03   0.11-0.14
-    (3,6,17) start   17  I6    0.19-0.35  21-513       15-667         0.08-0.26   0.09-0.15
-    (3,7,22) start   22  I7    0.19-0.29  146-2.3k     19-3.2k        0.14-1.01   0.24-0.43
-    (3,8,27) start   27  I8    0.19-0.23  1.6k-5.9k    533-8.8k       0.61-2.81   0.62-0.82
-    (3,9,35) start   35  I9    0.20-0.24  3.6k-23k     1.5k-24k       2.3-13.1    2.3-3.5
-    (3,10,38) start  38  I10   0.14-0.16  192k-511k    120k-872k      66-427      2.5-8.1    recursion
-    (3,10,39) start  39  I10   0.15-0.17  135k-371k    47k-799k       48-318      3.9-8.4    recursion
-    (3,10,40) start  40  I10   0.16-0.18  115k-305k    56k-275k       71-151      5.6-12.7   recursion
-    graphs A-D       40  I10   0.23       6.8k-8.5k    0              2.4-3.6     11.1-12.1
-    base             35  I9    0.24       4.5k         0              1.2         5.3
-    (3,10,39) ext    39  I10   0.22-0.23  5.1k-7.0k    170-475        2.5-3.9     12.1-14.6
+    (4,4,12) start   12  I4    0.39-0.54  4-25         2-22           0.01        0.02
+    (3,5,13) start   13  I5    0.26-0.40  8-67         2-55           0.05-0.07   0.02-0.03
+    (4,4,17) start   17  I4    0.41-0.60  10-99        9-92           0.01-0.03   0.05-0.06
+    (3,6,17) start   17  I6    0.19-0.35  21-513       15-667         0.08-0.26   0.03-0.06
+    (3,7,22) start   22  I7    0.19-0.29  146-2.3k     19-3.2k        0.14-1.01   0.09-0.18
+    (3,8,27) start   27  I8    0.19-0.23  1.6k-5.9k    533-8.8k       0.61-2.81   0.23-0.33
+    (3,9,35) start   35  I9    0.20-0.24  3.6k-23k     1.5k-24k       2.3-13.1    1.0-1.5
+    (3,10,38) start  38  I10   0.14-0.16  192k-511k    120k-872k      66-427      1.0-2.5    recursion
+    (3,10,39) start  39  I10   0.15-0.17  135k-371k    47k-799k       48-318      1.3-3.2    recursion
+    (3,10,40) start  40  I10   0.16-0.18  115k-305k    56k-275k       71-151      2.4-3.3    recursion
+    graphs A-D       40  I10   0.23       6.8k-8.5k    0              2.4-3.6     4.4-4.6
+    base             35  I9    0.24       4.5k         0              1.2         2.4
+    (3,10,39) ext    39  I10   0.22-0.23  5.1k-7.0k    170-475        2.5-3.9     3.5-4.5
 
 Every clique side (K3, K4) of these starts has E below 110 and walks. The
-constant sits between the dataset graphs, where the walk is 3-5 times
-faster, and the (3,10,38..40) starts, where the recursion is 6-170 times
-faster. Below it, (3,9,35) starts would also be faster by the recursion,
-but their E overlaps that of graphs A-D, which hold no set, so E cannot
-tell them apart.
+constant sits between the dataset graphs, where the walk is 1.7-2.3 times
+faster, and the (3,10,38..40) starts, where the recursion is 12-260 times
+faster (both methods timed together). Below it, (3,9,35) starts would also
+be faster by the recursion, 1.4-9.4 times, but their E overlaps that of
+graphs A-D, which hold no set, so E cannot tell them apart.
 
 A search move flips one edge {u, v}, which creates or destroys only the
 cliques and independent sets containing both u and v. flip_fitness (a whole
@@ -105,7 +107,7 @@ from math import comb
 from operator import itemgetter
 
 from .construct import assembled_adj, toggle_attachment
-from .graph import Graph, _bits
+from .graph import MAX_VERTICES, Graph, _bits
 
 MAX_CACHE_SETS = 2_000_000  # independent sets build_indep_cache holds per size
 
@@ -295,8 +297,7 @@ def _count_fresh(rows: tuple[int, ...], other: tuple[int, ...], k: int) -> int:
     if sets > _RECURSION_FROM:
         d = sum(map(int.bit_count, rows)) / (n * (n - 1))
         if sets * d ** comb(k, 2) > _RECURSION_FROM:
-            poly = _indep_poly(other, {}, (1 << n) - 1)
-            return poly[k] if k < len(poly) else 0
+            return _indep_poly(other, {}, (1 << n) - 1) >> _FIELD * k & _FIELD_MASK
     return _count_deep(rows, (1 << n) - 1, k)
 
 
@@ -405,69 +406,89 @@ def independence_polynomial(g: Graph) -> tuple[int, ...]:
 
     Counted by the vertex recursion I(G) = I(G - v) + x I(G - N[v]) (see
     _indep_poly), whose cost is set by its branching, not by how many sets
-    there are. It counts every size at once; a single size is faster with
-    count_independent_sets."""
-    return _indep_poly(g.adj, {}, (1 << g.n) - 1)
+    there are. It counts every size at once, and even one size can be
+    cheaper this way. Measured on 2 cores, Python 3.11: on the 35-vertex
+    base the whole polynomial takes 2.4 ms, and count_independent_sets
+    takes 2.3 ms for the 5-sets, 4.9 ms for the 6-sets, 6.1 ms for the
+    7-sets and 3.8 ms for the 8-sets: from the 6-sets up one size is
+    cheaper by the recursion, and the 5-sets cost the same either way.
+    On graphs A-D, which hold no 10-set, the walk takes 2.5-2.9 ms against
+    4.5-5.8 ms. The module docstring's table gives the crossover that
+    fitness uses."""
+    poly = _indep_poly(g.adj, {}, (1 << g.n) - 1)
+    return tuple(poly >> shift & _FIELD_MASK for shift in range(0, poly.bit_length(), _FIELD))
 
 
-def _indep_poly(adj: tuple[int, ...], memo: dict, mask: int) -> tuple[int, ...]:
+_FIELD = 64  # bits per coefficient of a packed polynomial (see _indep_poly)
+_FIELD_MASK = (1 << _FIELD) - 1
+
+
+def _packed_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(paths, cycles): entry m is the packed independence polynomial of the
+    path, or of the cycle, on m vertices, m = 0..n; cycles below 3 are 0.
+    The vertex recursion on an end vertex of a path gives P_m = P_{m-1} +
+    x P_{m-2}, and on any vertex of a cycle C_m = P_{m-1} + x P_{m-3}."""
+    paths = [1, 1 | 1 << _FIELD]
+    for m in range(2, n + 1):
+        paths.append(paths[m - 1] + (paths[m - 2] << _FIELD))
+    cycles = [0, 0, 0] + [paths[m - 1] + (paths[m - 3] << _FIELD) for m in range(3, n + 1)]
+    return tuple(paths), tuple(cycles)
+
+
+_PATHS, _CYCLES = _packed_tables(MAX_VERTICES)
+
+
+def _indep_poly(adj: tuple[int, ...], memo: dict, mask: int) -> int:
     """Independence polynomial of the subgraph that the vertex mask mask
-    induces in the rows adj, as its coefficient tuple; memo maps the masks
-    already solved in this call to their tuples.
+    induces in the rows adj, packed in one int: coefficient k in bits
+    [64k, 64k + 64). No field carries into the next: every coefficient of
+    every polynomial formed here counts the k-sets of a graph on at most
+    MAX_VERTICES = 64 vertices, at most C(64, k) < 2^64. So a product of
+    packed polynomials is their int product, and x times one is a shift.
+    memo maps the masks already solved in this call to their ints.
 
-    A disconnected mask multiplies the polynomial of its lowest vertex's
-    component by that of the rest. A connected mask of maximum degree <= 2
-    is a path or a cycle on n vertices, with k-set counts C(n - k + 1, k)
-    and C(n - k, k) + C(n - k - 1, k - 1). Otherwise the recursion branches
-    on a vertex v of maximum degree, the lowest on ties: the sets without v,
-    plus, one size up, the sets of the mask outside v and its neighbours.
-    A module-level function keeps the memo free of reference cycles, so it
-    is freed when the call returns."""
+    One scan per component: the BFS that finds the lowest vertex's
+    component also reads each vertex's degree in the mask, its maximum and
+    the pivot, a vertex of maximum degree, the lowest on ties. A component
+    of maximum degree <= 2 is a path or a cycle, read from _PATHS or
+    _CYCLES. Otherwise the recursion branches on the pivot v: the sets
+    without v, plus, one size up, the sets of the component outside v and
+    its neighbours. A disconnected mask multiplies its component, solved
+    from that scan, by the polynomial of the rest. A module-level function
+    keeps the memo free of reference cycles, so it is freed when the call
+    returns."""
     if not mask:
-        return (1,)
+        return 1
     hit = memo.get(mask)
     if hit is not None:
         return hit
     comp = frontier = mask & -mask
+    top = pivot = -1
+    degrees = 0
     while frontier:
         reach = 0
         while frontier:
             b = frontier & -frontier
-            reach |= adj[b.bit_length() - 1]
             frontier ^= b
-        frontier = reach & mask & ~comp
-        comp |= frontier
-    if comp != mask:
-        a = _indep_poly(adj, memo, comp)
-        b = _indep_poly(adj, memo, mask ^ comp)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    else:
-        top, pivot, degrees = -1, -1, 0
-        left = mask
-        while left:
-            b = left & -left
-            left ^= b
             v = b.bit_length() - 1
-            d = (adj[v] & mask).bit_count()
+            row = adj[v] & mask
+            reach |= row
+            d = row.bit_count()
             degrees += d
-            if d > top:
+            if d > top or d == top and v < pivot:
                 top, pivot = d, v
-        n = mask.bit_count()
-        if top <= 2 and degrees == 2 * n:  # a cycle
-            out = [1] + [comb(n - k, k) + comb(n - k - 1, k - 1) for k in range(1, n // 2 + 1)]
-        elif top <= 2:  # a path
-            out = [comb(n - k + 1, k) for k in range((n + 1) // 2 + 1)]
-        else:
-            bv = 1 << pivot
-            out = list(_indep_poly(adj, memo, mask ^ bv))
-            rest = _indep_poly(adj, memo, mask & ~(adj[pivot] | bv))
-            out += [0] * (len(rest) + 1 - len(out))
-            for k, c in enumerate(rest, 1):
-                out[k] += c
-    memo[mask] = out = tuple(out)
+        frontier = reach & ~comp
+        comp |= frontier
+    if top <= 2:
+        n = comp.bit_count()
+        out = _CYCLES[n] if degrees == 2 * n else _PATHS[n]
+    else:
+        bv = 1 << pivot
+        out = _indep_poly(adj, memo, comp ^ bv)
+        out += _indep_poly(adj, memo, comp & ~(adj[pivot] | bv)) << _FIELD
+    if comp != mask:
+        out *= _indep_poly(adj, memo, mask ^ comp)
+    memo[mask] = out
     return out
 
 

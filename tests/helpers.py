@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 import sys
 from itertools import combinations, permutations
+from math import comb
 
 from hypothesis import strategies as st
 
@@ -99,6 +100,61 @@ def reference_peel_order(adj, cand: int) -> list[int]:
         for u in degree:
             degree[u] -= adj[v] >> u & 1
     return order
+
+
+def reference_independence_polynomial(adj, memo: dict, mask: int) -> tuple[int, ...]:
+    """Independence polynomial of the subgraph that the vertex mask mask
+    induces in the rows adj, as its coefficient tuple, by the vertex
+    recursion with a BFS per mask and a separate degree pass, coefficient
+    lists and closed forms from binomials. A reference for
+    counting._indep_poly, which packs the polynomial in one int and scans
+    each component once."""
+    if not mask:
+        return (1,)
+    hit = memo.get(mask)
+    if hit is not None:
+        return hit
+    comp = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        while frontier:
+            b = frontier & -frontier
+            reach |= adj[b.bit_length() - 1]
+            frontier ^= b
+        frontier = reach & mask & ~comp
+        comp |= frontier
+    if comp != mask:
+        a = reference_independence_polynomial(adj, memo, comp)
+        b = reference_independence_polynomial(adj, memo, mask ^ comp)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    else:
+        top, pivot, degrees = -1, -1, 0
+        left = mask
+        while left:
+            b = left & -left
+            left ^= b
+            v = b.bit_length() - 1
+            d = (adj[v] & mask).bit_count()
+            degrees += d
+            if d > top:
+                top, pivot = d, v
+        n = mask.bit_count()
+        if top <= 2 and degrees == 2 * n:  # a cycle
+            out = [1] + [comb(n - k, k) + comb(n - k - 1, k - 1) for k in range(1, n // 2 + 1)]
+        elif top <= 2:  # a path
+            out = [comb(n - k + 1, k) for k in range((n + 1) // 2 + 1)]
+        else:
+            bv = 1 << pivot
+            out = list(reference_independence_polynomial(adj, memo, mask ^ bv))
+            rest = reference_independence_polynomial(adj, memo, mask & ~(adj[pivot] | bv))
+            out += [0] * (len(rest) + 1 - len(out))
+            for k, c in enumerate(rest, 1):
+                out[k] += c
+    memo[mask] = out = tuple(out)
+    return out
 
 
 def reference_onlooker_phase(colony, rng: random.Random) -> None:

@@ -19,6 +19,7 @@ from helpers import (
     count_graph_builds,
     graphs,
     random_graph,
+    reference_independence_polynomial,
     reference_peel_order,
     relabel,
 )
@@ -340,6 +341,112 @@ def test_independence_polynomial_matches_the_walk_on_64_vertices():
     poly = independence_polynomial(g)
     assert len(poly) - 1 == max_independent_set(g)[0]
     assert list(poly[1:]) == [count_independent_sets(g, k) for k in range(1, len(poly))]
+
+
+def _poly_product(*factors: tuple[int, ...]) -> tuple[int, ...]:
+    out = [1]
+    for factor in factors:
+        prod = [0] * (len(out) + len(factor) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(factor):
+                prod[i + j] += x * y
+        out = prod
+    return tuple(out)
+
+
+def test_independence_polynomial_of_64_isolated_or_joined_vertices():
+    # C(64, 32) needs 61 bits: the most any field of the packed int holds
+    assert independence_polynomial(Graph.empty(64)) == tuple(comb(64, k) for k in range(65))
+    assert independence_polynomial(Graph.complete(64)) == (1, 64)
+
+
+def test_independence_polynomial_of_the_64_vertex_path_and_cycle():
+    fib, lucas = [0, 1], [2, 1]
+    for _ in range(65):
+        fib.append(fib[-1] + fib[-2])
+        lucas.append(lucas[-1] + lucas[-2])
+    n = 64
+    path = independence_polynomial(_path(n))
+    assert sum(path) == fib[n + 2]
+    assert path == tuple(comb(n - k + 1, k) for k in range(n // 2 + 1))
+    cycle = independence_polynomial(Graph.cycle(n))
+    assert sum(cycle) == lucas[n]
+    assert cycle == (1,) + tuple(comb(n - k, k) + comb(n - k - 1, k - 1) for k in range(1, n // 2 + 1))
+
+
+def test_independence_polynomial_of_a_64_vertex_union_is_the_product():
+    # 4 C5, 8 P3 and 5 K4 on 64 vertices, interleaved by a fixed relabelling
+    # so that no component is a vertex interval
+    edges, start = [], 0
+    for size, count, piece in ((5, 4, "cycle"), (3, 8, "path"), (4, 5, "complete")):
+        for _ in range(count):
+            vs = range(start, start + size)
+            if piece == "complete":
+                edges += combinations(vs, 2)
+            else:
+                edges += [(v, v + 1) for v in vs[:-1]] + ([(vs[-1], vs[0])] if piece == "cycle" else [])
+            start += size
+    assert start == 64
+    perm = list(range(64))
+    random.Random(64).shuffle(perm)
+    union = Graph.from_edges(64, [(perm[u], perm[v]) for u, v in edges])
+    expected = _poly_product(*[(1, 5, 5)] * 4, *[(1, 3, 1)] * 8, *[(1, 4)] * 5)
+    assert independence_polynomial(union) == expected
+
+
+@st.composite
+def _graphs_15_to_24(draw):
+    """A graph on 15-24 vertices: one random graph of a drawn density, or a
+    disjoint union of such pieces, relabelled at random so that a component
+    need not be a vertex interval."""
+    n = draw(st.integers(15, 24))
+    rng = draw(st.randoms(use_true_random=False))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=5)))
+    edges = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        density = draw(st.sampled_from((0.1, 0.2, 0.35, 0.5, 0.8)))
+        edges += [(u, v) for u, v in combinations(range(lo, hi), 2) if rng.random() < density]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@given(_graphs_15_to_24())
+@settings(max_examples=150, deadline=None)
+def test_independence_polynomial_equals_the_reference_recursion(g):
+    assert independence_polynomial(g) == reference_independence_polynomial(g.adj, {}, (1 << g.n) - 1)
+
+
+DATASET_POLYNOMIALS = {
+    "A": (1, 40, 604, 4568, 19361, 48482, 72871, 64268, 30510, 5989),
+    "B": (1, 40, 601, 4504, 18856, 46520, 68728, 59434, 27592, 5282),
+    "C": (1, 40, 603, 4547, 19202, 47898, 71708, 62972, 29744, 5801),
+    "D": (1, 40, 602, 4526, 19034, 47211, 70134, 60951, 28403, 5447),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATASET_POLYNOMIALS))
+def test_independence_polynomial_of_the_dataset_graphs(name):
+    from ramsey_abc import dataset
+
+    g = dataset.load_graph(name).graph
+    expected = DATASET_POLYNOMIALS[name]
+    assert reference_independence_polynomial(g.adj, {}, (1 << g.n) - 1) == expected
+    assert independence_polynomial(g) == expected
+
+
+def test_fitness_by_the_recursion_on_seeded_large_starts(monkeypatch):
+    # limit 0 sends both sides of every start to the recursion: the clique
+    # side reads coefficient 3 of the complement's polynomial
+    calls = _methods(monkeypatch)
+    monkeypatch.setattr(counting, "_RECURSION_FROM", 0)
+    for p, q, n in ((3, 9, 35), (3, 10, 39)):
+        for seed in range(3):
+            g = _start(p, q, n, seed)
+            expected = counting.FitnessReport(count_cliques(g, p), count_independent_sets(g, q))
+            calls.update(walk=0, recursion=0)
+            assert fitness(g, p, q) == expected
+            assert calls["walk"] == 0 and calls["recursion"]
 
 
 def test_independence_polynomial_of_the_base():
