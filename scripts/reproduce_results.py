@@ -70,7 +70,7 @@ def main() -> int:
     ok &= deletions.ok
 
     print(f"== {'ALL CHECKS PASS' if ok else 'CLAIM CONTRADICTIONS FOUND'} "
-          f"({time.perf_counter() - t0:.1f}s) ==")
+          f"({time.perf_counter() - t0:.3f}s) ==")
     return 0 if ok else 5
 
 

@@ -52,7 +52,8 @@ class ExtensionState:
 
     @cached_property
     def free_masks(self) -> dict[tuple, tuple]:
-        """counting's memo on this position (counting._free_rows), opaque
+        """counting's memo on this position (counting._free_rows): the
+        free-set masks of every attachment, per cache and size read. Opaque
         here: counting.toggle_with_masks hands it on to a moved child."""
         return {}
 
@@ -326,7 +327,7 @@ def toggle_attachment(ext: ExtensionState, i: int, v: int) -> ExtensionState:
     """Return a copy of ext with the edge between added vertex i and base
     vertex v flipped (present <-> absent). Only attachment i changes. The
     copy starts with no free-set masks; counting.toggle_with_masks hands it
-    ext's, updated for the flip."""
+    ext's, with entry i updated or rebuilt for the flip."""
     attachments = list(ext.attachments)
     attachments[i] ^= 1 << v
     return ExtensionState(ext.base, ext.inner, tuple(attachments))

@@ -91,9 +91,10 @@ neither re-walks what a position shares with the base or its inner graph.
 An extension's base-side independent sets come from IndepSetCache, indexed
 once per size as one bitmap column per base vertex. Only this module knows
 the masks of the base sets free of each added vertex's attachment
-(_free_rows), whose AND gives a count; a position keeps them, and an
-accepted move hands its child all of them (toggle_with_masks), the moved
-vertex's updated from the flipped base vertex's column.
+(_free_rows, built for every attachment on a size's first read), whose AND
+gives a count; a position keeps them, and an accepted move hands its child
+all of them (toggle_with_masks), the moved vertex's updated from the
+flipped base vertex's column after an addition and rebuilt after a removal.
 """
 
 from __future__ import annotations
@@ -357,47 +358,11 @@ def find_independent_set(g: Graph, q: int) -> tuple[int, ...] | None:
 
 
 def max_independent_set(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact independence number with a witness set.
-
-    Branch and bound on the complement (maximum clique) with a greedy
-    colouring upper bound: a candidate set coloured with c colours cannot
-    extend the current clique by more than c vertices.
-    """
-    adj = g.complement_rows
-    best_size = 0
-    best_mask = 0
-
-    def expand(rsize: int, rmask: int, cand: int) -> None:
-        nonlocal best_size, best_mask
-        if not cand:
-            if rsize > best_size:
-                best_size, best_mask = rsize, rmask
-            return
-        order: list[int] = []
-        bound: list[int] = []
-        uncolored = cand
-        color = 0
-        while uncolored:
-            color += 1
-            avail = uncolored
-            while avail:
-                b = avail & -avail
-                v = b.bit_length() - 1
-                avail &= ~(adj[v] | b)
-                uncolored ^= b
-                order.append(v)
-                bound.append(color)
-        rest = cand
-        for i in range(len(order) - 1, -1, -1):
-            if rsize + bound[i] <= best_size:
-                return
-            v = order[i]
-            b = 1 << v
-            expand(rsize + 1, rmask | b, rest & adj[v])
-            rest ^= b
-
-    expand(0, 0, (1 << g.n) - 1)
-    return best_size, tuple(_bits(best_mask))
+    """Exact independence number with a witness set: alpha is the degree of
+    the independence polynomial, and the witness the lexicographically
+    first alpha-set (find_independent_set)."""
+    alpha = len(independence_polynomial(g)) - 1
+    return alpha, find_independent_set(g, alpha)
 
 
 def independence_polynomial(g: Graph) -> tuple[int, ...]:
@@ -518,21 +483,20 @@ class IndepSetCache:
         """Number of cached k-sets that contain the base vertex v (any set
         for v = -1) and none of the mask avoid; 0 for a size with no set."""
         full, columns = self.columns(k)
-        return ((full if v < 0 else columns[v]) & _free_of(full, columns, avoid, 0)[0]).bit_count()
+        return ((full if v < 0 else columns[v]) & _free_of(full, columns, avoid)[0]).bit_count()
 
 
-def _free_of(full: int, columns: list[int], mask: int, twice: int) -> tuple:
-    """(the sets of full that miss the vertex mask, with twice set those that
-    meet it at most once, else None), from the OR of the mask's columns."""
+def _free_of(full: int, columns: list[int], mask: int) -> tuple[int, int]:
+    """(the sets of full that miss the vertex mask, those that meet it at
+    most once), from the OR of the mask's columns."""
     met = met_twice = 0
     while mask:
         b = mask & -mask
         col = columns[b.bit_length() - 1]
         mask ^= b
-        if twice:
-            met_twice |= met & col
+        met_twice |= met & col
         met |= col
-    return full ^ met, (full ^ met_twice if twice else None)
+    return full ^ met, full ^ met_twice
 
 
 # _LANES[u]: the offset of the byte that holds bit u of an 8-byte array('Q') item, in
@@ -671,17 +635,19 @@ def _flip_cliques(ext, i: int, v: int, p: int, owners: int) -> int:
     return _count_complete(adj, common, p - 2)
 
 
-def _free_rows(cache: IndepSetCache, ext, k: int) -> tuple[list, list]:
+def _free_rows(cache: IndepSetCache, ext, k: int) -> tuple[list[int], list[int]]:
     """(F1, F2) of ext in cache.columns(k)'s set order: F1[j] masks the
     cached k-sets that miss attachment j and F2[j] those that meet it at
-    most once, None until _free_mask builds it or toggle_with_masks derives
-    it; kept in ext.free_masks per (cache, k). The sets free of a union of
+    most once. Built for every attachment on the first read, one _free_of
+    each, and kept in ext.free_masks per (cache, k), unless
+    toggle_with_masks has handed them on. The sets free of a union of
     attachments are the AND of their F1 (the gluing identity of Goedgebeur
     and Radziszowski, 2013)."""
     rows = ext.free_masks.get((cache, k))
     if rows is None:
-        a = len(ext.attachments)
-        rows = ext.free_masks[cache, k] = ([None] * a, [None] * a)
+        full, columns = cache.columns(k)
+        built = [_free_of(full, columns, att) for att in ext.attachments]
+        rows = ext.free_masks[cache, k] = [f1 for f1, _ in built], [f2 for _, f2 in built]
     return rows
 
 
@@ -689,38 +655,28 @@ def toggle_with_masks(ext, i: int, v: int):
     """construct.toggle_attachment(ext, i, v), handed every free-set mask
     ext has read (see _free_rows). Only entry i changes. With col the
     (cache, k) column of v, adding v gives F1 minus col and F1 | (F2 minus
-    col), each X minus col taken as X ^ (X & col), which negates no big int;
-    removing v gives F1 | (col & F2), and F2 None, as the sets that met the
-    attachment twice are not in ext's masks. An entry whose inputs were never
-    built stays None, built on its first read. A child of a parent whose
-    masks were never read gets none."""
+    col), each X minus col taken as X ^ (X & col), which negates no big int.
+    Removing v rebuilds the entry with one _free_of on the child's
+    attachment i, as the sets that met the attachment twice are not in
+    ext's masks. A child of a parent whose masks were never read gets none."""
     child = toggle_attachment(ext, i, v)
     masks = ext.__dict__.get("free_masks")
     if masks is None:
         return child
     carried = child.__dict__["free_masks"] = {}
+    att = child.attachments[i]
     removing = ext.attachments[i] >> v & 1
     for (cache, k), (f1, f2) in masks.items():
         f1, f2 = f1.copy(), f2.copy()
-        one, two = f1[i], f2[i]
-        col = cache.columns(k)[1][v]
+        full, columns = cache.columns(k)
         if removing:
-            f1[i] = None if two is None else one | (col & two)
-            f2[i] = None
-        elif one is not None:
+            f1[i], f2[i] = _free_of(full, columns, att)
+        else:
+            one, two, col = f1[i], f2[i], columns[v]
             f1[i] = one ^ (one & col)
-            if two is not None:
-                f2[i] = one | (two ^ (two & col))
+            f2[i] = one | (two ^ (two & col))
         carried[cache, k] = f1, f2
     return child
-
-
-def _free_mask(cache: IndepSetCache, ext, k: int, j: int, twice: int) -> int:
-    """Build F1[j] of _free_rows(cache, ext, k) and, if twice is 1, F2[j]; return
-    F2[j] if twice is 1, else F1[j]. F2[j] is set only with F1[j], else None."""
-    rows = _free_rows(cache, ext, k)
-    rows[0][j], rows[1][j] = _free_of(*cache.columns(k), ext.attachments[j], twice)
-    return rows[twice][j]
 
 
 def _cross_count(cache: IndepSetCache, ext, q: int) -> int:
@@ -740,7 +696,7 @@ def _cross_count(cache: IndepSetCache, ext, q: int) -> int:
         elif len(sizes[k]):
             sets, f1 = cache.columns(k)[0], _free_rows(cache, ext, k)[0]
             for j in combo:
-                sets &= f1[j] if f1[j] is not None else _free_mask(cache, ext, k, j, 0)
+                sets &= f1[j]
             count += sets.bit_count()
     return count
 
@@ -761,7 +717,6 @@ def _through_count(
     sizes = cache.masks_by_size
     side = owners >> i & 1  # 1: the edge is present, so F2_i
     blocked = owners & ~(1 << i)
-    memo = ext.free_masks
     count = at = 0  # at: the k whose rows were read below; the plan lists T by size
     for size, others in _subset_plan(ext.inner)[i]:
         k = q - size
@@ -770,14 +725,12 @@ def _through_count(
                 continue  # T and v share an edge
             if k != at:
                 at = k
-                free = memo.get((cache, k)) or _free_rows(cache, ext, k)
-                own, f1 = free[side][i], free[0]
-                if own is None:
-                    own = _free_mask(cache, ext, k, i, side)
-                held = cache.columns(k)[1][v] & own
+                free = _free_rows(cache, ext, k)
+                f1 = free[0]
+                held = cache.columns(k)[1][v] & free[side][i]
             sets = held
             for j in others:
-                sets &= f1[j] if f1[j] is not None else _free_mask(cache, ext, k, j, 0)
+                sets &= f1[j]
             count += sets.bit_count()
             if limit is not None and count >= limit:
                 break

@@ -80,6 +80,45 @@ def recursive_independence_number(g: Graph) -> int:
     return rec((1 << g.n) - 1)
 
 
+def branch_and_bound_independence_number(g: Graph) -> int:
+    """Maximum clique of the complement by branch and bound with a greedy
+    colouring upper bound: a candidate set coloured with c colours cannot
+    extend the current clique by more than c vertices. An algorithm the
+    package does not use, fast enough for the 35- to 64-vertex graphs."""
+    adj = g.complement_rows
+    best = 0
+
+    def expand(size: int, cand: int) -> None:
+        nonlocal best
+        if not cand:
+            best = max(best, size)
+            return
+        order: list[int] = []
+        bound: list[int] = []
+        uncolored = cand
+        color = 0
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                b = avail & -avail
+                v = b.bit_length() - 1
+                avail &= ~(adj[v] | b)
+                uncolored ^= b
+                order.append(v)
+                bound.append(color)
+        rest = cand
+        for i in range(len(order) - 1, -1, -1):
+            if size + bound[i] <= best:
+                return
+            v = order[i]
+            expand(size + 1, rest & adj[v])
+            rest ^= 1 << v
+
+    expand(0, (1 << g.n) - 1)
+    return best
+
+
 def relabel(g: Graph, perm) -> Graph:
     """g with each vertex v renamed perm[v]; perm is a permutation of 0..n-1."""
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    branch_and_bound_independence_number,
     brute_count_cliques,
     brute_count_indep,
     brute_first_clique,
@@ -289,7 +290,7 @@ def test_max_independent_set_examples(c5):
 @settings(max_examples=150)
 def test_max_independent_set_oracle(g):
     size, witness = max_independent_set(g)
-    assert size == brute_independence_number(g)
+    assert size == brute_independence_number(g) == branch_and_bound_independence_number(g)
     assert len(witness) == size
     assert not any(g.has_edge(u, v) for u in witness for v in witness if u < v)
 
@@ -301,7 +302,8 @@ def test_max_independent_set_up_to_twenty_vertices():
     cases = [Graph.cycle(20), Graph.empty(16)]
     cases += [random_graph(n, rng, density=d) for n in (16, 18, 20) for d in (0.3, 0.6)]
     for g in cases:
-        assert max_independent_set(g)[0] == recursive_independence_number(g)
+        alpha = recursive_independence_number(g)
+        assert max_independent_set(g)[0] == branch_and_bound_independence_number(g) == alpha
 
 
 @given(graphs(max_n=14))
@@ -339,7 +341,7 @@ def test_independence_polynomial_examples():
 def test_independence_polynomial_matches_the_walk_on_64_vertices():
     g = random_graph(64, random.Random(64))
     poly = independence_polynomial(g)
-    assert len(poly) - 1 == max_independent_set(g)[0]
+    assert len(poly) - 1 == branch_and_bound_independence_number(g)
     assert list(poly[1:]) == [count_independent_sets(g, k) for k in range(1, len(poly))]
 
 
@@ -707,12 +709,13 @@ def test_walk_never_queries_an_empty_size(monkeypatch):
     base = dataset.extract_base()
     cache = build_indep_cache(base, range(6, 11))
     assert [k for k, sets in cache.masks_by_size.items() if len(sets) == 0] == [9, 10]
-    indexed, listed, read = [], [], []
-    index, rows, mask = counting._column_index, counting._free_rows, counting._free_mask
+    size_of = {(1 << len(sets)) - 1: k for k, sets in cache.masks_by_size.items()}
+    indexed, listed, built = [], [], []
+    index, rows, free_of = counting._column_index, counting._free_rows, counting._free_of
     monkeypatch.setattr(counting, "_column_index", lambda c, k: indexed.append(k) or index(c, k))
     monkeypatch.setattr(counting, "_free_rows", lambda c, e, k: listed.append(k) or rows(c, e, k))
     monkeypatch.setattr(
-        counting, "_free_mask", lambda c, e, k, *a: read.append(k) or mask(c, e, k, *a)
+        counting, "_free_of", lambda full, *a: built.append(size_of[full]) or free_of(full, *a)
     )
     rng = random.Random(3)
     space = ExtensionSpace(base, enumerate_triangle_free(4), (3, 9))
@@ -725,7 +728,7 @@ def test_walk_never_queries_an_empty_size(monkeypatch):
             flipped = attachment_flip_fitness(cache, ext, rep, i, v, 3, 10)
             child = fitness(extension_to_graph(toggle_attachment(ext, i, v)), 3, 10)
             _assert_settled(flipped, child, rep)
-    assert sorted(indexed) == [6, 7, 8] and set(listed) == set(read) == {6, 7, 8}
+    assert sorted(indexed) == [6, 7, 8] and set(listed) == set(built) == {6, 7, 8}
 
 
 def test_decomposed_appendix_graph_fitness():
@@ -963,14 +966,14 @@ def _chain_case(seed: int, shared: bool):
 @given(st.integers(0, 10**6), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_free_masks_carried_through_toggle_attachment(seed, shared):
-    # toggle_with_masks hands the child every mask its parent read: entry i
-    # updated, equal to the one built on an equal fresh state and the one
-    # read off the cached sets, and None only where the parent's masks do
-    # not give it; every move scored from a carried state is the recount's.
-    # Before each move the moved vertex's F2 is built at about half the
-    # sizes, as a scored and rejected removal of it builds it, so additions
-    # carry an F2 too. The second cache holds the same sets in reverse
-    # order, so masks built for one cache are wrong for the other
+    # toggle_with_masks hands the child every (cache, k) its parent read and
+    # no other, each entry whole: equal to the one built on an equal fresh
+    # state and the one read off the cached sets, with entries other than i
+    # as the parent's; every move scored from a carried state is the
+    # recount's. Before each move about half the sizes are read, as the
+    # scorers read a size, so some keys are carried and some are not. The
+    # second cache holds the same sets in reverse order, so masks built for
+    # one cache are wrong for the other
     base, ext, draw = _chain_case(seed, shared)
     cache = build_indep_cache(base, range(1, base.n + 1))
     flipped = counting.IndepSetCache(
@@ -994,52 +997,56 @@ def test_free_masks_carried_through_toggle_attachment(seed, shared):
             for pq, rep in reps.items():
                 _assert_settled(attachment_flip_fitness(c, ext, rep, i, v, *pq), exact[pq], rep)
             for k in range(1, base.n + 1):
-                if reads.random() < 0.5:  # as a scored, rejected removal of i would
-                    counting._free_mask(c, ext, k, i, 1)
+                if reads.random() < 0.5:
+                    counting._free_rows(c, ext, k)
         parent = {key: (f1.copy(), f2.copy()) for key, (f1, f2) in ext.free_masks.items()}
-        removing = ext.attachments[i] >> v & 1
         child = counting.toggle_with_masks(ext, i, v)
         assert child == fresh and "free_masks" in child.__dict__
         for c in (cache, flipped):
-            for k in range(1, base.n + 1):
-                was = parent.get((c, k)) or ([None] * len(atts),) * 2
-                carried = counting._free_rows(c, child, k)
-                built = counting._free_rows(c, fresh, k)
-                for j in range(len(fresh.attachments)):
-                    for twice in (0, 1):
-                        counting._free_mask(c, fresh, k, j, twice)
-                assert built == _brute_free_masks(c, fresh.attachments, k)
-                for got, want in zip(carried, built):
-                    assert all(g is None or g == w for g, w in zip(got, want))
-                for got, had in zip(carried, was):
+            read = {k for d, k in parent if d is c}
+            assert {k for d, k in child.free_masks if d is c} == read
+            for k in read:
+                carried = child.free_masks[c, k]
+                assert carried == counting._free_rows(c, fresh, k)
+                assert carried == _brute_free_masks(c, fresh.attachments, k)
+                assert all(type(x) is int for masks in carried for x in masks)
+                for got, had in zip(carried, parent[c, k]):
                     assert got[:i] == had[:i] and got[i + 1 :] == had[i + 1 :]
-                f1_was, f2_was = was[0][i], was[1][i]
-                if removing:
-                    assert (carried[0][i] is None) == (f2_was is None) and carried[1][i] is None
-                else:
-                    assert (carried[0][i] is None) == (f1_was is None)
-                    assert (carried[1][i] is None) == (f2_was is None)
         ext, reps = child, exact
 
 
 def test_accepted_moves_reuse_their_parents_masks(monkeypatch):
     # a child built without its parent's masks scores the same moves, so
-    # only the number of masks built shows the carry: at most 272 masks, 96
-    # of them F2, for this run, against 1,339 with every child built lazily;
-    # every F1 built is a fresh position's, as a moved one derives its own
+    # only the number of masks built shows the carry: at most 232 _free_of
+    # calls for this run, against 1,324 with every child built lazily. A
+    # size's masks are built whole only on a fresh position, and a moved
+    # one builds just entry i after a removal
     from ramsey_abc import abc_search, dataset
 
-    built, fresh = [], []
-    mask, draw = counting._free_mask, abc_search.random_extension
-    monkeypatch.setattr(
-        counting, "_free_mask", lambda c, e, *a: built.append((e, a[-1])) or mask(c, e, *a)
-    )
+    built, fresh, moves = [], [], []
+    free_of, rows, draw = counting._free_of, counting._free_rows, abc_search.random_extension
+    toggle = counting.toggle_with_masks
+    monkeypatch.setattr(counting, "_free_of", lambda *a: built.append(a[-1]) or free_of(*a))
     monkeypatch.setattr(
         abc_search, "random_extension", lambda *a: fresh.append(draw(*a)) or fresh[-1]
     )
+
+    def read(cache, ext, k):
+        if (cache, k) not in ext.free_masks:
+            assert any(ext is e for e in fresh)  # fresh holds every start
+        return rows(cache, ext, k)
+
+    def toggled(ext, i, v):
+        before = len(built)
+        child = toggle(ext, i, v)
+        removing = ext.attachments[i] >> v & 1
+        assert built[before:] == [child.attachments[i]] * len(ext.free_masks) * removing
+        moves.append(removing)
+        return child
+
+    monkeypatch.setattr(counting, "_free_rows", read)
+    monkeypatch.setattr(abc_search, "toggle_with_masks", toggled)
     params = abc_search.SearchParams(3, 10, 39, seed=1, budget=1000, mode="extension")
     base = dataset.extract_base()
     abc_search.run(params, base, cache=abc_search.extension_cache(params, base))
-    assert len(built) <= 272 and sum(twice for _, twice in built) <= 96
-    starts = {id(e) for e in fresh}  # fresh holds every start, so no id is reused
-    assert all(id(e) in starts for e, twice in built if not twice)
+    assert len(built) <= 232 and 0 < sum(moves) < len(moves)

@@ -4,11 +4,11 @@ import random
 from importlib import resources
 
 import pytest
-from helpers import random_graph
+from helpers import branch_and_bound_independence_number, random_graph
 
 from ramsey_abc import dataset
 from ramsey_abc.construct import decompose_extension, extension_to_graph
-from ramsey_abc.counting import count_cliques, count_independent_sets, max_independent_set
+from ramsey_abc.counting import count_cliques, count_independent_sets
 from ramsey_abc.graph import Graph, emit_adjacency_list, parse_adjacency_list, toggle_edge
 
 
@@ -73,7 +73,7 @@ def _reference_rows(base):
     alpha by branch and bound and each census size by the walk."""
     degs = set(base.degrees())
     triangles = count_cliques(base, 3)
-    alpha = max_independent_set(base)[0]
+    alpha = branch_and_bound_independence_number(base)
     rows = [
         ("8-regular", base.n == 35 and degs == {8}, f"n={base.n}, degrees={sorted(degs)}"),
         ("triangle-free", triangles == 0, f"triangle count {triangles}"),

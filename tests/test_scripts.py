@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -116,3 +117,7 @@ def test_scripts_run_from_a_checkout_without_install(argv):
     )
     assert done.returncode == EXIT_OK, done.stderr
     assert "ModuleNotFoundError" not in done.stderr
+    if argv[0] == "scripts/reproduce_results.py":
+        # its own time to the ms, which the CI pin strips as [0-9.]+s
+        last = done.stdout.splitlines()[-1]
+        assert re.fullmatch(r"== ALL CHECKS PASS \(\d+\.\d{3}s\) ==", last), last
