@@ -254,9 +254,7 @@ def _random_graph(n: int, density: float, rng: random.Random) -> Graph:
                 row |= 1 << v
                 adj[v] |= bu
         adj[u] = row
-    full = (1 << n) - 1
-    comp = tuple(full ^ row ^ (1 << v) for v, row in enumerate(adj))
-    return Graph._derived(n, tuple(adj), comp)  # symmetric by construction
+    return Graph._derived(n, tuple(adj))  # symmetric by construction
 
 
 def _random_pair(n: int, rng: random.Random) -> tuple[int, int]:

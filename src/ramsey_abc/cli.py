@@ -115,6 +115,14 @@ def write_graph_files(g: Graph, stem: Path) -> list[str]:
     return [str(adj_path), str(g6_path)]
 
 
+def _check_out_root(root: Path) -> None:
+    """Raise OSError unless root, or its nearest existing ancestor, is a
+    directory, so that a search whose record cannot be written never runs."""
+    existing = next((p for p in (root, *root.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise OSError(f"output root {root}: {existing} is not a directory")
+
+
 def _unique_run_dir(root: Path, seed: int) -> Path:
     stamp = time.strftime("%Y%m%d-%H%M%S")
     candidate = root / f"{stamp}-seed{seed}"
@@ -186,8 +194,7 @@ def cmd_search(args) -> int:
         config_dict["seed"] = int.from_bytes(os.urandom(4), "big")
     for key in RUN_FILE_FIELDS:
         if config_dict.get(key) is not None and not isinstance(config_dict[key], str):
-            print(f"error: {key} must be a path, got {config_dict[key]!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"{key} must be a path, got {config_dict[key]!r}")
 
     base = None
     if config_dict.get("mode") == EXTENSION_MODE:
@@ -196,18 +203,13 @@ def cmd_search(args) -> int:
         config_dict.setdefault("n", base.n + 5)
     for field in ("p", "q", "n"):
         if field not in config_dict:
-            print(f"error: missing required parameter --{field}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        config = RunConfig.from_dict(config_dict)
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+            raise ValueError(f"missing required parameter --{field}")
+    config = RunConfig.from_dict(config_dict)
     params = config.params
     for key in ("degree_range", "base_file"):
         if params.mode == FULL_MODE and config_dict.get(key) is not None:
-            print(f"error: {key} applies to extension mode only", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"{key} applies to extension mode only")
+    _check_out_root(Path(config.out_dir))
 
     t0 = time.perf_counter()
     result = run(params, base=base)
@@ -294,13 +296,11 @@ def _parse_range(text: str) -> tuple[int, int]:
 def cmd_count(args) -> int:
     if (args.p is None) != (args.q is None):
         given, missing = ("p", "q") if args.q is None else ("q", "p")
-        print(f"error: --{given} needs --{missing}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--{given} needs --{missing}")
     ranges = " and ".join(f"--{name}" for name in ("cliques", "indep")
                           if getattr(args, name) is not None)
     if args.p is not None and ranges:
-        print(f"error: --p/--q cannot be combined with {ranges}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--p/--q cannot be combined with {ranges}")
     g = load_graph_file(args.file)
     if args.p is not None:
         rep = fitness(g, args.p, args.q)
@@ -310,8 +310,7 @@ def cmd_count(args) -> int:
         )
         return EXIT_OK
     if args.cliques is None and args.indep is None:
-        print("error: need --p/--q, --cliques or --indep", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("need --p/--q, --cliques or --indep")
     if args.cliques is not None:
         lo, hi = _parse_range(args.cliques)
         print(" ".join(str(count_cliques(g, k)) for k in range(lo, hi + 1)))

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from functools import cache, cached_property
+from dataclasses import dataclass, field
+from functools import cache
 
 from .graph import Graph, _bits, encode_graph6, induced_subgraph
 
@@ -31,31 +31,29 @@ MAX_RESAMPLES = 10_000  # degree vectors random_extension draws before giving up
 
 @dataclass(frozen=True)
 class ExtensionState:
-    """Base graph + inner graph + one attachment bitmask per added vertex."""
+    """Base graph + inner graph + one attachment bitmask per added vertex.
+
+    Two memos ride on a position, each empty when it is built and neither
+    part of equality, hashing or repr. _move_tables holds mutate_extension's
+    move table per degree band (lo, hi), built on the band's first draw: a
+    colony draws many moves from one position. free_masks is counting's
+    (counting._free_rows): the free-set masks of every attachment, per cache
+    and size read. It is opaque here; counting.toggle_with_masks hands it on
+    to a moved child."""
 
     base: Graph
     inner: Graph
     attachments: tuple[int, ...]
+    _move_tables: dict[tuple[int, int], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    free_masks: dict[tuple, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def added_degree(self, i: int) -> int:
         """Total degree of added vertex i in the assembled graph."""
         return self.attachments[i].bit_count() + self.inner.degree(i)
-
-    @cached_property
-    def _move_tables(self) -> dict[tuple[int, int], tuple]:
-        """This position's move tables, by degree band (lo, hi): what
-        mutate_extension reads to draw a move, built on the band's first draw
-        (see _move_table) and kept while the position lives, as
-        Graph.complement_rows is. A colony draws many moves from one
-        position, so only the first draw per band pays for the table."""
-        return {}
-
-    @cached_property
-    def free_masks(self) -> dict[tuple, tuple]:
-        """counting's memo on this position (counting._free_rows): the
-        free-set masks of every attachment, per cache and size read. Opaque
-        here: counting.toggle_with_masks hands it on to a moved child."""
-        return {}
 
 
 def _is_independent(g: Graph, mask: int) -> bool:
@@ -326,8 +324,8 @@ def _nth_bit(mask: int, r: int) -> int:
 def toggle_attachment(ext: ExtensionState, i: int, v: int) -> ExtensionState:
     """Return a copy of ext with the edge between added vertex i and base
     vertex v flipped (present <-> absent). Only attachment i changes. The
-    copy starts with no free-set masks; counting.toggle_with_masks hands it
-    ext's, with entry i updated or rebuilt for the flip."""
+    copy starts with empty memos; counting.toggle_with_masks hands it ext's
+    free-set masks, with entry i updated or rebuilt for the flip."""
     attachments = list(ext.attachments)
     attachments[i] ^= 1 << v
     return ExtensionState(ext.base, ext.inner, tuple(attachments))

@@ -92,9 +92,10 @@ An extension's base-side independent sets come from IndepSetCache, indexed
 once per size as one bitmap column per base vertex. Only this module knows
 the masks of the base sets free of each added vertex's attachment
 (_free_rows, built for every attachment on a size's first read), whose AND
-gives a count; a position keeps them, and an accepted move hands its child
-all of them (toggle_with_masks), the moved vertex's updated from the
-flipped base vertex's column after an addition and rebuilt after a removal.
+gives a count. A position keeps them in its free_masks memo, empty when the
+position is built, and an accepted move hands its child all that its parent
+holds (toggle_with_masks), the moved vertex's updated from the flipped base
+vertex's column after an addition and rebuilt after a removal.
 """
 
 from __future__ import annotations
@@ -658,15 +659,11 @@ def toggle_with_masks(ext, i: int, v: int):
     col), each X minus col taken as X ^ (X & col), which negates no big int.
     Removing v rebuilds the entry with one _free_of on the child's
     attachment i, as the sets that met the attachment twice are not in
-    ext's masks. A child of a parent whose masks were never read gets none."""
+    ext's masks."""
     child = toggle_attachment(ext, i, v)
-    masks = ext.__dict__.get("free_masks")
-    if masks is None:
-        return child
-    carried = child.__dict__["free_masks"] = {}
     att = child.attachments[i]
     removing = ext.attachments[i] >> v & 1
-    for (cache, k), (f1, f2) in masks.items():
+    for (cache, k), (f1, f2) in ext.free_masks.items():
         f1, f2 = f1.copy(), f2.copy()
         full, columns = cache.columns(k)
         if removing:
@@ -675,7 +672,7 @@ def toggle_with_masks(ext, i: int, v: int):
             one, two, col = f1[i], f2[i], columns[v]
             f1[i] = one ^ (one & col)
             f2[i] = one | (two ^ (two & col))
-        carried[cache, k] = f1, f2
+        child.free_masks[cache, k] = f1, f2
     return child
 
 

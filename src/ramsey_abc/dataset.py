@@ -98,8 +98,4 @@ def validate_base(base: Graph) -> list[tuple[str, bool, str]]:
 def bases_identical() -> bool:
     """Whether all four bundled graphs induce the same base on vertices 1-35."""
     first = extract_base()
-    for name in GRAPH_NAMES[1:]:
-        other = induced_subgraph(load_graph(name).graph, range(BASE_SIZE))
-        if other.adj != first.adj:
-            return False
-    return True
+    return all(extract_base(load_graph(name)).adj == first.adj for name in GRAPH_NAMES[1:])

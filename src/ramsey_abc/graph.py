@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 
 MAX_VERTICES = 64
 
@@ -29,10 +28,16 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected simple graph on vertices 0..n-1."""
+    """Immutable undirected simple graph on vertices 0..n-1.
+
+    complement_rows holds the adjacency rows of complement(self). It is
+    filled when the graph is built and takes no part in equality, hashing
+    or repr. A chain of toggle_edge calls builds it once, at its start: each
+    child is handed its parent's rows with the flip's two bits changed."""
 
     n: int
     adj: tuple[int, ...]
+    complement_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.n) is not int:
@@ -56,6 +61,7 @@ class Graph:
                 m &= m - 1
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        object.__setattr__(self, "complement_rows", _complement_rows(self.n, self.adj))
 
     @classmethod
     def _derived(
@@ -69,12 +75,12 @@ class Graph:
         symmetric by construction, may come through here; every outside
         input goes through Graph(n, adj) or a parser. complement_rows, when
         given, must equal the complement_rows that Graph(n, adj) would
-        compute; it is stored as already computed. None leaves them lazy.
+        compute, and is stored as it is; None computes them from adj.
         """
+        if complement_rows is None:
+            complement_rows = _complement_rows(n, adj)
         g = object.__new__(cls)
-        g.__dict__.update(n=n, adj=adj)
-        if complement_rows is not None:
-            g.__dict__["complement_rows"] = complement_rows
+        g.__dict__.update(n=n, adj=adj, complement_rows=complement_rows)
         return g
 
     @classmethod
@@ -124,14 +130,11 @@ class Graph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
 
-    @cached_property
-    def complement_rows(self) -> tuple[int, ...]:
-        """Adjacency rows of complement(self). They are computed at most once
-        along a chain of toggle_edge calls, not once per graph: a child of a
-        graph whose rows were read is handed them with its two bits flipped,
-        and a child of one whose rows were never read stays lazy."""
-        full = (1 << self.n) - 1
-        return tuple(full ^ m ^ (1 << v) for v, m in enumerate(self.adj))
+
+def _complement_rows(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Adjacency rows of the complement of the graph of rows adj."""
+    full = (1 << n) - 1
+    return tuple(full ^ m ^ (1 << v) for v, m in enumerate(adj))
 
 
 def _bits(mask: int):
@@ -145,24 +148,19 @@ def _bits(mask: int):
 def toggle_edge(g: Graph, u: int, v: int) -> Graph:
     """Return a copy of g with the edge {u, v} flipped (present <-> absent).
 
-    The flip changes the same two bits of the complement, so when g's
-    complement_rows were already computed the copy gets them with those
-    bits flipped instead of rebuilding all n rows; otherwise it stays lazy."""
+    The flip changes the same two bits of the complement, so the copy gets
+    g's complement_rows with those bits flipped instead of all n rows rebuilt."""
     if u == v:
         raise ValueError("cannot toggle a self-loop")
     if not (type(u) is type(v) is int and 0 <= u < g.n and 0 <= v < g.n):
         raise ValueError(f"vertices must be ints in 0..{g.n - 1}, got ({u!r}, {v!r})")
     bu, bv = 1 << u, 1 << v
-    adj = list(g.adj)
+    adj, comp = list(g.adj), list(g.complement_rows)
     adj[u] ^= bv
     adj[v] ^= bu
-    comp = g.__dict__.get("complement_rows")
-    if comp is not None:
-        comp = list(comp)
-        comp[u] ^= bv
-        comp[v] ^= bu
-        comp = tuple(comp)
-    return Graph._derived(g.n, tuple(adj), comp)
+    comp[u] ^= bv
+    comp[v] ^= bu
+    return Graph._derived(g.n, tuple(adj), tuple(comp))
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
@@ -197,7 +195,7 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
 
 
 def complement(g: Graph) -> Graph:
-    return Graph._derived(g.n, g.complement_rows)
+    return Graph._derived(g.n, g.complement_rows, g.adj)
 
 
 @dataclass(frozen=True)

@@ -649,7 +649,7 @@ def test_random_graph_hands_over_its_complement_rows():
     # the rows fitness reads come with the graph, equal to those Graph builds
     for n in (2, 12, 39):
         g = abc_search._random_graph(n, 0.3, random.Random(n))
-        assert g.__dict__["complement_rows"] == Graph(n, g.adj).complement_rows
+        assert g.complement_rows == Graph(n, g.adj).complement_rows
 
 
 def test_extension_run_rejects_cache_of_another_base():

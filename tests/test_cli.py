@@ -433,6 +433,24 @@ def test_os_errors_exit_data(tmp_path, capsys, argv):
     assert "file error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("out", ["file", "file/runs"])
+def test_search_out_under_a_file_fails_before_running(tmp_path, monkeypatch, capsys, out):
+    # an output root that is a file, or lies under one, is refused before any
+    # search: the message names the file and nothing is written
+    def never_run(params, base=None):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(cli, "run", never_run)
+    (tmp_path / "file").write_text("")
+    root = tmp_path / out
+    code = main(["search", "--p", "3", "--q", "5", "--n", "13", "--out", str(root)])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err == f"file error: output root {root}: {tmp_path / 'file'} is not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -299,6 +299,27 @@ def test_move_table_is_kept_per_band(seed):
         assert rng.getstate() == oracle_rng.getstate()
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_memos_take_no_part_in_equality(seed):
+    # two positions with equal fields are equal, hash equal and print and
+    # serialize the same, whatever their move-table and mask memos hold
+    from ramsey_abc.counting import _free_rows, build_indep_cache
+
+    rng = random.Random(seed)
+    base = random_graph(10, rng, density=0.4)
+    inner = enumerate_triangle_free(4)[seed]
+    lo = max(inner.degrees())
+    space = ExtensionSpace(base, (inner,), (lo, lo + 2))
+    read = random_extension(space, 0, rng)
+    mutate_extension(space, read, rng)
+    _free_rows(build_indep_cache(base, range(1, 4)), read, 2)
+    bare = ExtensionState(read.base, read.inner, read.attachments)
+    assert read._move_tables and read.free_masks
+    assert bare._move_tables == {} and bare.free_masks == {}
+    assert read == bare and hash(read) == hash(bare) and repr(read) == repr(bare)
+    assert serialize_extension(read) == serialize_extension(bare)
+
+
 def test_serialize_roundtrip():
     rng = random.Random(13)
     base = random_graph(10, rng, density=0.4)
