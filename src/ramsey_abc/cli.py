@@ -334,6 +334,7 @@ def cmd_bounds(args) -> int:
         rng = bounds.degree_range(args.p, args.q, args.n)
         record["n"] = args.n
         record["degree_range"] = [rng.lo, rng.hi]
+        record["feasible"] = rng.feasible
         if rng.note:
             record["note"] = rng.note
     if args.json:
@@ -347,6 +348,8 @@ def cmd_bounds(args) -> int:
         print(f"R({args.p},{args.q}) in [{value.lower},{value.upper}]  [{value.source}]")
     if args.n is not None:
         print(f"degree range for ({args.p},{args.q},{args.n}) witnesses: [{rng.lo},{rng.hi}]")
+        if not rng.feasible:
+            print(f"empty: no ({args.p},{args.q},{args.n}) witness exists")
         if rng.note:
             print(f"note: {rng.note}")
     return EXIT_OK

@@ -12,7 +12,12 @@ only through the bitmask intersection of common neighbours, which keeps the
 enumeration exact while pruning almost all of the C(n, k) subsets. A branch
 that still needs `need` vertices stops once fewer than `need` candidates
 remain: no need-set fits in such a mask, so the bound cuts only empty
-branches, and counts and the first set found stay exact. One kernel counts
+branches, and counts and the first set found stay exact. A counting branch
+left with exactly `need` candidates holds one candidate set, so the walk
+settles it in the parent's loop by a clique test that stops at its first
+missing edge instead of a call; on graphs A-D most branches at need 4-6
+end there, and a 10-set count makes about 40 % of the calls it would
+make without the test. One kernel counts
 the cliques inside any candidate vertex mask of adjacency rows: a graph's,
 its complement's (Graph.complement_rows) for independent sets, or an
 extension's (construct.assembled_adj). Part of a graph is a vertex mask over
@@ -45,29 +50,32 @@ the independence polynomial of the right rows (the complement's for
 cliques); otherwise it walks. verify, count_cliques, count_independent_sets
 and the scorers always walk. Measured per side on 2 cores, Python 3.11,
 five seeded default-density starts per rung (ranges), and on the dataset;
-recursion ms is the best of 27 calls per graph on the packed recursion:
+each time is the best of 27 calls per graph (of 9 for the (3,10,38..40)
+walks):
 
     graph            n   side  d          E            count          walk ms     recursion ms
     (4,4,12) start   12  I4    0.39-0.54  4-25         2-22           0.01        0.02
-    (3,5,13) start   13  I5    0.26-0.40  8-67         2-55           0.05-0.07   0.02-0.03
+    (3,5,13) start   13  I5    0.26-0.40  8-67         2-55           0.03-0.05   0.02-0.04
     (4,4,17) start   17  I4    0.41-0.60  10-99        9-92           0.01-0.03   0.05-0.06
-    (3,6,17) start   17  I6    0.19-0.35  21-513       15-667         0.08-0.26   0.03-0.06
-    (3,7,22) start   22  I7    0.19-0.29  146-2.3k     19-3.2k        0.14-1.01   0.09-0.18
-    (3,8,27) start   27  I8    0.19-0.23  1.6k-5.9k    533-8.8k       0.61-2.81   0.23-0.33
-    (3,9,35) start   35  I9    0.20-0.24  3.6k-23k     1.5k-24k       2.3-13.1    1.0-1.5
-    (3,10,38) start  38  I10   0.14-0.16  192k-511k    120k-872k      66-427      1.0-2.5    recursion
-    (3,10,39) start  39  I10   0.15-0.17  135k-371k    47k-799k       48-318      1.3-3.2    recursion
-    (3,10,40) start  40  I10   0.16-0.18  115k-305k    56k-275k       71-151      2.4-3.3    recursion
-    graphs A-D       40  I10   0.23       6.8k-8.5k    0              2.4-3.6     4.4-4.6
-    base             35  I9    0.24       4.5k         0              1.2         2.4
-    (3,10,39) ext    39  I10   0.22-0.23  5.1k-7.0k    170-475        2.5-3.9     3.5-4.5
+    (3,6,17) start   17  I6    0.19-0.35  21-513       15-667         0.05-0.20   0.03-0.06
+    (3,7,22) start   22  I7    0.19-0.29  146-2.3k     19-3.2k        0.09-0.86   0.09-0.20
+    (3,8,27) start   27  I8    0.19-0.23  1.6k-5.9k    533-8.8k       0.48-2.47   0.25-0.36
+    (3,9,35) start   35  I9    0.20-0.24  3.6k-23k     1.5k-24k       1.8-10.1    1.0-1.5
+    (3,10,38) start  38  I10   0.14-0.16  192k-511k    120k-872k      69-290      1.2-2.8    recursion
+    (3,10,39) start  39  I10   0.15-0.17  135k-371k    47k-799k       34-262      1.5-3.7    recursion
+    (3,10,40) start  40  I10   0.16-0.18  115k-305k    56k-275k       40-132      2.7-3.8    recursion
+    graphs A-D       40  I10   0.23       6.8k-8.5k    0              2.0-2.2     4.4-4.8
+    base             35  I9    0.24       4.5k         0              0.96        2.5
+    (3,10,39) ext    39  I10   0.21-0.23  5.1k-16k     170-1.3k       1.6-4.5     3.4-4.5
 
 Every clique side (K3, K4) of these starts has E below 110 and walks. The
-constant sits between the dataset graphs, where the walk is 1.7-2.3 times
-faster, and the (3,10,38..40) starts, where the recursion is 12-260 times
-faster (both methods timed together). Below it, (3,9,35) starts would also
-be faster by the recursion, 1.4-9.4 times, but their E overlaps that of
-graphs A-D, which hold no set, so E cannot tell them apart.
+ext row's five positions are five draws of one random.Random(0) through
+inner graphs 0-4, as the colony's fresh positions cycle. The constant sits
+between the dataset graphs, where the walk is 2.1-2.2 times faster, and
+the (3,10,38..40) starts, where the recursion is 9-250 times faster (both
+methods timed together). Below it, (3,9,35) starts would also be faster by
+the recursion, 1.2-8.4 times, but their E overlaps that of graphs A-D,
+which hold no set, so E cannot tell them apart.
 
 A search move flips one edge {u, v}, which creates or destroys only the
 cliques and independent sets containing both u and v. flip_fitness (a whole
@@ -145,11 +153,15 @@ def _count_complete(adj: tuple[int, ...], cand: int, k: int) -> int:
 
     k = 2 counts the edges inside cand as the sum over its vertices v of
     |N(v) & the cand bits above v|, and k = 1 is |cand|. k >= 3 walks: each
-    vertex v of cand, lowest first, adds the (k - 1)-count of the cand bits
-    above v that are adjacent to v, so the walk ends at k = 2 with that
-    edge count and the last vertex of a set costs no call. A branch stops
-    drawing once fewer than k candidates remain, and skips a v with fewer
-    than k - 1, which cuts only empty branches. The walk extends a set only
+    vertex v of cand, lowest first, adds the (k - 1)-count of its child,
+    the cand bits above v that are adjacent to v. A branch stops drawing
+    once fewer than k candidates remain, which cuts only empty branches.
+    Only a child with more than k - 1 candidates costs a call, so the walk
+    ends at k = 2 with that edge count. A smaller child holds no (k - 1)-set
+    and counts 0. A tight child, exactly k - 1 candidates, holds one
+    candidate set, settled in the loop: it counts 1 iff each of its
+    vertices, lowest first, is adjacent to all the child bits above it,
+    and the test stops at the first miss. The walk extends a set only
     through higher labels, so its work depends on the labelling;
     _count_deep gives it rows in peel order. This is the only
     subset-counting walk."""
@@ -167,8 +179,17 @@ def _count_complete(adj: tuple[int, ...], cand: int, k: int) -> int:
         b = cand & -cand
         cand ^= b
         nxt = cand & adj[b.bit_length() - 1]
-        if nxt.bit_count() >= k:
+        c = nxt.bit_count()
+        if c > k:
             count += _count_complete(adj, nxt, k)
+        elif c == k:
+            while nxt:
+                b = nxt & -nxt
+                nxt ^= b
+                if nxt & adj[b.bit_length() - 1] != nxt:
+                    break
+            else:
+                count += 1
     return count
 
 
@@ -378,8 +399,8 @@ def independence_polynomial(g: Graph) -> tuple[int, ...]:
     takes 2.3 ms for the 5-sets, 4.9 ms for the 6-sets, 6.1 ms for the
     7-sets and 3.8 ms for the 8-sets: from the 6-sets up one size is
     cheaper by the recursion, and the 5-sets cost the same either way.
-    On graphs A-D, which hold no 10-set, the walk takes 2.5-2.9 ms against
-    4.5-5.8 ms. The module docstring's table gives the crossover that
+    On graphs A-D, which hold no 10-set, the walk takes 2.0-2.2 ms against
+    4.4-4.8 ms. The module docstring's table gives the crossover that
     fitness uses."""
     poly = _indep_poly(g.adj, {}, (1 << g.n) - 1)
     return tuple(poly >> shift & _FIELD_MASK for shift in range(0, poly.bit_length(), _FIELD))

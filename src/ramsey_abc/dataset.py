@@ -14,7 +14,7 @@ from functools import cache
 from importlib import resources
 
 from .counting import count_cliques, independence_polynomial
-from .graph import Graph, ParseReport, induced_subgraph, parse_adjacency_list
+from .graph import Graph, ParseReport, parse_adjacency_list
 
 GRAPH_NAMES = ("A", "B", "C", "D")
 
@@ -49,10 +49,15 @@ def load_all() -> dict[str, ParseReport]:
 
 
 def extract_base(report: ParseReport | None = None) -> Graph:
-    """Induced subgraph on vertices 1-35 of graph A (0-indexed 0..34)."""
-    if report is None:
-        report = load_graph("A")
-    return induced_subgraph(report.graph, range(BASE_SIZE))
+    """Induced subgraph on vertices 1-35 of graph A (0-indexed 0..34), or
+    of report's graph. The vertices are a prefix, so each base row is the
+    low BASE_SIZE bits of one of the first BASE_SIZE rows, symmetric as
+    the graph's rows are."""
+    g = load_graph("A").graph if report is None else report.graph
+    if g.n < BASE_SIZE:
+        raise ValueError(f"vertex set not within 0..{g.n - 1}")
+    keep = (1 << BASE_SIZE) - 1
+    return Graph._derived(BASE_SIZE, tuple(row & keep for row in g.adj[:BASE_SIZE]))
 
 
 def validate_base(base: Graph) -> list[tuple[str, bool, str]]:

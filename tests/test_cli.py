@@ -587,6 +587,23 @@ def test_bounds_cli(capsys):
     assert "note" in record
 
 
+def test_bounds_cli_names_an_empty_band(capsys):
+    # bounds.degree_range(3, 10, 100) is [64, 9]: no degree fits, so no witness
+    assert main(["bounds", "3", "10", "100"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "degree range for (3,10,100) witnesses: [64,9]",
+        "empty: no (3,10,100) witness exists",
+    ]
+    assert main(["bounds", "3", "10", "100", "--json"]) == EXIT_OK
+    record = json.loads(capsys.readouterr().out)
+    assert (record["degree_range"], record["feasible"]) == ([64, 9], False)
+    assert main(["bounds", "3", "10", "40", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
+    assert main(["bounds", "3", "10", "40"]) == EXIT_OK
+    assert "empty" not in capsys.readouterr().out
+
+
 def test_bounds_inexact_subvalue(capsys):
     assert main(["bounds", "3", "11", "46"]) == EXIT_USAGE
 

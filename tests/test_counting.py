@@ -192,6 +192,65 @@ def test_kernel_matches_brute_force_inside_a_mask_with_holes(g, data):
             assert counting._find_complete(rows, g.n, k) == (complete[0] if complete else None)
 
 
+def test_tight_branches_are_settled_without_a_call(monkeypatch):
+    # a child with exactly as many candidates as its order is settled by one
+    # clique test in its parent's loop; only a larger child costs a call
+    from ramsey_abc import dataset
+
+    walk = counting._count_complete
+    tight = []
+
+    def spy(adj, cand, k):
+        tight.append(k >= 3 and cand.bit_count() == k)
+        return walk(adj, cand, k)
+
+    monkeypatch.setattr(counting, "_count_complete", spy)
+    assert count_independent_sets(dataset.load_graph("A").graph, 10) == 0
+    assert len(tight) > 1 and sum(tight) == 0
+
+
+def _multipartite(parts) -> Graph:
+    """Complete multipartite graph; part i holds parts[i] vertices."""
+    owner = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(owner)
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if owner[u] != owner[v]])
+
+
+def _dense_cases():
+    """(graph, its k-clique counts from k = 0 to its clique number):
+    complete graphs, complete multipartite graphs (the coefficients of the
+    product of 1 + |part| x), each also relabelled, and complements of
+    perfect matchings."""
+    cases = [(Graph.complete(n), [comb(n, k) for k in range(n + 1)]) for n in range(1, 13)]
+    rng = random.Random(0)
+    for parts in [(2, 2, 2), (1, 2, 3, 4), (3, 3, 3, 3), (4, 4, 4), (1,) * 10 + (2,), (5, 6)]:
+        poly = [1]
+        for size in parts:
+            poly = [a + size * b for a, b in zip(poly + [0], [0] + poly)]
+        g = _multipartite(parts)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        cases += [(g, poly), (relabel(g, perm), poly)]
+    for m in range(1, 7):
+        # the complement of a perfect matching is the multipartite graph on m pairs
+        matching = Graph.from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+        cases.append((complement(matching), [comb(m, k) * 2**k for k in range(m + 1)]))
+    return cases
+
+
+@pytest.mark.parametrize("g, cliques", _dense_cases())
+def test_dense_graphs_count_every_tight_clique(g, cliques):
+    # in these graphs most tight children are cliques, so each must count 1
+    full = (1 << g.n) - 1
+    for k in range(-1, g.n + 2):
+        expected = cliques[k] if 0 <= k < len(cliques) else 0
+        assert counting._count_complete(g.adj, full, k) == expected
+        assert counting._count_deep(g.adj, full, k) == expected
+    for k in range(1, g.n + 1):
+        assert count_cliques(g, k) == brute_count_cliques(g, k)
+        assert count_independent_sets(g, k) == brute_count_indep(g, k)
+
+
 @given(graphs(max_n=10), st.data())
 def test_duality(g, data):
     k = data.draw(st.integers(1, g.n))

@@ -9,7 +9,13 @@ from helpers import branch_and_bound_independence_number, random_graph
 from ramsey_abc import dataset
 from ramsey_abc.construct import decompose_extension, extension_to_graph
 from ramsey_abc.counting import count_cliques, count_independent_sets
-from ramsey_abc.graph import Graph, emit_adjacency_list, parse_adjacency_list, toggle_edge
+from ramsey_abc.graph import (
+    Graph,
+    emit_adjacency_list,
+    induced_subgraph,
+    parse_adjacency_list,
+    toggle_edge,
+)
 
 
 def test_all_graphs_parse_clean():
@@ -61,6 +67,22 @@ def test_unknown_name():
 
 def test_bases_identical_across_graphs():
     assert dataset.bases_identical()
+
+
+@pytest.mark.parametrize("name", dataset.GRAPH_NAMES)
+def test_extract_base_is_the_induced_prefix(name):
+    # the base rows are masked prefix rows; they must be the induced subgraph
+    # on vertices 0..34, complement rows included
+    report = dataset.load_graph(name)
+    base = dataset.extract_base(report)
+    reference = induced_subgraph(report.graph, range(dataset.BASE_SIZE))
+    assert base == reference and base.complement_rows == reference.complement_rows
+    assert base == Graph(base.n, base.adj)  # passes the public constructor's checks
+
+
+def test_extract_base_rejects_a_graph_below_the_base_size():
+    with pytest.raises(ValueError, match="vertex set not within"):
+        dataset.extract_base(parse_adjacency_list(emit_adjacency_list(Graph.cycle(34))))
 
 
 def test_base_validation_passes():
