@@ -7,12 +7,16 @@ The objective for an (p, q, n) search is
 
 so f(G) = 0 exactly when G is an n-vertex witness for R(p, q) > n.
 
-Counting walks subsets in ascending vertex order, extending a partial clique
-only through the bitmask intersection of common neighbours, which keeps the
-enumeration exact while pruning almost all of the C(n, k) subsets. A branch
-that still needs `need` vertices stops once fewer than `need` candidates
-remain: no need-set fits in such a mask, so the bound cuts only empty
-branches, and counts and the first set found stay exact. A counting branch
+Counting walks subsets from the highest vertex down, extending a partial
+clique only through the bitmask intersection of its common neighbours below
+the vertex just taken, which keeps the enumeration exact while pruning almost
+all of the C(n, k) subsets. A child mask holds only labels below its parent
+vertex, so past the first levels of a deep count it fits in one 30-bit
+CPython digit, and taking the top bit (bit_length) allocates no negated int
+as the lowest bit (cand & -cand) would. A branch that still needs `need`
+vertices stops once fewer than `need` candidates remain: no need-set fits
+in such a mask, so the bound cuts only empty branches, and counts and the
+first set found stay exact. A counting branch
 left with exactly `need` candidates holds one candidate set, so the walk
 settles it in the parent's loop by a clique test that stops at its first
 missing edge instead of a call; on graphs A-D most branches at need 4-6
@@ -54,28 +58,29 @@ each time is the best of 27 calls per graph (of 9 for the (3,10,38..40)
 walks):
 
     graph            n   side  d          E            count          walk ms     recursion ms
-    (4,4,12) start   12  I4    0.39-0.54  4-25         2-22           0.01        0.02
-    (3,5,13) start   13  I5    0.26-0.40  8-67         2-55           0.03-0.05   0.02-0.04
-    (4,4,17) start   17  I4    0.41-0.60  10-99        9-92           0.01-0.03   0.05-0.06
-    (3,6,17) start   17  I6    0.19-0.35  21-513       15-667         0.05-0.20   0.03-0.06
-    (3,7,22) start   22  I7    0.19-0.29  146-2.3k     19-3.2k        0.09-0.86   0.09-0.20
-    (3,8,27) start   27  I8    0.19-0.23  1.6k-5.9k    533-8.8k       0.48-2.47   0.25-0.36
-    (3,9,35) start   35  I9    0.20-0.24  3.6k-23k     1.5k-24k       1.8-10.1    1.0-1.5
-    (3,10,38) start  38  I10   0.14-0.16  192k-511k    120k-872k      69-290      1.2-2.8    recursion
-    (3,10,39) start  39  I10   0.15-0.17  135k-371k    47k-799k       34-262      1.5-3.7    recursion
-    (3,10,40) start  40  I10   0.16-0.18  115k-305k    56k-275k       40-132      2.7-3.8    recursion
-    graphs A-D       40  I10   0.23       6.8k-8.5k    0              2.0-2.2     4.4-4.8
-    base             35  I9    0.24       4.5k         0              0.96        2.5
-    (3,10,39) ext    39  I10   0.21-0.23  5.1k-16k     170-1.3k       1.6-4.5     3.4-4.5
+    (4,4,12) start   12  I4    0.39-0.54  4-25         2-22           0.004-0.008 0.02
+    (3,5,13) start   13  I5    0.26-0.40  8-67         2-55           0.03-0.04   0.01-0.03
+    (4,4,17) start   17  I4    0.41-0.60  10-99        9-92           0.01-0.02   0.04-0.05
+    (3,6,17) start   17  I6    0.19-0.35  21-513       15-667         0.04-0.14   0.03-0.05
+    (3,7,22) start   22  I7    0.19-0.29  146-2.3k     19-3.2k        0.08-0.61   0.07-0.15
+    (3,8,27) start   27  I8    0.19-0.23  1.6k-5.9k    533-8.8k       0.35-1.7    0.19-0.28
+    (3,9,35) start   35  I9    0.20-0.24  3.6k-23k     1.5k-24k       1.2-6.4     0.83-1.3
+    (3,10,38) start  38  I10   0.14-0.16  192k-511k    120k-872k      35-160      0.88-2.1   recursion
+    (3,10,39) start  39  I10   0.15-0.17  135k-371k    47k-799k       19-146      1.1-2.7    recursion
+    (3,10,40) start  40  I10   0.16-0.18  115k-305k    56k-275k       22-70       2.0-2.8    recursion
+    graphs A-D       40  I10   0.23       6.8k-8.5k    0              1.3-1.5     3.8-3.9
+    base             35  I9    0.24       4.5k         0              0.63        2.0
+    (3,10,39) ext    39  I10   0.21-0.23  5.1k-16k     170-1.3k       1.1-2.8     2.8-3.7
 
 Every clique side (K3, K4) of these starts has E below 110 and walks. The
 ext row's five positions are five draws of one random.Random(0) through
 inner graphs 0-4, as the colony's fresh positions cycle. The constant sits
-between the dataset graphs, where the walk is 2.1-2.2 times faster, and
-the (3,10,38..40) starts, where the recursion is 9-250 times faster (both
-methods timed together). Below it, (3,9,35) starts would also be faster by
-the recursion, 1.2-8.4 times, but their E overlaps that of graphs A-D,
-which hold no set, so E cannot tell them apart.
+between the dataset graphs, where the walk is 2.5-2.8 times faster, and
+the (3,10,38..40) starts, where the recursion is 7-180 times faster (both
+methods timed together). Below it, four of the five (3,9,35) starts would
+be faster by the recursion, 4.9-6.1 times (the walk is 1.1 times faster on
+the fifth), but their E overlaps that of graphs A-D, which hold no set, so
+E cannot tell them apart.
 
 A search move flips one edge {u, v}, which creates or destroys only the
 cliques and independent sets containing both u and v. flip_fitness (a whole
@@ -147,46 +152,49 @@ def _check_order(g: Graph, k: int, what: str) -> None:
         raise ValueError(f"{what} must be in 1..{g.n}, got {k}")
 
 
+_BIT = tuple(1 << v for v in range(MAX_VERTICES))  # _BIT[v]: the mask of vertex v alone
+
+
 def _count_complete(adj: tuple[int, ...], cand: int, k: int) -> int:
     """Number of k-subsets of the vertex mask cand that are pairwise adjacent;
     1 for k = 0 (the empty set) and 0 for k < 0.
 
     k = 2 counts the edges inside cand as the sum over its vertices v of
-    |N(v) & the cand bits above v|, and k = 1 is |cand|. k >= 3 walks: each
-    vertex v of cand, lowest first, adds the (k - 1)-count of its child,
-    the cand bits above v that are adjacent to v. A branch stops drawing
+    |N(v) & the cand bits below v|, and k = 1 is |cand|. k >= 3 walks: each
+    vertex v of cand, highest first, adds the (k - 1)-count of its child,
+    the cand bits below v that are adjacent to v. A branch stops drawing
     once fewer than k candidates remain, which cuts only empty branches.
     Only a child with more than k - 1 candidates costs a call, so the walk
     ends at k = 2 with that edge count. A smaller child holds no (k - 1)-set
     and counts 0. A tight child, exactly k - 1 candidates, holds one
     candidate set, settled in the loop: it counts 1 iff each of its
-    vertices, lowest first, is adjacent to all the child bits above it,
+    vertices, highest first, is adjacent to all the child bits below it,
     and the test stops at the first miss. The walk extends a set only
-    through higher labels, so its work depends on the labelling;
-    _count_deep gives it rows in peel order. This is the only
-    subset-counting walk."""
+    through lower labels, so its work depends on the labelling;
+    _count_deep gives it rows in peel order, the first-peeled vertex
+    highest. This is the only subset-counting walk."""
     count = 0
     if k == 2:
         while cand:
-            b = cand & -cand
-            cand ^= b
-            count += (cand & adj[b.bit_length() - 1]).bit_count()
+            v = cand.bit_length() - 1
+            cand ^= _BIT[v]
+            count += (cand & adj[v]).bit_count()
         return count
     if k <= 1:
         return cand.bit_count() if k == 1 else int(k == 0)
     k -= 1  # the order each branch counts
     while cand.bit_count() > k:
-        b = cand & -cand
-        cand ^= b
-        nxt = cand & adj[b.bit_length() - 1]
+        v = cand.bit_length() - 1
+        cand ^= _BIT[v]
+        nxt = cand & adj[v]
         c = nxt.bit_count()
         if c > k:
             count += _count_complete(adj, nxt, k)
         elif c == k:
             while nxt:
-                b = nxt & -nxt
-                nxt ^= b
-                if nxt & adj[b.bit_length() - 1] != nxt:
+                v = nxt.bit_length() - 1
+                nxt ^= _BIT[v]
+                if nxt & adj[v] != nxt:
                     break
             else:
                 count += 1
@@ -198,10 +206,12 @@ _PEEL_FROM = 5  # smallest k whose whole-mask count walks in peel order
 
 def _peel_rows(adj: tuple[int, ...], cand: int) -> tuple[int, ...]:
     """Rows of the subgraph that the vertex mask cand induces, relabelled
-    0..|cand|-1 in min-degree peel order: position i holds the unplaced
-    vertex with the fewest unplaced neighbours, ties to the lowest index.
-    The walk extends a set only through higher positions, so each vertex
-    branches over at most the graph's degeneracy of neighbours.
+    |cand|-1..0 in min-degree peel order: the highest position holds the
+    vertex peeled first, and each next position down the unplaced vertex
+    with the fewest unplaced neighbours, ties to the lowest index. The walk
+    takes the highest position first and extends a set only through lower
+    positions, so each vertex branches over at most the graph's degeneracy
+    of neighbours, and a deep child's mask stays in the low bits.
 
     The order comes from a bucket queue: bucket d is the mask of unplaced
     vertices with d unplaced neighbours. Each step places the lowest bit of
@@ -211,7 +221,8 @@ def _peel_rows(adj: tuple[int, ...], cand: int) -> tuple[int, ...]:
     is at d - 1 or above.
 
     A row is relabelled as its binary digits: digit i of the new row, read
-    from the right, is the old row's digit of the vertex at position i."""
+    from the right, is the old row's digit of the vertex at position i, so
+    the digits are picked in peel order and the rows emitted in reverse."""
     if not cand:
         return ()
     buckets = [0] * cand.bit_count()
@@ -240,8 +251,10 @@ def _peel_rows(adj: tuple[int, ...], cand: int) -> tuple[int, ...]:
         if d:
             d -= 1
     width = cand.bit_length()
-    pick = itemgetter(*[width - 1 - v for v in reversed(order)])
-    return tuple(int("".join(pick(format(adj[v] & cand, f"0{width}b"))), 2) for v in order)
+    pick = itemgetter(*[width - 1 - v for v in order])
+    return tuple(
+        int("".join(pick(format(adj[v] & cand, f"0{width}b"))), 2) for v in reversed(order)
+    )
 
 
 def _count_deep(adj: tuple[int, ...], cand: int, k: int) -> int:
@@ -395,13 +408,13 @@ def independence_polynomial(g: Graph) -> tuple[int, ...]:
     _indep_poly), whose cost is set by its branching, not by how many sets
     there are. It counts every size at once, and even one size can be
     cheaper this way. Measured on 2 cores, Python 3.11: on the 35-vertex
-    base the whole polynomial takes 2.4 ms, and count_independent_sets
-    takes 2.3 ms for the 5-sets, 4.9 ms for the 6-sets, 6.1 ms for the
-    7-sets and 3.8 ms for the 8-sets: from the 6-sets up one size is
-    cheaper by the recursion, and the 5-sets cost the same either way.
-    On graphs A-D, which hold no 10-set, the walk takes 2.0-2.2 ms against
-    4.4-4.8 ms. The module docstring's table gives the crossover that
-    fitness uses."""
+    base the whole polynomial takes 2.0 ms, and count_independent_sets
+    takes 1.4 ms for the 5-sets, 2.9 ms for the 6-sets, 3.5 ms for the
+    7-sets and 2.0 ms for the 8-sets: the 6- and 7-sets are cheaper by
+    the recursion, the 8-sets cost the same either way and the 5-sets are
+    cheaper by the walk. On graphs A-D, which hold no 10-set, the walk
+    takes 1.3-1.5 ms against 3.8-3.9 ms. The module docstring's table
+    gives the crossover that fitness uses."""
     poly = _indep_poly(g.adj, {}, (1 << g.n) - 1)
     return tuple(poly >> shift & _FIELD_MASK for shift in range(0, poly.bit_length(), _FIELD))
 
@@ -436,7 +449,9 @@ def _indep_poly(adj: tuple[int, ...], memo: dict, mask: int) -> int:
 
     One scan per component: the BFS that finds the lowest vertex's
     component also reads each vertex's degree in the mask, its maximum and
-    the pivot, a vertex of maximum degree, the lowest on ties. A component
+    the pivot, a vertex of maximum degree, the lowest on ties. It pops its
+    frontier from the highest bit, as _count_complete does; the component,
+    the pivot and so the memo keys do not depend on that order. A component
     of maximum degree <= 2 is a path or a cycle, read from _PATHS or
     _CYCLES. Otherwise the recursion branches on the pivot v: the sets
     without v, plus, one size up, the sets of the component outside v and
@@ -455,9 +470,8 @@ def _indep_poly(adj: tuple[int, ...], memo: dict, mask: int) -> int:
     while frontier:
         reach = 0
         while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            v = b.bit_length() - 1
+            v = frontier.bit_length() - 1
+            frontier ^= _BIT[v]
             row = adj[v] & mask
             reach |= row
             d = row.bit_count()

@@ -137,8 +137,10 @@ def _peel_cases(draw):
 def test_peel_rows_equal_the_reference_peel_row_for_row(case):
     rows, mask = case
     order = reference_peel_order(rows, mask)
+    top = len(order) - 1  # order[j] sits at position top - j
     relabelled = tuple(
-        sum(1 << j for j, u in enumerate(order) if rows[v] >> u & 1) for v in order
+        sum(1 << top - j for j, u in enumerate(order) if rows[v] >> u & 1)
+        for v in reversed(order)
     )
     assert counting._peel_rows(rows, mask) == relabelled
 
@@ -178,8 +180,10 @@ def test_kernel_matches_brute_force_inside_a_mask_with_holes(g, data):
             inside_degrees = [(rows[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1]
             assert sorted(relabelled.degrees()) == sorted(inside_degrees)
         for i, row in enumerate(peeled):
-            # position i has the fewest neighbours among positions i and above
-            assert all((row >> i).bit_count() <= (later >> i).bit_count() for later in peeled[i:])
+            # position i has the fewest neighbours among positions i and below
+            low = (2 << i) - 1
+            assert all((row & low).bit_count() <= (earlier & low).bit_count()
+                       for earlier in peeled[: i + 1])
         for k in range(-1, g.n + 2):
             complete = [] if k < 0 else [
                 c for c in combinations(range(g.n), k)
@@ -249,6 +253,43 @@ def test_dense_graphs_count_every_tight_clique(g, cliques):
     for k in range(1, g.n + 1):
         assert count_cliques(g, k) == brute_count_cliques(g, k)
         assert count_independent_sets(g, k) == brute_count_indep(g, k)
+
+
+@given(graphs(max_n=10), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_kernel_counts_at_wide_labels(small, rnd):
+    # the graphs above fit every mask in one int digit; here a small graph
+    # sits at scattered labels in 30..63 of a 64-vertex graph, so masks span
+    # digits and the walk starts at label 63 or near it
+    labels = sorted(rnd.sample(range(30, 64), small.n))
+    wide = Graph.from_edges(64, [(labels[u], labels[v]) for u, v in small.edges()])
+    mask = sum(1 << v for v in labels)
+    for k in range(-1, small.n + 2):
+        cliques = brute_count_cliques(small, k) if k >= 0 else 0
+        indep = brute_count_indep(small, k) if k >= 0 else 0
+        for count in (counting._count_complete, counting._count_deep):
+            assert count(wide.adj, mask, k) == cliques
+            assert count(wide.complement_rows, mask, k) == indep
+    for k in range(2, small.n + 2):
+        assert count_cliques(wide, k) == brute_count_cliques(small, k)
+    # an independent set of wide is one of small plus isolated vertices
+    isolated = 64 - small.n
+    poly = [
+        sum(brute_count_indep(small, j) * comb(isolated, k - j) for j in range(min(k, small.n) + 1))
+        for k in range(isolated + small.n + 1)
+    ]
+    poly = tuple(poly[: max(k for k, c in enumerate(poly) if c) + 1])
+    assert independence_polynomial(wide) == poly
+    for k in range(1, 4):
+        assert count_independent_sets(wide, k) == poly[k]
+
+
+def test_perfect_matching_complement_on_64_vertices():
+    # the complete 32-partite graph with parts of 2: 2^k C(32, k) k-cliques,
+    # walked from label 63 and, from k = 5, through a 64-vertex peel
+    g = complement(Graph.from_edges(64, [(2 * i, 2 * i + 1) for i in range(32)]))
+    for k in range(2, 6):
+        assert count_cliques(g, k) == 2**k * comb(32, k)
 
 
 @given(graphs(max_n=10), st.data())
