@@ -230,15 +230,16 @@ class Colony:
 
 def default_init_density(p: int, q: int, n: int) -> float:
     """Edge probability biasing random starts toward the feasible degree band:
-    midpoint of the admissible degree range over n-1, else 0.5. Needs
-    n >= 2, as SearchParams checks."""
+    midpoint of the admissible degree range over n-1, else 0.5. The band
+    lies in [0, n - 1], so the density lies in [0, 1]. Needs n >= 2, as
+    SearchParams checks."""
     try:
         rng = bounds.degree_range(p, q, n)
     except ValueError:
         return 0.5
     if not rng.feasible:
         return 0.5
-    return min(1.0, max(0.0, (rng.lo + rng.hi) / 2 / (n - 1)))
+    return (rng.lo + rng.hi) / 2 / (n - 1)
 
 
 def _random_graph(n: int, density: float, rng: random.Random) -> Graph:

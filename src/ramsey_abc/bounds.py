@@ -95,7 +95,9 @@ def known_ramsey(p: int, q: int) -> RamseyValue:
 
 
 def degree_range(p: int, q: int, n: int) -> DegreeRange:
-    """Admissible degree interval [n - R(p, q-1), R(p-1, q) - 1].
+    """Admissible degree interval [n - R(p, q-1), R(p-1, q) - 1], clamped to
+    the degrees an n-vertex graph has, [0, n - 1]. The clamp never changes
+    feasibility: n - R(p, q-1) <= n - 2 and R(p-1, q) - 1 >= 1 always hold.
 
     Requires both sub-values to be exactly known; a bound would silently
     widen or shrink the interval, so inexact inputs raise instead.
@@ -109,8 +111,8 @@ def degree_range(p: int, q: int, n: int) -> DegreeRange:
         raise ValueError(
             f"degree range for ({p},{q},{n}) needs exact values for {', '.join(missing)}"
         )
-    lo = n - down.lower
-    hi = side.lower - 1
+    lo = max(0, n - down.lower)
+    hi = min(n - 1, side.lower - 1)
     note = None
     reported = REPORTED_DEGREE_RANGES.get((p, q, n))
     if reported is not None and reported != (lo, hi):

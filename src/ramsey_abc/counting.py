@@ -496,7 +496,9 @@ def _indep_poly(adj: tuple[int, ...], memo: dict, mask: int) -> int:
 @dataclass(frozen=True, eq=False)
 class IndepSetCache:
     """All independent sets of the base graph: masks_by_size[k] is an
-    array('Q') with one vertex bitmask per k-independent set. A cached set S
+    array('Q') with one vertex bitmask per k-independent set, in
+    build_indep_cache's top-down DFS order (grouped by their highest vertex,
+    descending); nothing reads that order as meaningful. A cached set S
     stays independent of an added-vertex set T iff S & (union of T's
     attachment masks) == 0. columns(k), built on the first read of k, makes
     that test bitmap algebra over all the k-sets at once: full has one bit
@@ -553,9 +555,20 @@ def _column_index(cache: IndepSetCache, k: int) -> tuple[int, list[int]]:
 
 
 def build_indep_cache(base: Graph, sizes) -> IndepSetCache:
-    """Enumerate every independent set of the requested sizes in one DFS pass,
+    """Enumerate every independent set of the requested sizes in one DFS,
     collecting each size as bitmasks in an array('Q'), so no list of Python
-    ints is ever held."""
+    ints is ever held.
+
+    One recursion: a call at depth d extends its (d - 1)-set by each
+    candidate v, highest first, appends the d-set when d is requested, and
+    recurses into the candidates below v that are not v's neighbours. A deep
+    child's mask thus holds only low labels and, past the top levels, fits
+    one int digit. Two per-depth lists, built once, steer it: the depth's
+    output array (None for a size nobody asked for) and the fewest
+    candidates a d-set needs to reach the next requested size, below which
+    the child holds no requested set and is not called. A call appends
+    exactly one set per candidate, so the MAX_CACHE_SETS budget is checked
+    once per call, before its appends, and raises iff a size overflows."""
     wanted = tuple(sorted(set(sizes)))
     if not wanted:
         raise ValueError("no sizes requested")
@@ -564,29 +577,28 @@ def build_indep_cache(base: Graph, sizes) -> IndepSetCache:
     comp = base.complement_rows
     cap = MAX_CACHE_SETS
     kmax = wanted[-1]
-    wanted_set = set(wanted)
-    # smallest requested size still reachable from a partial set of each size
-    next_wanted = [min((k for k in wanted if k > s), default=kmax + 1) for s in range(kmax + 1)]
     collected = {k: array("Q") for k in wanted}
+    outs = [collected.get(d) for d in range(kmax + 1)]
+    # need[d]: the fewest candidates below a d-set's top vertex that let it
+    # reach the next requested size; more than any mask holds at kmax
+    need = [min((k for k in wanted if k > d), default=base.n + d + 1) - d for d in range(kmax + 1)]
 
-    def rec(cand: int, chosen: int, size: int) -> None:
+    def rec(cand: int, chosen: int, depth: int) -> None:
+        out = outs[depth]
+        if out is not None and len(out) + cand.bit_count() > cap:
+            raise CacheBudgetError(f"more than {cap} independent sets of size {depth}")
+        floor = need[depth]
         while cand:
-            b = cand & -cand
-            v = b.bit_length() - 1
-            cand ^= b
-            nchosen = chosen | b
-            nsize = size + 1
-            if nsize in wanted_set:
-                bucket = collected[nsize]
-                if len(bucket) >= cap:
-                    raise CacheBudgetError(f"more than {cap} independent sets of size {nsize}")
-                bucket.append(nchosen)
-            if nsize < kmax:
-                nxt = cand & comp[v]
-                if nsize + nxt.bit_count() >= next_wanted[nsize]:
-                    rec(nxt, nchosen, nsize)
+            v = cand.bit_length() - 1
+            cand ^= _BIT[v]
+            s = chosen | _BIT[v]
+            if out is not None:
+                out.append(s)
+            nxt = cand & comp[v]
+            if nxt.bit_count() >= floor:
+                rec(nxt, s, depth + 1)
 
-    rec((1 << base.n) - 1, 0, 0)
+    rec((1 << base.n) - 1, 0, 1)
     return IndepSetCache(base, collected)
 
 

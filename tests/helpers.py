@@ -32,6 +32,14 @@ def brute_count_indep(g: Graph, q: int) -> int:
     return total
 
 
+def brute_indep_sets(g: Graph, q: int) -> list[tuple[int, ...]]:
+    """Every q-vertex independent set, in itertools.combinations order."""
+    return [
+        combo for combo in combinations(range(g.n), q)
+        if not any(g.has_edge(u, v) for u, v in combinations(combo, 2))
+    ]
+
+
 def brute_first_clique(g: Graph, p: int) -> tuple[int, ...] | None:
     """The first p-subset in itertools.combinations order that is a clique,
     or None."""

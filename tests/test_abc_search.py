@@ -144,6 +144,13 @@ def test_default_init_density():
     assert default_init_density(6, 6, 50) == 0.5
 
 
+def test_default_init_density_reads_the_clamped_band():
+    # below R(3, 9) = 36 the band is [0, 9], not [n - 36, 9], so a full-mode
+    # start is not the edgeless graph
+    assert default_init_density(3, 10, 20) == 4.5 / 19
+    assert default_init_density(3, 10, 30) == 4.5 / 29
+
+
 def test_init_split_and_order():
     rng = random.Random(0)
     colony = init_colony(small_params(q=4, n=8, budget=10_000), rng)

@@ -60,6 +60,21 @@ def test_degree_range_matches_lookup_arithmetic():
         assert rng.hi == known_ramsey(p - 1, q).lower - 1
 
 
+def test_degree_range_is_clamped_to_the_vertex_degrees():
+    # below R(p, q-1) the lower bound n - R(p, q-1) is negative, and the
+    # upper bound R(p-1, q) - 1 can exceed n - 1; both clamp to [0, n - 1]
+    assert (degree_range(3, 10, 1).lo, degree_range(3, 10, 1).hi) == (0, 0)
+    assert (degree_range(3, 10, 20).lo, degree_range(3, 10, 20).hi) == (0, 9)
+    assert (degree_range(3, 4, 3).lo, degree_range(3, 4, 3).hi) == (0, 2)
+    # an empty band stays empty
+    rng = degree_range(3, 10, 100)
+    assert (rng.lo, rng.hi, rng.feasible) == (64, 9, False)
+    for n in range(1, 60):
+        rng = degree_range(3, 10, n)
+        assert 0 <= rng.lo and rng.hi <= n - 1
+        assert rng.feasible == (n - 36 <= 9)
+
+
 def test_degree_range_flags_inconsistent_reported_value():
     rng = degree_range(4, 6, 36)
     assert (rng.lo, rng.hi) == (11, 17)

@@ -587,6 +587,15 @@ def test_bounds_cli(capsys):
     assert "note" in record
 
 
+def test_bounds_cli_clamps_the_band(capsys):
+    # n - R(3, 9) = -35: no vertex of a 1-vertex graph has a negative degree
+    assert main(["bounds", "3", "10", "1"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "degree range for (3,10,1) witnesses: [0,0]"
+    assert main(["bounds", "3", "10", "20", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["degree_range"] == [0, 9]
+
+
 def test_bounds_cli_names_an_empty_band(capsys):
     # bounds.degree_range(3, 10, 100) is [64, 9]: no degree fits, so no witness
     assert main(["bounds", "3", "10", "100"]) == EXIT_OK

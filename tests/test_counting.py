@@ -17,6 +17,7 @@ from helpers import (
     brute_first_indep,
     brute_fitness,
     brute_independence_number,
+    brute_indep_sets,
     count_graph_builds,
     graphs,
     random_graph,
@@ -588,6 +589,66 @@ def test_cache_budget_error(c5, monkeypatch):
     monkeypatch.setattr(counting, "MAX_CACHE_SETS", 3)
     with pytest.raises(CacheBudgetError, match="size 2"):
         build_indep_cache(Graph.empty(10), [2])
+
+
+@pytest.mark.parametrize("cap, sizes, named", [(45, [2], None), (44, [2], 2), (45, [2, 3], 3)])
+def test_cache_budget_at_its_boundary(monkeypatch, cap, sizes, named):
+    # Graph.empty(10) holds C(10, 2) = 45 independent 2-sets and 120 3-sets:
+    # a budget of exactly 45 holds the 2-sets and one less does not, and
+    # with 3-sets requested too it is the 3-sets that overflow
+    monkeypatch.setattr(counting, "MAX_CACHE_SETS", cap)
+    if named is None:
+        assert len(build_indep_cache(Graph.empty(10), sizes).masks_by_size[2]) == 45
+    else:
+        with pytest.raises(CacheBudgetError, match=f"more than {cap} .* of size {named}$"):
+            build_indep_cache(Graph.empty(10), sizes)
+
+
+def _assert_cache_holds(cache, sizes, expected):
+    # expected(k): the brute-force masks of the independent k-sets, sorted
+    assert sorted(cache.masks_by_size) == sorted(sizes)
+    for k in sizes:
+        held = sorted(cache.masks_by_size[k])
+        assert held == expected(k), k
+        assert len(set(held)) == len(held)  # no set twice
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cache_holds_every_independent_set(data):
+    # any non-empty size set, gaps such as {2, 5} included, so a partial set
+    # is extended only while it can still reach the next requested size
+    n = data.draw(st.integers(1, 14), label="n")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = random_graph(n, rng, density=data.draw(st.sampled_from([0.2, 0.4, 0.7])))
+    sizes = data.draw(st.sets(st.integers(1, n), min_size=1), label="sizes")
+    cache = build_indep_cache(g, sizes)
+    _assert_cache_holds(
+        cache, sizes,
+        lambda k: sorted(sum(1 << v for v in combo) for combo in brute_indep_sets(g, k)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=10), st.randoms(use_true_random=False), st.data())
+def test_cache_holds_every_independent_set_at_wide_labels(small, rnd, data):
+    # small sits at scattered labels in 30..63 of a 64-vertex graph whose
+    # other vertices are adjacent to every vertex, so masks span int digits,
+    # the walk starts at label 63, and the independent sets of two or more
+    # vertices are exactly small's, relabelled
+    labels = sorted(rnd.sample(range(30, 64), small.n))
+    outside = sorted(set(range(64)) - set(labels))
+    edges = [(labels[u], labels[v]) for u, v in small.edges()]
+    edges += [(u, v) for u in outside for v in range(64) if v != u and (v in labels or v > u)]
+    wide = Graph.from_edges(64, edges)
+    sizes = data.draw(st.sets(st.integers(1, small.n + 1), min_size=1), label="sizes")
+
+    def expected(k):
+        if k == 1:
+            return [1 << v for v in range(64)]
+        return sorted(sum(1 << labels[u] for u in combo) for combo in brute_indep_sets(small, k))
+
+    _assert_cache_holds(build_indep_cache(wide, sizes), sizes, expected)
 
 
 def test_compatible_count_matches_filter():
